@@ -7,16 +7,12 @@ t is the Harris law with scale exp(t*lam*k).
 Run:  python demos/birth_process_paths.py
 """
 
-import numpy as np
-
 from harrisproc import (
     ProcessParams,
-    RngStream,
     empirical_distribution,
     harris_pmf,
     process_moments,
     simulate_many,
-    simulate_trajectory,
 )
 
 
@@ -27,21 +23,21 @@ def main():
           ", ".join(f"{params.rate_after(n)}" for n in range(5)) + ", ...\n")
 
     print("three sample paths over [0, 2]:")
-    for stream in range(3):
-        traj = simulate_trajectory(RngStream(7, stream), params, horizon=2.0)
+    paths = simulate_many(params, 2.0, 3, seed=7)
+    for replica, traj in enumerate(paths):
         path = " -> ".join(
-            f"{state}@{time:.3f}" for time, state in
-            zip(traj.jump_times, traj.states)
+            f"{1 + i * params.k}@{time:.3f}"
+            for i, time in enumerate(traj.jump_times)
         )
-        print(f"  stream {stream}: {path}")
-        # every path satisfies N = 1 + k * (event count), exactly
-        assert traj.coupling_violations() == 0
+        print(f"  replica {replica}: {path}")
+    # every path satisfies N = 1 + k * (event count), exactly
+    assert paths.coupling_violations() == 0
     print()
 
     t = 1.0
     replicas = 20_000
     trajectories = simulate_many(params, t, replicas, seed=42)
-    states = np.array([traj.state_at(t) for traj in trajectories])
+    states = trajectories.states_at(t)
     mean, var = process_moments(params, t)
     print(f"{replicas} replicas at t={t}:")
     print(f"  empirical mean {states.mean():.4f} vs exp(t*lam*k) = {mean:.4f}")

@@ -23,12 +23,12 @@ from .distribution import (
 from .birth import (
     ProcessParams,
     Trajectory,
+    TrajectoryBatch,
     TransientSolution,
     empirical_distribution,
     incentive_pmf,
     process_moments,
     simulate_many,
-    simulate_trajectory,
     solve_forward_odes,
 )
 from .errors import ConvergenceError, ResourceLimitError

@@ -69,22 +69,19 @@ class ScenarioRun:
 
 
 def _empirical_tables(observed, marginal, total):
-    expected = {}
-    max_state = max(observed)
-    for n, x in enumerate(range(1, max_state + 1, marginal.k)):
-        expected[x] = total * harris_pmf(marginal, n)
-    return expected
+    states = np.arange(1, max(observed) + 1, marginal.k)
+    expected = total * harris_pmf(marginal, np.arange(len(states)))
+    return dict(zip(states.tolist(), expected.tolist()))
 
 
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                  lam: float = None, a: float = None, alpha: float = 0.01,
-                 horizon: float = None, threads: int = 1,
-                 var_rel_tol: float = 0.05) -> ScenarioRun:
+                 horizon: float = None, var_rel_tol: float = 0.05) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
     Model "birth" requires lam and simulates replica trajectories (replica
-    r on stream r); model "mixture" requires a and draws replicas samples
-    from stream 0.
+    block b on stream b); model "mixture" requires a and draws replicas
+    samples from stream 0.
     """
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas!r}")
@@ -95,11 +92,10 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         horizon = t if horizon is None else float(horizon)
         if horizon < t:
             raise ValueError(f"horizon {horizon!r} shorter than query time {t!r}")
-        trajectories = simulate_many(params, horizon, replicas, seed,
-                                     threads=threads)
-        states = np.array([traj.state_at(t) for traj in trajectories])
-        violations = sum(traj.coupling_violations() for traj in trajectories)
-        observed = empirical_distribution(trajectories, t)
+        batch = simulate_many(params, horizon, replicas, seed)
+        states = batch.states_at(t)
+        violations = batch.coupling_violations()
+        observed = empirical_distribution(batch, t)
         marginal = params.harris_at(t)
         analytic_mean, analytic_var = process_moments(params, t)
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
@@ -214,11 +210,12 @@ def _check_ode_grid() -> CriterionResult:
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
         closed = harris_pmf(params.harris_at(t), np.arange(solution.n_max + 1))
         worst_gap = max(worst_gap, float(np.abs(solution.probs - closed).max()))
-    passed = worst_gap < 1e-8 and worst_elapsed < 1.0
+    in_budget = worst_elapsed < 1.0
+    # the measured time stays out of the detail, so reruns print the same bytes
     return CriterionResult(
-        1, "forward-equations-vs-closed-form", passed,
+        1, "forward-equations-vs-closed-form", worst_gap < 1e-8 and in_budget,
         f"max-abs gap {worst_gap:.3e} (budget 1e-08); slowest solve "
-        f"{worst_elapsed:.3f}s (budget 1s)",
+        f"{'within' if in_budget else 'over'} the 1s budget",
     )
 
 
@@ -235,9 +232,9 @@ def _check_quadrature_grid() -> CriterionResult:
     )
 
 
-def _check_birth_mc(replicas: int, seed: int, threads: int):
+def _check_birth_mc(replicas: int, seed: int):
     run = run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=replicas,
-                       seed=seed, alpha=0.01, threads=threads)
+                       seed=seed, alpha=0.01)
     report = run.report
     passed = report.overall
     detail = (
@@ -250,7 +247,7 @@ def _check_birth_mc(replicas: int, seed: int, threads: int):
     return CriterionResult(3, "model1-monte-carlo-law", passed, detail), run
 
 
-def _check_mixture_mc(draws: int, seed: int) -> CriterionResult:
+def _check_mixture_mc(draws: int, seed: int):
     run = run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=draws,
                        seed=seed, alpha=0.01)
     report = run.report
@@ -260,10 +257,11 @@ def _check_mixture_mc(draws: int, seed: int) -> CriterionResult:
         f"in 2+/-{3 * report.mean_check.std_error:.4f}; var "
         f"{report.var_check.empirical:.4f} within 5% of 4"
     )
-    return CriterionResult(4, "model2-monte-carlo-law", report.overall, detail)
+    result = CriterionResult(4, "model2-monte-carlo-law", report.overall, detail)
+    return result, run
 
 
-def _check_yule_furry(replicas: int, seed: int, threads: int):
+def _check_yule_furry(replicas: int, seed: int):
     params = ProcessParams(1.0, 1)
     t = 0.7
     q = math.exp(-t)
@@ -271,9 +269,9 @@ def _check_yule_furry(replicas: int, seed: int, threads: int):
     closed = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - closed).max())
 
-    trajectories = simulate_many(params, t, replicas, seed, threads=threads)
-    violations = sum(traj.coupling_violations() for traj in trajectories)
-    observed = empirical_distribution(trajectories, t)
+    batch = simulate_many(params, t, replicas, seed)
+    violations = batch.coupling_violations()
+    observed = empirical_distribution(batch, t)
     gof = chi_square_gof(
         observed,
         lambda x: decap_geometric_pmf(q, x),
@@ -336,13 +334,13 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     )
 
 
-def _check_determinism(replicas: int, seed: int, threads: int) -> CriterionResult:
+def _check_determinism(replicas: int, seed: int) -> CriterionResult:
     texts = []
     for fmt in ("csv", "json"):
         pair = []
         for _ in range(2):
             run = run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=replicas,
-                               seed=seed, alpha=0.01, threads=threads)
+                               seed=seed, alpha=0.01)
             pair.append(simulate_text(run, fmt, 0.01))
         texts.append(pair[0] == pair[1])
     passed = all(texts)
@@ -356,21 +354,23 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
                    mixture_draws: int = DEFAULT_MIXTURE_DRAWS,
                    calibration_seeds: int = DEFAULT_CALIBRATION_SEEDS,
                    calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
-                   seed: int = 42, threads: int = 1) -> list:
+                   seed: int = 42) -> list:
     """Run every cross-validation criterion; returns one result per check."""
     results = [_check_ode_grid(), _check_quadrature_grid()]
-    birth_result, birth_run = _check_birth_mc(birth_replicas, seed, threads)
+    birth_result, birth_run = _check_birth_mc(birth_replicas, seed)
     results.append(birth_result)
-    results.append(_check_mixture_mc(mixture_draws, seed))
-    yule_result, yule_violations = _check_yule_furry(birth_replicas, seed, threads)
+    mixture_result, mixture_run = _check_mixture_mc(mixture_draws, seed)
+    results.append(mixture_result)
+    yule_result, yule_violations = _check_yule_furry(birth_replicas, seed)
     results.append(yule_result)
-    violations = birth_run.coupling_violations + yule_violations
+    violations = (birth_run.coupling_violations + yule_violations
+                  + mixture_run.coupling_violations)
     results.append(CriterionResult(
         6, "coupling-identity", violations == 0,
         f"{violations} violations of state = 1 + k*count across "
-        f"{2 * birth_replicas} trajectories",
+        f"{2 * birth_replicas} trajectories and {mixture_draws} mixture draws",
     ))
     results.append(_check_identities())
     results.append(_check_calibration(calibration_seeds, calibration_draws))
-    results.append(_check_determinism(birth_replicas, seed, threads))
+    results.append(_check_determinism(birth_replicas, seed))
     return sorted(results, key=lambda r: r.number)

@@ -17,7 +17,6 @@ Kolmogorov forward equations
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,8 @@ from .sampling import RngStream
 __all__ = [
     "ProcessParams",
     "Trajectory",
+    "TrajectoryBatch",
     "TransientSolution",
-    "simulate_trajectory",
     "simulate_many",
     "empirical_distribution",
     "solve_forward_odes",
@@ -46,6 +45,8 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 1_000_000
 DEFAULT_STATE_CAP = 20_000
+# Replicas per random stream: block b of a batch owns RngStream(seed, b).
+BLOCK_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -76,120 +77,182 @@ class ProcessParams:
         return HarrisParams(self.scale_at(t), self.k)
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """One sample path: event times and the states entered at them.
+    """Replica r of a TrajectoryBatch: a view that copies nothing when made.
 
-    jump_times[0] = 0 with states[0] = 1 records the start; entry i
-    is the i-th event, so states[i] = 1 + i*k and the event count at
-    any time equals the index of the prevailing state.
+    jump_times[0] = 0 records the start in state 1; entry i > 0 is the
+    i-th event, so the state entered at jump_times[i] is 1 + i*k.
     """
 
-    params: ProcessParams
-    jump_times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)
-    horizon: float
+    __slots__ = ("batch", "index")
 
-    def __post_init__(self):
-        times, states, k = self.jump_times, self.states, self.params.k
-        if len(times) != len(states) or len(times) == 0:
-            raise ValueError("jump_times and states must be equal-length, nonempty")
-        if times[0] != 0.0 or states[0] != 1:
-            raise ValueError("a trajectory starts at state 1 at time 0")
-        if np.any(np.diff(times) <= 0.0) or times[-1] > self.horizon:
-            raise ValueError("jump times must increase strictly within the horizon")
-        if np.any(np.diff(states) != k):
-            raise ValueError(f"each event must add exactly k={k}")
+    def __init__(self, batch: "TrajectoryBatch", index: int):
+        self.batch = batch
+        self.index = index
+
+    def __repr__(self):
+        return f"Trajectory(replica={self.index}, n_events={self.n_events})"
+
+    @property
+    def params(self) -> ProcessParams:
+        return self.batch.params
+
+    @property
+    def horizon(self) -> float:
+        return self.batch.horizon
 
     @property
     def n_events(self) -> int:
-        return len(self.jump_times) - 1
+        return int(self.batch.n_events[self.index])
+
+    def _event_times(self) -> np.ndarray:
+        offsets = self.batch.offsets
+        return self.batch.event_times[offsets[self.index]:offsets[self.index + 1]]
+
+    @property
+    def jump_times(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._event_times()))
 
     def state_at(self, t: float) -> int:
         """N(t): the last state entered no later than t."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"query time {t!r} outside [0, horizon={self.horizon}]")
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        return int(self.states[idx])
+        self.batch._check_time(t)
+        events = np.searchsorted(self._event_times(), t, side="right")
+        return 1 + self.params.k * int(events)
 
     def incentives_at(self, t: float) -> int:
         """I(t) = (N(t) - 1) / k, the exact event count by time t."""
         return (self.state_at(t) - 1) // self.params.k
 
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """Sample paths of many replicas as arrays, one row per replica.
+
+    Row r holds replica r's event times, event_times[offsets[r]:offsets[r+1]],
+    strictly increasing within (0, horizon].  n_events is the sampler's own
+    per-replica event counter.  It is kept apart from the rows, so the
+    coupling check compares two records of the same paths.  Indexing and
+    iteration give Trajectory views.
+    """
+
+    params: ProcessParams
+    horizon: float
+    n_events: np.ndarray = field(repr=False)
+    event_times: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        times, offsets = self.event_times, self.offsets
+        if not self.horizon > 0.0:
+            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if (len(self.n_events) == 0 or len(offsets) != len(self.n_events) + 1
+                or np.any(self.n_events < 0)):
+            raise ValueError("need a nonnegative event count and a row per replica")
+        if (offsets[0] != 0 or offsets[-1] != len(times)
+                or np.any(offsets[1:] < offsets[:-1])):
+            raise ValueError("row offsets must rise from 0 to len(event_times)")
+        increasing = times[1:] > times[:-1]
+        row_starts = offsets[1:-1]
+        increasing[row_starts[(row_starts > 0) & (row_starts < len(times))] - 1] = True
+        if not (increasing.all() and np.all(times > 0.0)
+                and np.all(times <= self.horizon)):
+            raise ValueError("event times must increase strictly within (0, horizon]")
+
+    def __len__(self) -> int:
+        return len(self.n_events)
+
+    def __getitem__(self, replica: int) -> Trajectory:
+        return Trajectory(self, range(len(self))[replica])
+
+    def __iter__(self):
+        return (Trajectory(self, r) for r in range(len(self)))
+
+    def _check_time(self, t: float) -> None:
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"query time {t!r} outside [0, horizon={self.horizon}]")
+
+    def counts_at(self, t: float) -> np.ndarray:
+        """I(t) per replica: the number of recorded event times <= t."""
+        self._check_time(t)
+        # rows increase, so a row's events up to t end where its first event
+        # after t (or the next row) begins
+        after = np.append(np.flatnonzero(self.event_times > t), len(self.event_times))
+        starts, ends = self.offsets[:-1], self.offsets[1:]
+        return np.minimum(after[np.searchsorted(after, starts)], ends) - starts
+
+    def states_at(self, t: float) -> np.ndarray:
+        """N(t) = 1 + k*I(t) per replica."""
+        return 1 + self.params.k * self.counts_at(t)
+
     def coupling_violations(self) -> int:
-        """Count event records where N != 1 + k*I; zero on a valid path."""
-        expected = 1 + self.params.k * np.arange(len(self.states))
-        return int(np.count_nonzero(self.states != expected))
+        """Replicas whose recorded path does not end in 1 + k*(event count).
+
+        N(horizon) comes from the recorded event times, the count from the
+        sampler's counter; zero on a valid batch.
+        """
+        expected = 1 + self.params.k * self.n_events
+        return int(np.count_nonzero(self.states_at(self.horizon) != expected))
 
 
-def simulate_trajectory(rng: RngStream, params: ProcessParams, horizon: float,
-                        max_events: int = DEFAULT_EVENT_CAP) -> Trajectory:
-    """Exact event-driven simulation up to the horizon.
+def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
+                  seed: int, max_events: int = DEFAULT_EVENT_CAP) -> TrajectoryBatch:
+    """Exact event-driven simulation of independent replicas to the horizon.
 
-    Holding times are exponential with the prevailing state's rate; no
-    time discretization is involved.  Raises ResourceLimitError if a
-    path would exceed max_events (a guard for pathological parameters;
-    the process itself is non-explosive on finite horizons).
+    Each round advances every replica still inside the horizon by one
+    exponential holding time -ln(U)/((j*k + 1)*lam), where j, the round,
+    is the event count of every such replica, and retires those that pass
+    the horizon; no time discretization is involved.  Replica block b
+    (replicas b*BLOCK_SIZE to (b+1)*BLOCK_SIZE - 1) draws from
+    RngStream(seed, b), one uniform per replica of the block still alive
+    in each round, in replica order.  So every full block gives the same
+    paths whatever n_replicas is.  Raises ResourceLimitError if a path
+    would exceed max_events (a guard for pathological parameters; the
+    process itself is non-explosive on finite horizons).
     """
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
-    # inlined exponential inversion (-ln(U)/rate); one uniform per event
-    # keeps replicas cheap enough for 1e5-replica validation runs
-    random = rng.generator.random
-    lam, k = params.lam, params.k
-    t = 0.0
-    n = 0
-    times = [0.0]
+    if n_replicas < 1:
+        raise ValueError(f"need at least one replica, got {n_replicas!r}")
+    streams = [RngStream(seed, stream_id=b)
+               for b in range(math.ceil(n_replicas / BLOCK_SIZE))]
+    alive = np.arange(n_replicas)
+    clock = np.zeros(n_replicas)
+    n_events = np.zeros(n_replicas, dtype=np.int64)
+    # rounds[j]: the (j+1)-th event time of every replica with more than
+    # j events, in replica order
+    rounds = []
     while True:
-        u = random()
-        while u == 0.0:
-            u = random()
-        t -= math.log(u) / ((n * k + 1) * lam)
-        if t > horizon:
+        per_block = np.bincount(alive // BLOCK_SIZE, minlength=len(streams))
+        uniforms = np.concatenate([stream.uniform(size) for stream, size
+                                   in zip(streams, per_block) if size])
+        rate = (len(rounds) * params.k + 1) * params.lam
+        clock = clock - np.log(uniforms) / rate
+        inside = clock <= horizon
+        alive, clock = alive[inside], clock[inside]
+        if alive.size == 0:
             break
-        n += 1
-        if n > max_events:
+        if len(rounds) == max_events:
             raise ResourceLimitError(
                 f"trajectory exceeded {max_events} events before t={horizon}"
             )
-        times.append(t)
-    states = 1 + k * np.arange(n + 1)
-    return Trajectory(params, np.asarray(times), states, horizon)
+        n_events[alive] += 1
+        rounds.append(clock)
+
+    offsets = np.zeros(n_replicas + 1, dtype=np.int64)
+    np.cumsum(n_events, out=offsets[1:])
+    event_times = np.empty(offsets[-1])
+    members = np.arange(n_replicas)
+    for j, times in enumerate(rounds):
+        members = members[n_events[members] > j]
+        event_times[offsets[members] + j] = times
+    return TrajectoryBatch(params, horizon, n_events, event_times, offsets)
 
 
-def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
-                  seed: int, max_events: int = DEFAULT_EVENT_CAP,
-                  threads: int = 1) -> list:
-    """Simulate independent replicas; replica r draws from stream r.
-
-    The result is indexed by replica and therefore identical for any
-    thread count.
-    """
-    if n_replicas < 1:
-        raise ValueError(f"need at least one replica, got {n_replicas!r}")
-
-    def one(replica: int) -> Trajectory:
-        rng = RngStream(seed, stream_id=replica)
-        return simulate_trajectory(rng, params, horizon, max_events=max_events)
-
-    if threads <= 1:
-        return [one(r) for r in range(n_replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n_replicas)))
-
-
-def empirical_distribution(trajectories, t: float) -> dict:
-    """Frequency map state -> count of N(t) across trajectories."""
-    counts: dict = {}
-    for traj in trajectories:
-        if t > traj.horizon:
-            raise ValueError(
-                f"query time {t!r} exceeds a trajectory horizon {traj.horizon!r}"
-            )
-        state = traj.state_at(t)
-        counts[state] = counts.get(state, 0) + 1
-    return dict(sorted(counts.items()))
+def empirical_distribution(batch: TrajectoryBatch, t: float) -> dict:
+    """Frequency map state -> count of N(t) across the batch's replicas."""
+    values, counts = np.unique(batch.states_at(t), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)

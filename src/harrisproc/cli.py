@@ -33,6 +33,8 @@ DEFAULT_SEED = 0
 DEFAULT_ALPHA = 0.01
 DEFAULT_TAIL = 1e-12
 DEFAULT_TOL = 1e-8
+THREADS_HELP = ("ignored: the birth sampler is vectorized and runs in one "
+                "thread; the flag is still accepted and will be removed")
 
 
 def _write(text: str, out_path):
@@ -128,8 +130,7 @@ def cmd_simulate(args) -> int:
             raise ValueError("--model birth needs --lambda")
         run = run_scenario("birth", lam=args.lam, k=args.k, t=args.t,
                            replicas=args.replicas, seed=args.seed,
-                           alpha=args.alpha, horizon=args.horizon,
-                           threads=args.threads)
+                           alpha=args.alpha, horizon=args.horizon)
     else:
         if args.a is None:
             raise ValueError("--model mixture needs --a")
@@ -199,7 +200,6 @@ def cmd_validate(args) -> int:
         mixture_draws=args.mixture_draws,
         calibration_seeds=args.calibration_seeds,
         seed=args.seed,
-        threads=args.threads,
     )
     meta = {"command": "validate", "schema_version": SCHEMA_VERSION,
             "replicas": args.replicas, "mixture_draws": args.mixture_draws,
@@ -262,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="goodness-of-fit significance level")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for replica simulation")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_output_options(p, "json")
     p.set_defaults(func=cmd_simulate)
 
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration-seeds", type=int, default=200)
     p.add_argument("--seed", type=int, default=42,
                    help="seed for the Monte Carlo criteria")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_validate)
 

@@ -3,9 +3,9 @@
 Every draw is keyed by an :class:`RngStream`, a thin wrapper over numpy's
 PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=(stream_id,))``.
 Identical (seed, stream_id) pairs reproduce the variate sequence exactly;
-distinct stream ids give statistically independent streams, so Monte Carlo
-replica r can own stream r and aggregated results never depend on worker
-count or scheduling.
+distinct stream ids give statistically independent streams, so a block of
+Monte Carlo replicas can own one stream and aggregated results never depend
+on scheduling.
 
 Harris variates are produced by the gamma-Poisson route: a negative
 binomial count is a Poisson draw whose mean is itself gamma distributed,
@@ -43,7 +43,7 @@ class RngStream:
     seed : int
         Nonnegative base seed shared by a whole experiment.
     stream_id : int
-        Nonnegative substream index; replica r conventionally uses r.
+        Nonnegative substream index; birth replica block b uses b.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):

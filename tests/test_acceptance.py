@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from harrisproc import acceptance
 from harrisproc.birth import (
     ProcessParams,
     empirical_distribution,
@@ -42,17 +43,22 @@ def record(number, name, passed, detail):
 @pytest.fixture(scope="module")
 def birth_run():
     """Criterion 3 scenario: 1e5 trajectories at lam=0.5, k=2, horizon 1."""
-    trajectories = simulate_many(ProcessParams(0.5, 2), 1.0, 100_000, seed=SEED)
-    states = np.array([traj.state_at(1.0) for traj in trajectories])
-    return trajectories, states
+    batch = simulate_many(ProcessParams(0.5, 2), 1.0, 100_000, seed=SEED)
+    return batch, batch.states_at(1.0)
 
 
 @pytest.fixture(scope="module")
 def yule_run():
     """Criterion 5 scenario: 1e5 trajectories at lam=1, k=1, horizon 0.7."""
-    trajectories = simulate_many(ProcessParams(1.0, 1), 0.7, 100_000, seed=SEED)
-    states = np.array([traj.state_at(0.7) for traj in trajectories])
-    return trajectories, states
+    batch = simulate_many(ProcessParams(1.0, 1), 0.7, 100_000, seed=SEED)
+    return batch, batch.states_at(0.7)
+
+
+@pytest.fixture(scope="module")
+def mixture_draws():
+    """Criterion 4 scenario: 1e6 draws at a=1, k=2, t=1."""
+    params = MixtureParams(1.0, 2)
+    return np.asarray(sample_model2(RngStream(SEED), params, 1.0, size=1_000_000))
 
 
 def test_criterion_1_ode_vs_closed_form():
@@ -107,9 +113,8 @@ def test_criterion_3_model1_monte_carlo(birth_run):
            f"{mean_gap:.4f} <= 0.029; var rel err {var_rel:.4f} <= 0.05")
 
 
-def test_criterion_4_model2_monte_carlo():
-    params = MixtureParams(1.0, 2)
-    draws = np.asarray(sample_model2(RngStream(SEED), params, 1.0, size=1_000_000))
+def test_criterion_4_model2_monte_carlo(mixture_draws):
+    draws = mixture_draws
     marginal = HarrisParams(2.0, 2)
     values, counts = np.unique(draws, return_counts=True)
     gof = chi_square_gof(
@@ -128,14 +133,14 @@ def test_criterion_4_model2_monte_carlo():
 
 
 def test_criterion_5_yule_furry_triple_agreement(yule_run):
-    trajectories, states = yule_run
+    batch, states = yule_run
     params = ProcessParams(1.0, 1)
     q = math.exp(-0.7)
     solution = solve_forward_odes(params, 0.7)
     decap = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - decap).max())
     gof = chi_square_gof(
-        empirical_distribution(trajectories, 0.7),
+        empirical_distribution(batch, 0.7),
         lambda x: decap_geometric_pmf(q, x),
         params.harris_at(0.7).support_values(),
         len(states),
@@ -146,16 +151,44 @@ def test_criterion_5_yule_furry_triple_agreement(yule_run):
            f"monte carlo gof {gof.statistic:.2f} <= {gof.threshold:.2f}")
 
 
-def test_criterion_6_coupling_identity(birth_run, yule_run):
+def test_criterion_6_coupling_identity(birth_run, yule_run, mixture_draws):
     violations = 0
-    for trajectories, t in ((birth_run[0], 1.0), (yule_run[0], 0.7)):
-        for traj in trajectories:
-            violations += traj.coupling_violations()
-            k = traj.params.k
-            if traj.state_at(t) != 1 + k * traj.incentives_at(t):
-                violations += 1
+    for batch, t in ((birth_run[0], 1.0), (yule_run[0], 0.7)):
+        violations += batch.coupling_violations()
+        k = batch.params.k
+        violations += int(np.count_nonzero(
+            batch.states_at(t) != 1 + k * batch.counts_at(t)))
+    violations += int(np.count_nonzero((mixture_draws - 1) % 2))
     record(6, "coupling-identity", violations == 0,
-           f"{violations} violations of N = 1 + k*I across 200000 trajectories")
+           f"{violations} violations of N = 1 + k*I across 200000 trajectories "
+           f"and 1000000 mixture draws")
+
+
+def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
+    def lossy(*args, **kwargs):
+        batch = simulate_many(*args, **kwargs)
+        return drop_last_event(batch, int(np.flatnonzero(batch.n_events)[0]))
+
+    monkeypatch.setattr(acceptance, "simulate_many", lossy)
+    results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
+                                        calibration_seeds=25,
+                                        calibration_draws=2000)
+    coupling = results[5]
+    assert coupling.number == 6 and not coupling.passed
+    # one dropped event in each of the criterion 3 and criterion 5 runs
+    assert coupling.detail.startswith("2 violations")
+
+
+def test_criterion_6_reports_a_mixture_draw_off_the_lattice(monkeypatch):
+    def shifted(*args, **kwargs):
+        draws = sample_model2(*args, **kwargs)
+        draws[0] += 1
+        return draws
+
+    monkeypatch.setattr(acceptance, "sample_model2", shifted)
+    run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=1000,
+                                  seed=SEED)
+    assert run.coupling_violations == 1
 
 
 def test_criterion_7_identity_suite():

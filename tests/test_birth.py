@@ -6,13 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from harrisproc.birth import (
+    BLOCK_SIZE,
     ProcessParams,
-    Trajectory,
+    TrajectoryBatch,
     empirical_distribution,
     incentive_pmf,
     process_moments,
     simulate_many,
-    simulate_trajectory,
     solve_forward_odes,
 )
 from harrisproc.distribution import (
@@ -22,7 +22,6 @@ from harrisproc.distribution import (
     harris_pmf,
 )
 from harrisproc.errors import ResourceLimitError
-from harrisproc.sampling import RngStream
 from harrisproc.validation import chi_square_gof
 
 E = math.e
@@ -46,48 +45,75 @@ class TestProcessParams:
 
 class TestTrajectory:
     def test_starts_at_one(self):
-        traj = simulate_trajectory(RngStream(0, 0), ProcessParams(0.5, 2), 1.0)
+        traj = simulate_many(ProcessParams(0.5, 2), 1.0, 1, seed=0)[0]
         assert traj.state_at(0.0) == 1
         assert traj.incentives_at(0.0) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_invariants(self, seed):
         params = ProcessParams(1.0, 3)
-        traj = simulate_trajectory(RngStream(seed, 0), params, 2.0)
-        assert traj.jump_times[0] == 0.0 and traj.states[0] == 1
+        batch = simulate_many(params, 2.0, 1, seed=seed)
+        traj = batch[0]
+        states = [traj.state_at(s) for s in traj.jump_times]
+        assert traj.jump_times[0] == 0.0 and states[0] == 1
         assert np.all(np.diff(traj.jump_times) > 0.0)
         assert traj.jump_times[-1] <= traj.horizon
-        assert np.all(np.diff(traj.states) == 3)
-        assert traj.coupling_violations() == 0
+        assert np.all(np.diff(states) == 3)
+        assert batch.coupling_violations() == 0
 
     def test_coupling_identity_at_query_times(self):
         params = ProcessParams(1.0, 2)
-        traj = simulate_trajectory(RngStream(1, 4), params, 3.0)
+        batch = simulate_many(params, 3.0, 5, seed=1)
+        traj = batch[4]
         for t in np.linspace(0.0, 3.0, 13):
             assert traj.state_at(t) == 1 + 2 * traj.incentives_at(t)
+            assert batch.states_at(t)[4] == 1 + 2 * batch.counts_at(t)[4]
+
+    def test_batch_queries_match_views(self):
+        batch = simulate_many(ProcessParams(1.0, 2), 1.5, 300, seed=5)
+        for t in (0.0, 0.3, 0.9, 1.5):
+            assert batch.states_at(t).tolist() == [tr.state_at(t) for tr in batch]
+        assert batch.n_events.tolist() == [len(tr.jump_times) - 1 for tr in batch]
 
     def test_query_outside_horizon_rejected(self):
-        traj = simulate_trajectory(RngStream(0, 0), ProcessParams(0.5, 1), 1.0)
+        batch = simulate_many(ProcessParams(0.5, 1), 1.0, 1, seed=0)
         with pytest.raises(ValueError):
-            traj.state_at(1.5)
+            batch[0].state_at(1.5)
+        with pytest.raises(ValueError):
+            batch.states_at(1.5)
 
     def test_invalid_construction_rejected(self):
         params = ProcessParams(1.0, 2)
-        with pytest.raises(ValueError):
-            Trajectory(params, np.array([0.0, 0.5]), np.array([1, 2]), 1.0)
-        with pytest.raises(ValueError):
-            Trajectory(params, np.array([0.1, 0.5]), np.array([1, 3]), 1.0)
+        one_row = np.array([0, 2])
+        with pytest.raises(ValueError):  # not increasing
+            TrajectoryBatch(params, 1.0, np.array([2]), np.array([0.5, 0.5]), one_row)
+        with pytest.raises(ValueError):  # past the horizon
+            TrajectoryBatch(params, 1.0, np.array([2]), np.array([0.1, 1.5]), one_row)
+        with pytest.raises(ValueError):  # an event at the start time
+            TrajectoryBatch(params, 1.0, np.array([2]), np.array([0.0, 0.5]), one_row)
+        with pytest.raises(ValueError):  # rows do not cover the times
+            TrajectoryBatch(params, 1.0, np.array([1]), np.array([0.1, 0.5]),
+                            np.array([0, 1]))
+        # each row increases on its own; a drop between rows is fine
+        batch = TrajectoryBatch(params, 1.0, np.array([2, 1]),
+                                np.array([0.1, 0.5, 0.2]), np.array([0, 2, 3]))
+        assert batch.states_at(0.3).tolist() == [3, 3]
 
     def test_event_cap(self):
         with pytest.raises(ResourceLimitError):
-            simulate_trajectory(RngStream(0, 0), ProcessParams(5.0, 2), 10.0,
-                                max_events=3)
+            simulate_many(ProcessParams(5.0, 2), 10.0, 1, seed=0, max_events=3)
+
+    def test_dropped_event_is_a_coupling_violation(self, drop_last_event):
+        batch = simulate_many(ProcessParams(0.5, 2), 1.0, 200, seed=4)
+        replica = int(np.flatnonzero(batch.n_events)[0])
+        assert batch.coupling_violations() == 0
+        assert drop_last_event(batch, replica).coupling_violations() == 1
 
 
 class TestEmpiricalDistribution:
     def test_single_trajectory_at_zero(self):
-        traj = simulate_trajectory(RngStream(0, 0), ProcessParams(0.5, 2), 1.0)
-        assert empirical_distribution([traj], 0.0) == {1: 1}
+        batch = simulate_many(ProcessParams(0.5, 2), 1.0, 1, seed=0)
+        assert empirical_distribution(batch, 0.0) == {1: 1}
 
     def test_vanishing_rate_concentrates_at_one(self):
         trajs = simulate_many(ProcessParams(1e-9, 2), 1.0, 200, seed=0)
@@ -108,8 +134,7 @@ class TestEmpiricalDistribution:
 class TestMonteCarloLaw:
     def test_mean_and_gof_against_closed_form(self):
         params = ProcessParams(0.5, 2)
-        trajs = simulate_many(params, 1.0, 20_000, seed=42)
-        states = np.array([tr.state_at(1.0) for tr in trajs])
+        states = simulate_many(params, 1.0, 20_000, seed=42).states_at(1.0)
         mean, var = process_moments(params, 1.0)
         assert abs(states.mean() - mean) < 3 * math.sqrt(var / len(states))
         marginal = params.harris_at(1.0)
@@ -125,8 +150,7 @@ class TestMonteCarloLaw:
     def test_yule_furry_reduction(self):
         # k = 1 marginal is the decapitated geometric with q = exp(-lam*t)
         params = ProcessParams(1.0, 1)
-        trajs = simulate_many(params, 0.7, 20_000, seed=7)
-        states = np.array([tr.state_at(0.7) for tr in trajs])
+        states = simulate_many(params, 0.7, 20_000, seed=7).states_at(0.7)
         q = math.exp(-0.7)
         result = chi_square_gof(
             Counter(states.tolist()),
@@ -137,13 +161,35 @@ class TestMonteCarloLaw:
         )
         assert result.passed
 
-    def test_thread_count_does_not_change_results(self):
+    def test_law_before_the_horizon(self):
+        # the marginal at an earlier query time, read off longer paths
         params = ProcessParams(0.5, 2)
-        serial = simulate_many(params, 1.0, 64, seed=9, threads=1)
-        pooled = simulate_many(params, 1.0, 64, seed=9, threads=4)
-        for a, b in zip(serial, pooled):
+        batch = simulate_many(params, 2.0, 20_000, seed=13)
+        marginal = params.harris_at(0.5)
+        result = chi_square_gof(
+            empirical_distribution(batch, 0.5),
+            lambda x: harris_pmf(marginal, (x - 1) // 2),
+            marginal.support_values(),
+            len(batch),
+            0.001,
+        )
+        assert result.passed
+
+    def test_block_prefix_does_not_change_results(self):
+        # block b owns stream b, so a full block's paths do not depend on
+        # how many replicas follow it
+        params = ProcessParams(0.5, 2)
+        block = simulate_many(params, 1.0, BLOCK_SIZE, seed=9)
+        longer = simulate_many(params, 1.0, 2 * BLOCK_SIZE + 100, seed=9)
+        for a, b in zip(block, longer):
             assert np.array_equal(a.jump_times, b.jump_times)
-        assert empirical_distribution(serial, 1.0) == empirical_distribution(pooled, 1.0)
+        states = longer.states_at(1.0)
+        assert np.array_equal(block.states_at(1.0), states[:BLOCK_SIZE])
+        # and each block has a stream of its own
+        assert not np.array_equal(states[:BLOCK_SIZE], states[BLOCK_SIZE:2 * BLOCK_SIZE])
+        rerun = simulate_many(params, 1.0, 2 * BLOCK_SIZE + 100, seed=9)
+        assert np.array_equal(longer.event_times, rerun.event_times)
+        assert np.array_equal(longer.offsets, rerun.offsets)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import math
+import time
 
 import pytest
 
@@ -134,6 +136,7 @@ class TestSimulate:
         assert "replicas" in err
 
     def test_threads_do_not_change_output(self, capsys):
+        # --threads is accepted and ignored
         args = ["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
                 "--t", "1", "--replicas", "500", "--seed", "7", "--format", "csv"]
         _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
@@ -216,6 +219,18 @@ class TestValidate:
         assert header == ["criterion", "name", "passed", "detail"]
         assert [row[0] for row in rows] == [str(i) for i in range(1, 10)]
         assert all(row[2] == "true" for row in rows)
+
+    def test_reruns_are_byte_identical(self, capsys, monkeypatch):
+        # a clock ticking at a different pace in each run stands in for
+        # solve times that differ between runs
+        args = ["validate", "--replicas", "2000", "--mixture-draws", "20000",
+                "--calibration-seeds", "25", "--format", "csv"]
+        outputs = []
+        for tick in (0.001, 0.002):
+            clock = itertools.count(step=tick)
+            monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+            outputs.append(run_cli(args, capsys)[1])
+        assert outputs[0] == outputs[1]
 
 
 class TestParser:
