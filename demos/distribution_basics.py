@@ -26,12 +26,11 @@ def main():
           "(every value is 1 modulo k)\n")
 
     print("p.m.f. head (x = 1 + n*k):")
-    table = pmf_table(params, tail_bound=1e-12)
-    for point, prob in table.entries[:8]:
-        print(f"  n={point.n:2d}  x={point.x:3d}  P = {prob:.8f}")
-    total = sum(p for _, p in table.entries)
-    print(f"  ... {len(table.entries)} entries sum to {total:.12f} "
-          f"(+ certified tail below {table.tail_mass:.1e})\n")
+    xs, probs, tail_mass = pmf_table(params, tail_bound=1e-12)
+    for n in range(8):
+        print(f"  n={n:2d}  x={xs[n]:3d}  P = {probs[n]:.8f}")
+    print(f"  ... {len(probs)} entries sum to {probs.sum():.12f} "
+          f"(+ certified tail below {tail_mass:.1e})\n")
 
     mean, var = harris_mean_var(params)
     print(f"closed-form moments: mean = {mean:.6f}, variance = {var:.6f}")

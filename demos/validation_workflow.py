@@ -4,6 +4,7 @@ Run:  python demos/validation_workflow.py
 """
 
 import json
+from dataclasses import asdict
 
 from harrisproc import (
     HarrisParams,
@@ -13,7 +14,8 @@ from harrisproc import (
     harris_pmf,
     sample_harris,
 )
-from harrisproc.acceptance import run_scenario, simulate_text
+from harrisproc.acceptance import run_scenario
+from harrisproc.reporting import simulate_text
 from harrisproc.validation import chi_square_gof
 
 
@@ -37,7 +39,8 @@ def main():
           f"-> passed={report.mean_check.passed}")
     print(f"  var  {report.var_check.empirical:.4f} vs "
           f"{report.var_check.analytic:.4f} "
-          f"(rel tol {report.var_check.rel_tol}) "
+          f"(rel tol {report.var_check.rel_tol:.4f}: 3 SE of the sample "
+          f"variance, at least 5%) "
           f"-> passed={report.var_check.passed}")
     print(f"  overall: {report.overall}\n")
 
@@ -47,7 +50,7 @@ def main():
     print()
 
     # reports serialize losslessly
-    payload = report.to_dict()
+    payload = asdict(report)
     assert ValidationReport.from_dict(json.loads(json.dumps(payload))) == report
     print("report JSON round-trips losslessly; first lines:")
     print("\n".join(json.dumps(payload, indent=2).splitlines()[:9]), "\n  ...\n")
@@ -70,7 +73,7 @@ def main():
 
     # the exact text the `simulate` command would emit (deterministic bytes)
     print("\n`harrisproc simulate` CSV output, first lines:")
-    print("\n".join(simulate_text(run, "csv", 0.01).splitlines()[:8]))
+    print("\n".join(simulate_text(run, "csv").splitlines()[:8]))
     print("  ...")
 
 

@@ -10,8 +10,6 @@ quadrature of the mixture integral) through the validation harness.
 
 from .distribution import (
     HarrisParams,
-    PmfTable,
-    SupportPoint,
     decap_geometric_pmf,
     harris_mean_var,
     harris_pgf,

@@ -24,6 +24,7 @@ from scipy.integrate import solve_ivp
 
 from .distribution import (
     HarrisParams,
+    _validate_step,
     nb_pmf,
     tail_bound_after,
     truncation_index,
@@ -57,12 +58,11 @@ class ProcessParams:
     k: int
 
     def __post_init__(self):
-        HarrisParams(2.0, self.k)  # reuse the step validation
+        object.__setattr__(self, "k", _validate_step(self.k))
         lam = float(self.lam)
         if not lam > 0.0:
             raise ValueError(f"rate lam must be > 0, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "k", int(self.k))
 
     def rate_after(self, n_events: int) -> float:
         """Jump rate (n*k + 1)*lam while n events have occurred."""

@@ -19,11 +19,12 @@ import sys
 import numpy as np
 
 from .birth import ProcessParams, solve_forward_odes
-from .distribution import HarrisParams, harris_pgf, harris_pmf, truncation_index
+from .distribution import (HarrisParams, harris_pgf, harris_pmf, pmf_table,
+                           truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .mixture import MixtureParams, mixture_pmf, mixture_pmf_quadrature
-from .reporting import SCHEMA_VERSION, render_csv, render_json
-from .acceptance import run_scenario, simulate_text, run_acceptance
+from .reporting import envelope, simulate_text
+from .acceptance import run_scenario, run_acceptance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,8 +34,6 @@ DEFAULT_SEED = 0
 DEFAULT_ALPHA = 0.01
 DEFAULT_TAIL = 1e-12
 DEFAULT_TOL = 1e-8
-THREADS_HELP = ("ignored: the birth sampler is vectorized and runs in one "
-                "thread; the flag is still accepted and will be removed")
 
 
 def _write(text: str, out_path):
@@ -64,61 +63,42 @@ def _resolve_params(args) -> tuple:
                     "t": float(args.t), "m": params.m}
 
 
-def _emit_table(args, meta: dict, header, rows) -> None:
-    if args.format == "csv":
-        _write(render_csv(meta, header, rows), args.out)
-        return
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": meta["command"],
-        "metadata": {k: v for k, v in meta.items()
-                     if k not in ("command", "schema_version")},
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    _write(render_json(payload), args.out)
+# Each cmd_* returns (text, passed); main writes the text and maps the verdict
+# to the exit status.
 
-
-def cmd_pmf(args) -> int:
-    params, meta_params = _resolve_params(args)
-    meta = {"command": "pmf", "schema_version": SCHEMA_VERSION}
-    meta.update(meta_params)
+def cmd_pmf(args) -> tuple:
+    if not 0.0 < args.tail < 1.0:
+        raise ValueError(f"--tail must lie in (0, 1), got {args.tail!r}")
+    params, meta = _resolve_params(args)
     meta["tail"] = float(args.tail)
-    rows = []
-    cumulative = 0.0
-    limit = truncation_index(params, min(args.tail, 1e-12)) + 1
-    for n in range(limit + 1):
-        prob = harris_pmf(params, n)
-        cumulative += prob
-        rows.append((n, 1 + n * params.k, prob, cumulative))
-        if cumulative >= 1.0 - args.tail:
-            break
-    _emit_table(args, meta, ("n", "x", "probability", "cumulative"), rows)
-    return EXIT_OK
-
-
-def cmd_pgf(args) -> int:
-    params, meta_params = _resolve_params(args)
-    grid = [round(0.05 * i, 2) for i in range(21)]
-    table_n = truncation_index(params, 1e-15)
-    ns = np.arange(table_n + 1)
+    # one term past the certified truncation; the table stops at the first
+    # row whose cumulative probability reaches 1 - tail
+    ns = np.arange(truncation_index(params, min(args.tail, 1e-12)) + 2)
     probs = harris_pmf(params, ns)
+    cumulative = np.cumsum(probs)
+    ns = ns[:np.searchsorted(cumulative, 1.0 - args.tail) + 1]
+    rows = zip(ns.tolist(), (1 + ns * params.k).tolist(),
+               probs[:len(ns)].tolist(), cumulative[:len(ns)].tolist())
+    return envelope("pmf", args.format, meta,
+                    ("n", "x", "probability", "cumulative"), rows), True
+
+
+def cmd_pgf(args) -> tuple:
+    params, meta = _resolve_params(args)
+    xs, probs, _ = pmf_table(params, 1e-15)
     rows = []
-    worst = 0.0
-    for s in grid:
+    for s in [round(0.05 * i, 2) for i in range(21)]:
         value = harris_pgf(params, s)
-        series = float((probs * s ** (1 + ns * params.k)).sum())
-        gap = abs(value - series)
-        worst = max(worst, gap)
-        rows.append((s, value, series, gap))
-    meta = {"command": "pgf", "schema_version": SCHEMA_VERSION}
-    meta.update(meta_params)
+        series = float((probs * s ** xs).sum())
+        rows.append((s, value, series, abs(value - series)))
+    worst = max(row[3] for row in rows)
     meta.update({"tol": float(args.tol), "max_abs_diff": worst,
                  "passed": worst < args.tol})
-    _emit_table(args, meta, ("s", "pgf", "series_sum", "abs_diff"), rows)
-    return EXIT_OK if worst < args.tol else EXIT_CHECK_FAILED
+    return envelope("pgf", args.format, meta,
+                    ("s", "pgf", "series_sum", "abs_diff"), rows), worst < args.tol
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     if args.replicas < 1:
         raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     if args.m is not None:
@@ -137,19 +117,16 @@ def cmd_simulate(args) -> int:
         run = run_scenario("mixture", a=args.a, k=args.k, t=args.t,
                            replicas=args.replicas, seed=args.seed,
                            alpha=args.alpha)
-    _write(simulate_text(run, args.format, args.alpha, horizon=args.horizon),
-           args.out)
-    return EXIT_OK if run.report.overall else EXIT_CHECK_FAILED
+    return simulate_text(run, args.format), run.report.overall
 
 
-def cmd_ode(args) -> int:
+def cmd_ode(args) -> tuple:
     if args.lam is None:
         raise ValueError("ode needs --lambda")
     if args.t is None:
         raise ValueError("ode needs a query time --t")
     params = ProcessParams(args.lam, args.k)
-    meta = {"command": "ode", "schema_version": SCHEMA_VERSION,
-            "lambda": float(args.lam), "k": args.k, "t": float(args.t),
+    meta = {"lambda": float(args.lam), "k": args.k, "t": float(args.t),
             "tail": float(args.tail), "tol": float(args.tol)}
     solution = solve_forward_odes(params, args.t, tail_bound=args.tail)
     if args.t == 0.0:
@@ -165,49 +142,47 @@ def cmd_ode(args) -> int:
     worst = float(gaps.max())
     meta.update({"n_max": solution.n_max, "max_abs_diff": worst,
                  "passed": worst < args.tol})
-    _emit_table(args, meta,
-                ("n", "x", "ode_probability", "closedform_probability",
-                 "abs_diff"), rows)
-    return EXIT_OK if worst < args.tol else EXIT_CHECK_FAILED
+    return envelope("ode", args.format, meta,
+                    ("n", "x", "ode_probability", "closedform_probability",
+                     "abs_diff"), rows), worst < args.tol
 
 
-def cmd_mixture_check(args) -> int:
+def cmd_mixture_check(args) -> tuple:
     if args.a is None:
         raise ValueError("mixture-check needs --a")
     if args.t is None:
         raise ValueError("mixture-check needs a query time --t")
+    if args.nmax < 0:
+        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
     params = MixtureParams(args.a, args.k)
     rows = []
-    worst = 0.0
     for n in range(args.nmax + 1):
         closed = mixture_pmf(params, args.t, n)
         quad = mixture_pmf_quadrature(params, args.t, n)
-        gap = abs(closed - quad)
-        worst = max(worst, gap)
-        rows.append((n, 1 + n * params.k, closed, quad, gap))
-    meta = {"command": "mixture-check", "schema_version": SCHEMA_VERSION,
-            "a": float(args.a), "k": args.k, "t": float(args.t),
+        rows.append((n, 1 + n * params.k, closed, quad, abs(closed - quad)))
+    worst = max(row[4] for row in rows)
+    meta = {"a": float(args.a), "k": args.k, "t": float(args.t),
             "nmax": args.nmax, "tol": float(args.tol), "max_abs_diff": worst,
             "passed": worst < args.tol}
-    _emit_table(args, meta,
-                ("n", "x", "closed_form", "quadrature", "abs_diff"), rows)
-    return EXIT_OK if worst < args.tol else EXIT_CHECK_FAILED
+    return envelope("mixture-check", args.format, meta,
+                    ("n", "x", "closed_form", "quadrature", "abs_diff"),
+                    rows), worst < args.tol
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple:
     results = run_acceptance(
         birth_replicas=args.replicas,
         mixture_draws=args.mixture_draws,
         calibration_seeds=args.calibration_seeds,
         seed=args.seed,
     )
-    meta = {"command": "validate", "schema_version": SCHEMA_VERSION,
-            "replicas": args.replicas, "mixture_draws": args.mixture_draws,
+    overall = all(r.passed for r in results)
+    meta = {"replicas": args.replicas, "mixture_draws": args.mixture_draws,
             "calibration_seeds": args.calibration_seeds, "seed": args.seed,
-            "overall": all(r.passed for r in results)}
+            "overall": overall}
     rows = [(r.number, r.name, r.passed, r.detail) for r in results]
-    _emit_table(args, meta, ("criterion", "name", "passed", "detail"), rows)
-    return EXIT_OK if meta["overall"] else EXIT_CHECK_FAILED
+    return envelope("validate", args.format, meta,
+                    ("criterion", "name", "passed", "detail"), rows), overall
 
 
 def _add_law_options(parser, with_time_default=None):
@@ -262,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="goodness-of-fit significance level")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_output_options(p, "json")
     p.set_defaults(func=cmd_simulate)
 
@@ -292,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration-seeds", type=int, default=200)
     p.add_argument("--seed", type=int, default=42,
                    help="seed for the Monte Carlo criteria")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_validate)
 
@@ -300,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, passed = args.func(args)
     except (ValueError, ConvergenceError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _write(text, args.out)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,8 +31,6 @@ from .errors import ResourceLimitError
 
 __all__ = [
     "HarrisParams",
-    "SupportPoint",
-    "PmfTable",
     "log_binom",
     "harris_pmf",
     "harris_pgf",
@@ -101,48 +99,6 @@ class HarrisParams:
         while True:
             yield x
             x += self.k
-
-
-@dataclass(frozen=True)
-class SupportPoint:
-    """One lattice point: count index n and support value x = 1 + n*k."""
-
-    n: int
-    x: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.x < 1:
-            raise ValueError(f"invalid support point (n={self.n}, x={self.x})")
-
-
-@dataclass(frozen=True)
-class PmfTable:
-    """Materialized truncation of a Harris p.m.f.
-
-    ``entries`` lists (support point, probability) for n = 0 .. n_stop;
-    ``tail_mass`` is a certified upper bound on the probability mass
-    beyond the last entry, so sum(entries) + tail_mass brackets 1.
-    """
-
-    params: HarrisParams
-    entries: tuple = field(repr=False)
-    tail_mass: float = 0.0
-
-    def __post_init__(self):
-        k = self.params.k
-        for point, prob in self.entries:
-            if point.x != 1 + point.n * k:
-                raise ValueError(f"support point {point} inconsistent with k={k}")
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {prob!r} outside [0, 1]")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([prob for _, prob in self.entries])
-
-    @property
-    def total(self) -> float:
-        return float(self.probabilities.sum()) + self.tail_mass
 
 
 def log_binom(r: float, n) -> float:
@@ -265,13 +221,14 @@ def truncation_index(params: HarrisParams, tail_bound: float,
 
 
 def pmf_table(params: HarrisParams, tail_bound: float = 1e-12,
-              max_terms: int = 1_000_000) -> PmfTable:
-    """Tabulate the p.m.f. until the certified tail drops below tail_bound."""
+              max_terms: int = 1_000_000) -> tuple:
+    """Tabulate the p.m.f. until the certified tail drops below tail_bound.
+
+    Returns (x, probs, tail_mass): the support values 1 + n*k and their
+    probabilities for n = 0 .. n_stop, and a certified upper bound on the
+    mass beyond n_stop, so probs.sum() + tail_mass brackets 1.
+    """
     n_stop = truncation_index(params, tail_bound, max_terms=max_terms)
     ns = np.arange(n_stop + 1)
-    probs = harris_pmf(params, ns)
-    entries = tuple(
-        (SupportPoint(int(n), 1 + int(n) * params.k), float(p))
-        for n, p in zip(ns, probs)
-    )
-    return PmfTable(params, entries, tail_mass=tail_bound_after(params, n_stop))
+    return (1 + ns * params.k, harris_pmf(params, ns),
+            tail_bound_after(params, n_stop))

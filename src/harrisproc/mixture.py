@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.special import xlogy
 
-from .distribution import HarrisParams, harris_pmf
+from .distribution import HarrisParams, _validate_step, harris_pmf
 from .errors import ConvergenceError
 from .sampling import RngStream, sample_gamma, sample_poisson
 
@@ -44,12 +44,11 @@ class MixtureParams:
     k: int
 
     def __post_init__(self):
-        HarrisParams(2.0, self.k)  # reuse the step validation
+        object.__setattr__(self, "k", _validate_step(self.k))
         a = float(self.a)
         if not a > 0.0:
             raise ValueError(f"mixing rate a must be > 0, got {self.a!r}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k", int(self.k))
 
     def scale_at(self, t: float) -> float:
         return (self.a + t) / self.a

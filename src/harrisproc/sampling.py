@@ -95,6 +95,10 @@ def sample_gamma(rng: RngStream, shape: float, rate: float, size=None):
 
     shape >= 1 uses the Marsaglia-Tsang acceptance sampler; shape < 1 is
     boosted through it: draw gamma(shape + 1) and multiply by U**(1/shape).
+    numpy's standard_gamma also accepts shape < 1, but its own path for it
+    was slower (1e7 shape-0.5 draws plus their Poisson counts: 1.19-1.35 s
+    against 1.02-1.06 s with the boost, 2-vCPU VM), and dropping the boost
+    would change every mixture stream.
     """
     shape = float(shape)
     rate = float(rate)

@@ -11,7 +11,7 @@ so no statistical tables are involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from scipy.optimize import brentq
 from scipy.special import gammainc
@@ -209,49 +209,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Scenario plus verdicts; ``dataclasses.asdict`` gives its JSON form."""
+
     scenario: Scenario
     gof: GofResult
     mean_check: MeanCheck
     var_check: VarCheck
     overall: bool
 
-    def to_dict(self) -> dict:
-        """Plain-dict form with deterministic key order (JSON friendly)."""
-        return {
-            "scenario": {
-                "model": self.scenario.model,
-                "params": dict(self.scenario.params),
-                "t": self.scenario.t,
-                "replicas": self.scenario.replicas,
-                "seed": self.scenario.seed,
-            },
-            "gof": {
-                "statistic": self.gof.statistic,
-                "degrees_of_freedom": self.gof.degrees_of_freedom,
-                "threshold": self.gof.threshold,
-                "alpha": self.gof.alpha,
-                "passed": self.gof.passed,
-                "bins": [asdict(b) for b in self.gof.bins],
-            },
-            "mean_check": asdict(self.mean_check),
-            "var_check": asdict(self.var_check),
-            "overall": self.overall,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "ValidationReport":
-        scen = payload["scenario"]
-        gof = payload["gof"]
-        return cls(
-            scenario=Scenario(scen["model"], dict(scen["params"]), scen["t"],
-                              scen["replicas"], scen["seed"]),
-            gof=GofResult(gof["statistic"], gof["degrees_of_freedom"],
-                          gof["threshold"], gof["alpha"], gof["passed"],
-                          tuple(Bin(**b) for b in gof["bins"])),
-            mean_check=MeanCheck(**payload["mean_check"]),
-            var_check=VarCheck(**payload["var_check"]),
-            overall=payload["overall"],
-        )
+        """Inverse of ``dataclasses.asdict``, also after a JSON round trip."""
+        bins = tuple(Bin(**b) for b in payload["gof"]["bins"])
+        return cls(Scenario(**payload["scenario"]),
+                   GofResult(**{**payload["gof"], "bins": bins}),
+                   MeanCheck(**payload["mean_check"]),
+                   VarCheck(**payload["var_check"]), payload["overall"])
 
 
 def make_report(scenario: Scenario, observed, expected_pmf, support,

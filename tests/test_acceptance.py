@@ -29,7 +29,7 @@ from harrisproc.distribution import (
 )
 from harrisproc.mixture import MixtureParams, mixture_pmf, mixture_pmf_quadrature, sample_model2
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import chi_square_gof
+from harrisproc.validation import chi_square_gof, moment_check
 
 E = math.e
 SEED = 42
@@ -244,3 +244,42 @@ def test_criterion_9_byte_identical_cli_reruns(tmp_path):
     record(9, "byte-identical-reruns",
            identical["csv"] and identical["json"],
            f"csv identical: {identical['csv']}; json identical: {identical['json']}")
+
+
+@pytest.mark.parametrize("m", [1.01, 2.0, E, 10.0, math.exp(6.0)])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_variance_band_uses_the_law_excess_kurtosis(m, k):
+    from scipy import stats
+
+    g2 = float(stats.nbinom.stats(1.0 / k, 1.0 / m, moments="k"))
+    for n in (100, 2000, 100_000):
+        expected = max(0.05, 3.0 * math.sqrt(2.0 / (n - 1) + g2 / n))
+        assert acceptance._variance_band(HarrisParams(m, k), n) == pytest.approx(
+            expected, rel=1e-12)
+
+
+def test_variance_band_is_the_5_percent_floor_at_default_scale():
+    assert acceptance._variance_band(HarrisParams(E, 2), 100_000) == 0.05
+    assert acceptance._variance_band(HarrisParams(2.0, 2), 1_000_000) == 0.05
+
+
+def test_variance_band_passes_a_correct_sampler_at_2000_paths():
+    # the long-path scale (lambda 1, k 1, t 6: ~400 events per path); a
+    # fixed 5% band rejects 6 of these 20 seeds
+    failed = [seed for seed in range(20)
+              if not acceptance.run_scenario("birth", lam=1.0, k=1, t=6.0,
+                                             replicas=2000, seed=seed)
+              .report.var_check.passed]
+    assert failed == []
+
+
+def test_variance_band_still_rejects_a_variance_25_percent_off():
+    run = acceptance.run_scenario("birth", lam=1.0, k=1, t=6.0, replicas=2000,
+                                  seed=0)
+    check = run.report.var_check
+    assert 0.05 < check.rel_tol < 0.25
+    mean = run.report.mean_check.analytic
+    for factor in (0.75, 1.25):
+        _, var_pass = moment_check(mean, factor * check.analytic, 2000, mean,
+                                   check.analytic, var_rel_tol=check.rel_tol)
+        assert not var_pass

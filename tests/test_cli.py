@@ -7,6 +7,7 @@ import time
 import pytest
 
 from harrisproc.cli import main
+from harrisproc.distribution import HarrisParams, harris_pmf, truncation_index
 from harrisproc.validation import ValidationReport
 
 E = math.e
@@ -76,6 +77,31 @@ class TestPmf:
             for cell in row[2:]:
                 assert repr(float(cell)) == cell
 
+    @pytest.mark.parametrize("m, k, tail", [(1000.0, 2, 1e-12), (2.0, 1, 1e-6),
+                                            (1.1, 5, 1e-15)])
+    def test_rows_equal_the_scalar_running_sum(self, m, k, tail, capsys):
+        # reference: one scalar pmf call per row and a running Python sum
+        params = HarrisParams(m, k)
+        expected, cumulative = [], 0.0
+        for n in range(truncation_index(params, min(tail, 1e-12)) + 2):
+            prob = harris_pmf(params, n)
+            cumulative += prob
+            expected.append([str(n), str(1 + n * k), repr(prob), repr(cumulative)])
+            if cumulative >= 1.0 - tail:
+                break
+        code, out, _ = run_cli(["pmf", "--m", repr(m), "--k", str(k),
+                                "--tail", repr(tail)], capsys)
+        assert code == 0
+        assert parse_csv(out)[2] == expected
+
+    @pytest.mark.parametrize("tail", ["2", "1", "0", "-0.5"])
+    def test_tail_outside_unit_interval_rejected(self, tail, capsys):
+        code, out, err = run_cli(["pmf", "--m", "2", "--k", "1", "--tail", tail],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tail must lie in (0, 1)" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             ["pmf", "--m", "2", "--k", "1", "--format", "json"], capsys
@@ -135,13 +161,14 @@ class TestSimulate:
         assert code != 0
         assert "replicas" in err
 
-    def test_threads_do_not_change_output(self, capsys):
-        # --threads is accepted and ignored
-        args = ["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
-                "--t", "1", "--replicas", "500", "--seed", "7", "--format", "csv"]
-        _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
-        _, out4, _ = run_cli(args + ["--threads", "4"], capsys)
-        assert out1 == out4
+    def test_threads_flag_is_rejected(self, capsys):
+        for command in (["simulate", "--model", "birth", "--lambda", "0.5",
+                         "--k", "2", "--t", "1", "--replicas", "500"],
+                        ["validate"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--threads", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_identical_invocations_are_byte_identical(self, tmp_path, capsys):
         # determinism holds whatever the verdict, so only exit-code equality
@@ -199,6 +226,15 @@ class TestMixtureCheck:
         metadata, _, rows = parse_csv(out)
         assert float(metadata["max_abs_diff"]) < 1e-8
         assert len(rows) == 21
+
+    def test_negative_nmax_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["mixture-check", "--a", "2", "--k", "2", "--t", "1", "--nmax", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--nmax must be >= 0" in err
 
     def test_missing_mixing_rate(self, capsys):
         code, _, err = run_cli(["mixture-check", "--k", "2", "--t", "1"], capsys)

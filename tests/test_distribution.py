@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from harrisproc.distribution import (
     HarrisParams,
-    SupportPoint,
     decap_geometric_pmf,
     harris_mean_var,
     harris_pgf,
@@ -101,10 +100,6 @@ class TestParams:
         assert [next(gen) for _ in range(4)] == [1, 4, 7, 10]
         assert params.support_value(5) == 16
 
-    def test_support_point_validation(self):
-        with pytest.raises(ValueError):
-            SupportPoint(-1, 1)
-
 
 class TestPmf:
     @pytest.mark.parametrize("m", GRID_M)
@@ -142,17 +137,16 @@ class TestPmfTable:
     @pytest.mark.parametrize("m", GRID_M)
     @pytest.mark.parametrize("k", GRID_K)
     def test_normalization(self, m, k):
-        table = pmf_table(HarrisParams(m, k), tail_bound=1e-12)
-        assert abs(sum(p for _, p in table.entries) + table.tail_mass - 1.0) < 1e-12
+        _, probs, tail_mass = pmf_table(HarrisParams(m, k), tail_bound=1e-12)
+        assert abs(sum(probs.tolist()) + tail_mass - 1.0) < 1e-12
 
     @pytest.mark.parametrize("m", GRID_M)
     @pytest.mark.parametrize("k", GRID_K)
     def test_support_law_and_monotone_tail(self, m, k):
-        table = pmf_table(HarrisParams(m, k), tail_bound=1e-12)
-        probs = table.probabilities
+        xs, probs, _ = pmf_table(HarrisParams(m, k), tail_bound=1e-12)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
-        xs = np.array([pt.x for pt, _ in table.entries])
         assert np.all(xs % k == 1 % k)
+        assert np.array_equal(xs, 1 + k * np.arange(len(probs)))
         mode = int(np.argmax(probs))
         assert np.all(np.diff(probs[mode:]) <= 0.0)
 

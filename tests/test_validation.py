@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -172,14 +173,14 @@ class TestReport:
 
     def test_dict_round_trip_is_identity(self):
         report = _example_report()
-        assert ValidationReport.from_dict(report.to_dict()) == report
+        assert ValidationReport.from_dict(asdict(report)) == report
 
     def test_json_round_trip_is_identity(self):
         report = _example_report()
-        payload = json.dumps(report.to_dict())
+        payload = json.dumps(asdict(report))
         assert ValidationReport.from_dict(json.loads(payload)) == report
 
     def test_serialization_is_deterministic(self):
-        a = json.dumps(_example_report().to_dict())
-        b = json.dumps(_example_report().to_dict())
+        a = json.dumps(asdict(_example_report()))
+        b = json.dumps(asdict(_example_report()))
         assert a == b
