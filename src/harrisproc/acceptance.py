@@ -31,7 +31,8 @@ from .distribution import (
 from .mixture import MixtureParams, mixture_moments, mixture_pmf, mixture_pmf_quadrature, sample_model2
 from .reporting import simulate_text
 from .sampling import RngStream, sample_harris
-from .validation import Scenario, ValidationReport, chi_square_gof, make_report
+from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
+                         chi_square_gof, make_report)
 
 __all__ = [
     "ScenarioRun",
@@ -84,7 +85,7 @@ def _variance_band(marginal: HarrisParams, n: int) -> float:
     (that of NB(1/k, 1/m)).  At the calibrated 1e5 scale the band is 5%.
     """
     g2 = marginal.k * (6.0 + 1.0 / (marginal.m * (marginal.m - 1.0)))
-    return max(0.05, 3.0 * math.sqrt(2.0 / max(n - 1, 1) + g2 / n))
+    return max(0.05, 3.0 * math.sqrt(2.0 / (n - 1) + g2 / n))
 
 
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
@@ -97,8 +98,10 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     samples from stream 0.  The variance band widens with the law's excess
     kurtosis at small replica counts (see _variance_band).
     """
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas!r}")
+    # the moment bands need this many replicas; refuse before simulating
+    if replicas < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} replicas, "
+                         f"got {replicas!r}")
     if model == "birth":
         if lam is None:
             raise ValueError("model 'birth' needs the rate lam")

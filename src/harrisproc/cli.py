@@ -99,8 +99,6 @@ def cmd_pgf(args) -> tuple:
 
 
 def cmd_simulate(args) -> tuple:
-    if args.replicas < 1:
-        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     if args.m is not None:
         raise ValueError("simulate runs a process; give --lambda or --a, not --m")
     if args.t is None:

@@ -78,8 +78,10 @@ class HarrisParams:
     def __post_init__(self):
         object.__setattr__(self, "k", _validate_step(self.k))
         m = float(self.m)
-        if not m > 1.0:
-            raise ValueError(f"scale parameter m must be > 1, got {self.m!r}")
+        if not (m > 1.0 and math.isfinite(m)):
+            raise ValueError(
+                f"scale parameter m must be > 1 and finite, got {self.m!r}"
+            )
         object.__setattr__(self, "m", m)
 
     @property
@@ -194,10 +196,10 @@ def tail_bound_after(params: HarrisParams, n: int) -> float:
 
     Successive p.m.f. ratios are q*(r+j)/(j+1) <= q with q = 1 - 1/m
     (the index r = 1/k never exceeds 1), so the tail after n is at most
-    pmf(n) * q / (1 - q).
+    pmf(n) * q / (1 - q) = pmf(n) * (m - 1); the right-hand form stays
+    finite where q rounds to 1.
     """
-    q = 1.0 - 1.0 / params.m
-    return harris_pmf(params, n) * q / (1.0 - q)
+    return harris_pmf(params, n) * (params.m - 1.0)
 
 
 def truncation_index(params: HarrisParams, tail_bound: float,
@@ -207,7 +209,7 @@ def truncation_index(params: HarrisParams, tail_bound: float,
         raise ValueError(f"tail bound must lie in (0, 1), got {tail_bound!r}")
     r = params.index
     q = 1.0 - 1.0 / params.m
-    ratio = q / (1.0 - q)
+    ratio = params.m - 1.0  # q / (1 - q), finite where q rounds to 1
     p = params.m ** (-r)
     n = 0
     while p * ratio >= tail_bound:

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 MIN_EXPECTED_PER_BIN = 5.0
+MIN_MOMENT_SAMPLES = 100
 _SUPPORT_WALK_CAP = 1_000_000
 
 
@@ -188,8 +189,9 @@ def moment_check(samples_mean: float, samples_var: float, n: int,
                  analytic_mean: float, analytic_var: float,
                  var_rel_tol: float = 0.05) -> tuple:
     """(mean_pass, var_pass): 3-standard-error band and relative variance band."""
-    if n < 100:
-        raise ValueError(f"need at least 100 samples for moment bands, got {n!r}")
+    if n < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
+                         f"bands, got {n!r}")
     std_error = (analytic_var / n) ** 0.5
     mean_pass = abs(samples_mean - analytic_mean) <= 3.0 * std_error
     var_pass = abs(samples_var - analytic_var) <= var_rel_tol * analytic_var

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harrisproc import birth
 from harrisproc.birth import TrajectoryBatch
 
 
@@ -18,3 +19,11 @@ def drop_last_event():
         return TrajectoryBatch(batch.params, batch.horizon, batch.n_events,
                                np.delete(batch.event_times, end - 1), offsets)
     return drop
+
+
+@pytest.fixture
+def starved_odeint(monkeypatch):
+    """Make every forward-equation solve fail: odeint gets one step only."""
+    real_odeint = birth.odeint
+    monkeypatch.setattr(birth, "odeint", lambda *args, **kwargs:
+                        real_odeint(*args, mxstep=1, **kwargs))

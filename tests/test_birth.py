@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from harrisproc import birth
 from harrisproc.birth import (
     BLOCK_SIZE,
     ProcessParams,
@@ -20,8 +21,9 @@ from harrisproc.distribution import (
     decap_geometric_pmf,
     harris_mean_var,
     harris_pmf,
+    truncation_index,
 )
-from harrisproc.errors import ResourceLimitError
+from harrisproc.errors import ConvergenceError, ResourceLimitError
 from harrisproc.validation import chi_square_gof
 
 E = math.e
@@ -41,6 +43,10 @@ class TestProcessParams:
         params = ProcessParams(0.5, 2)
         assert params.scale_at(1.0) == pytest.approx(E, rel=1e-15)
         assert params.harris_at(1.0) == HarrisParams(params.scale_at(1.0), 2)
+
+    def test_overflowing_scale_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            ProcessParams(1000.0, 1).scale_at(1.0)
 
 
 class TestTrajectory:
@@ -247,6 +253,44 @@ class TestForwardEquations:
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_forward_odes(ProcessParams(1.0, 3), 1.0, state_cap=100)
+
+    def test_state_cap_bounds_the_truncation_walk(self):
+        # m = exp(150): the certified tail never falls below 1e-12, and the
+        # walk stops at the state cap rather than the 1e6-term default
+        with pytest.raises(ResourceLimitError, match="exceeded 20000 terms"):
+            solve_forward_odes(ProcessParams(50.0, 3), 1.0)
+
+    @pytest.mark.parametrize("lam,k,t", [(0.5, 2, 1.0), (1.0, 3, 1.0),
+                                         (1.0, 1, 4.0)])
+    def test_grid_is_the_certified_truncation_index(self, lam, k, t):
+        params = ProcessParams(lam, k)
+        sol = solve_forward_odes(params, t)
+        assert sol.n_max == truncation_index(params.harris_at(t), 1e-12)
+
+    @pytest.mark.parametrize("lam,k,t", [(0.5, 2, 1.0), (1.0, 3, 1.0),
+                                         (1.0, 1, 4.0)])
+    def test_tighter_tail_agrees_on_the_overlap(self, lam, k, t):
+        # the system is lower triangular, so a longer grid leaves the states
+        # both grids hold unchanged up to the integration error
+        params = ProcessParams(lam, k)
+        coarse = solve_forward_odes(params, t, tail_bound=1e-12)
+        fine = solve_forward_odes(params, t, tail_bound=1e-14)
+        assert fine.n_max > coarse.n_max
+        overlap = fine.probs[:coarse.n_max + 1]
+        assert np.abs(overlap - coarse.probs).max() < 1e-9
+
+    def test_band_is_the_jacobian_of_the_rhs(self):
+        n_max = 6
+        rhs, band = birth._forward_system(ProcessParams(0.75, 3), n_max)
+        # column j of the rate matrix is the RHS applied to unit vector j
+        jacobian = np.column_stack([rhs(unit, 0.0) for unit in np.eye(n_max + 1)])
+        from_band = np.diag(band[0]) + np.diag(band[1, :-1], -1)
+        assert_allclose(from_band, jacobian, rtol=0, atol=0)
+
+    def test_failed_integration_raises_silently(self, starved_odeint, capfd):
+        with pytest.raises(ConvergenceError, match="forward integration failed"):
+            solve_forward_odes(ProcessParams(1.0, 1), 4.0)
+        assert capfd.readouterr() == ("", "")
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from harrisproc import acceptance
 from harrisproc.cli import main
 from harrisproc.distribution import HarrisParams, harris_pmf, truncation_index
 from harrisproc.validation import ValidationReport
@@ -161,6 +162,21 @@ class TestSimulate:
         assert code != 0
         assert "replicas" in err
 
+    @pytest.mark.parametrize("replicas", ["1", "99"])
+    def test_replica_floor_refused_before_simulating(self, replicas, capsys,
+                                                      monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated below the replica floor")
+
+        monkeypatch.setattr(acceptance, "simulate_many", never)
+        code, out, err = run_cli(
+            ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
+             "--t", "1", "--replicas", replicas],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "need at least 100 replicas" in err
+
     def test_threads_flag_is_rejected(self, capsys):
         for command in (["simulate", "--model", "birth", "--lambda", "0.5",
                          "--k", "2", "--t", "1", "--replicas", "500"],
@@ -215,6 +231,42 @@ class TestOde:
         assert code == 0
         _, _, rows = parse_csv(out)
         assert rows == [["0", "1", "1.0", "1.0", "0.0"]]
+
+    def test_long_horizon_passes(self, capsys):
+        # 1495 states with rates up to 1495: stiff enough that an explicit
+        # solver's step-size control lets a probability go negative
+        code, out, _ = run_cli(
+            ["ode", "--lambda", "1", "--k", "1", "--t", "4"], capsys
+        )
+        assert code == 0
+        metadata, _, _ = parse_csv(out)
+        assert float(metadata["max_abs_diff"]) < 1e-9
+
+    def test_failed_integration_exits_2_with_empty_stdout(self, capsys,
+                                                          starved_odeint):
+        code, out, err = run_cli(
+            ["ode", "--lambda", "1", "--k", "1", "--t", "4"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "forward integration failed" in err
+
+
+class TestParameterGuards:
+    """Inputs that once escaped main with a traceback end in exit 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pmf", "--lambda", "1000", "--k", "1", "--t", "1"], "overflows"),
+        (["pmf", "--m", "inf", "--k", "1"], "m must be > 1 and finite"),
+        (["pmf", "--a", "1e-320", "--k", "1", "--t", "1"],
+         "m must be > 1 and finite"),
+        (["pgf", "--m", "1e300", "--k", "2"], "exceeded 1000000 terms"),
+        (["ode", "--lambda", "50", "--k", "3", "--t", "1"],
+         "exceeded 20000 terms"),
+    ])
+    def test_exit_2_with_message(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 class TestMixtureCheck:

@@ -16,6 +16,7 @@ from harrisproc.distribution import (
     tail_bound_after,
     truncation_index,
 )
+from harrisproc.errors import ResourceLimitError
 
 E = math.e
 
@@ -84,6 +85,11 @@ class TestParams:
     @pytest.mark.parametrize("m", [1.0, 0.5, -2.0])
     def test_scale_must_exceed_one(self, m):
         with pytest.raises(ValueError, match="m must be > 1"):
+            HarrisParams(m, 2)
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_scale_must_be_finite(self, m):
+        with pytest.raises(ValueError, match="m must be > 1 and finite"):
             HarrisParams(m, 2)
 
     @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True])
@@ -155,6 +161,14 @@ class TestPmfTable:
         n = truncation_index(params, 1e-12)
         true_tail = 1.0 - harris_pmf(params, np.arange(n + 1)).sum()
         assert true_tail <= tail_bound_after(params, n) < 1e-12
+
+    def test_tail_stays_finite_where_q_rounds_to_one(self):
+        # 1 - 1/m is exactly 1.0 here, so q/(1-q) would divide by zero
+        params = HarrisParams(1e300, 2)
+        assert 1.0 - 1.0 / params.m == 1.0
+        assert math.isfinite(tail_bound_after(params, 10))
+        with pytest.raises(ResourceLimitError):
+            truncation_index(params, 1e-12, max_terms=100)
 
 
 class TestPgf:
