@@ -10,6 +10,8 @@ per check.  Both are exposed through the command line.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +30,13 @@ from .distribution import (
     harris_pmf,
     nb_pmf,
 )
-from .mixture import MixtureParams, mixture_moments, mixture_pmf, mixture_pmf_quadrature, sample_model2
+from .mixture import (DRAW_BLOCK, MixtureParams, mixture_moments, mixture_pmf,
+                      mixture_pmf_quadrature, sample_model2)
 from .reporting import simulate_text
 from .sampling import RngStream, sample_harris
 from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
-                         chi_square_gof, make_report)
+                         add_tallies, chi_square_gof, make_report, tally,
+                         tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -88,6 +92,35 @@ def _variance_band(marginal: HarrisParams, n: int) -> float:
     return max(0.05, 3.0 * math.sqrt(2.0 / (n - 1) + g2 / n))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        return os.cpu_count() or 1
+
+
+def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> dict:
+    """Frequency map of draws samples of Z(t), drawn block by block.
+
+    Block b holds DRAW_BLOCK draws (the last one the rest) from
+    RngStream(seed, b).  The blocks run on a thread pool, one worker per
+    usable CPU: numpy's gamma, uniform and Poisson fills release the GIL,
+    and integer counts add exactly, so the tally does not depend on the
+    worker count.
+    """
+    def block(b):
+        size = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
+        # sample_model2 is looked up here on every call, so a rebinding of
+        # this module's name sees every block
+        return tally(sample_model2(RngStream(seed, b), params, t, size=size))
+
+    n_blocks = -(-draws // DRAW_BLOCK)
+    if n_blocks == 1:
+        return block(0)
+    with ThreadPoolExecutor(min(_usable_cpus(), n_blocks)) as pool:
+        return add_tallies(pool.map(block, range(n_blocks)))
+
+
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                  lam: float = None, a: float = None, alpha: float = 0.01,
                  horizon: float = None) -> ScenarioRun:
@@ -95,8 +128,11 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
 
     Model "birth" requires lam and simulates replica trajectories (replica
     block b on stream b); model "mixture" requires a and draws replicas
-    samples from stream 0.  The variance band widens with the law's excess
-    kurtosis at small replica counts (see _variance_band).
+    samples (draw block b of DRAW_BLOCK on stream b).  Either way the
+    samples are tallied once; the goodness of fit, the exact sample mean
+    and variance and, for the mixture, the draws off the lattice
+    {1, 1+k, ...} are read from that tally.  The variance band widens with
+    the law's excess kurtosis at small replica counts (see _variance_band).
     """
     # the moment bands need this many replicas; refuse before simulating
     if replicas < MIN_MOMENT_SAMPLES:
@@ -110,7 +146,6 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         if horizon < t:
             raise ValueError(f"horizon {horizon!r} shorter than query time {t!r}")
         batch = simulate_many(params, horizon, replicas, seed)
-        states = batch.states_at(t)
         violations = batch.coupling_violations()
         observed = empirical_distribution(batch, t)
         marginal = params.harris_at(t)
@@ -121,11 +156,9 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         if a is None:
             raise ValueError("model 'mixture' needs the mixing rate a")
         params = MixtureParams(a, k)
-        draws = sample_model2(RngStream(seed), params, t, size=replicas)
-        states = np.asarray(draws)
-        violations = int(np.count_nonzero((states - 1) % params.k))
-        values, counts = np.unique(states, return_counts=True)
-        observed = {int(v): int(c) for v, c in zip(values, counts)}
+        observed = _tally_mixture(params, t, replicas, seed)
+        violations = sum(count for value, count in observed.items()
+                         if (value - 1) % params.k)
         marginal = params.harris_at(t)
         analytic_mean, analytic_var = mixture_moments(params, t)
         scenario = Scenario("mixture", {"a": params.a, "k": params.k},
@@ -133,13 +166,14 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     else:
         raise ValueError(f"unknown model {model!r}")
 
+    empirical_mean, empirical_var = tally_moments(observed)
     report = make_report(
         scenario,
         observed,
         lambda x: harris_pmf(marginal, (x - 1) // marginal.k),
         marginal.support_values(),
-        float(states.mean()),
-        float(states.var(ddof=1)),
+        empirical_mean,
+        empirical_var,
         analytic_mean,
         analytic_var,
         alpha=alpha,
@@ -279,10 +313,8 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     rejections = 0
     for seed in range(n_seeds):
         draws = sample_harris(RngStream(seed), params, size=draws_per_seed)
-        values, counts = np.unique(draws, return_counts=True)
-        observed = {int(v): int(c) for v, c in zip(values, counts)}
         gof = chi_square_gof(
-            observed,
+            tally(draws),
             lambda x: harris_pmf(params, (x - 1) // 2),
             params.support_values(),
             draws_per_seed,

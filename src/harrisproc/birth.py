@@ -32,6 +32,7 @@ from .distribution import (
 )
 from .errors import ConvergenceError, ResourceLimitError
 from .sampling import RngStream
+from .validation import tally
 
 __all__ = [
     "ProcessParams",
@@ -258,8 +259,7 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
 
 def empirical_distribution(batch: TrajectoryBatch, t: float) -> dict:
     """Frequency map state -> count of N(t) across the batch's replicas."""
-    values, counts = np.unique(batch.states_at(t), return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    return tally(batch.states_at(t))
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
                    help="truncation tail bound for the state grid")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="largest allowed ode-vs-closed-form gap")
+                   help="largest allowed absolute ode-vs-closed-form gap; "
+                        "rows below about 1e-10 (the solver's atol) carry "
+                        "no relative precision")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_ode)
 

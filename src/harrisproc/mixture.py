@@ -24,12 +24,16 @@ from .errors import ConvergenceError
 from .sampling import RngStream, sample_gamma, sample_poisson
 
 __all__ = [
+    "DRAW_BLOCK",
     "MixtureParams",
     "mixture_pmf",
     "mixture_pmf_quadrature",
     "sample_model2",
     "mixture_moments",
 ]
+
+# Draws per random stream: block b of a Monte Carlo run owns RngStream(seed, b).
+DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,9 @@ def sample_model2(rng: RngStream, params: MixtureParams, t: float, size=None):
     """Draw Z(t) = 1 + k*X: rate from the gamma mixing law, then Poisson.
 
     One rate is drawn per replica (each draw is its own path); every
-    sample lies on {1, 1+k, 1+2k, ...}.
+    sample lies on {1, 1+k, 1+2k, ...}.  Monte Carlo runs call it once per
+    block of at most DRAW_BLOCK draws, block b with RngStream(seed, b), so a
+    block's draws do not depend on how many blocks follow it.
     """
     t = _check_time(t)
     lam = sample_gamma(rng, 1.0 / params.k, params.a, size)

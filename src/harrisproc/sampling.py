@@ -43,7 +43,8 @@ class RngStream:
     seed : int
         Nonnegative base seed shared by a whole experiment.
     stream_id : int
-        Nonnegative substream index; birth replica block b uses b.
+        Nonnegative substream index; birth replica block b and mixture
+        draw block b use b.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):

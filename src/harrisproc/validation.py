@@ -7,12 +7,17 @@ tail bin; the Pearson statistic is then compared against the chi-square
 upper quantile with (bins - 1) degrees of freedom.  Quantiles are obtained
 by bracketed root finding on the regularized incomplete gamma function,
 so no statistical tables are involved.
+
+Samples are tallied once into a frequency map (``tally``); the goodness of
+fit and the exact sample moments (``tally_moments``) are both read from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
@@ -27,11 +32,52 @@ __all__ = [
     "chi_square_gof",
     "moment_check",
     "make_report",
+    "tally",
+    "add_tallies",
+    "tally_moments",
 ]
 
 MIN_EXPECTED_PER_BIN = 5.0
 MIN_MOMENT_SAMPLES = 100
 _SUPPORT_WALK_CAP = 1_000_000
+# tally counts samples below this with one np.bincount (an 8 MB histogram
+# at most); wider or negative samples are sorted instead
+_DENSE_TALLY_SPAN = 1 << 20
+
+
+def tally(samples) -> dict:
+    """Frequency map value -> count of integer samples, in increasing order."""
+    samples = np.asarray(samples)
+    if samples.size and samples.min() >= 0 and samples.max() < _DENSE_TALLY_SPAN:
+        counts = np.bincount(samples)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    else:
+        values, counts = np.unique(samples, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+def add_tallies(tallies) -> dict:
+    """The frequency map of several tallies' samples together, in value order."""
+    total = Counter()
+    for part in tallies:
+        total.update(part)
+    return dict(sorted(total.items()))
+
+
+def tally_moments(observed: dict) -> tuple:
+    """(mean, unbiased variance) of tallied samples, each correctly rounded.
+
+    With n samples, S1 the sum and S2 the sum of squares, the mean is S1/n
+    and the variance (n*S2 - S1**2)/(n*(n-1)), both in Python integers up
+    to one division, so no sum overflows or loses digits.
+    """
+    n = sum(observed.values())
+    if n < 2:
+        raise ValueError(f"need at least two samples for a variance, got {n!r}")
+    s1 = sum(value * count for value, count in observed.items())
+    s2 = sum(value * value * count for value, count in observed.items())
+    return s1 / n, (n * s2 - s1 * s1) / (n * (n - 1))
 
 
 def chi_square_quantile(df: int, alpha: float) -> float:

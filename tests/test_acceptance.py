@@ -27,9 +27,11 @@ from harrisproc.distribution import (
     harris_pmf,
     nb_pmf,
 )
-from harrisproc.mixture import MixtureParams, mixture_pmf, mixture_pmf_quadrature, sample_model2
+from harrisproc.mixture import (DRAW_BLOCK, MixtureParams, mixture_pmf,
+                                mixture_pmf_quadrature, sample_model2)
+from harrisproc.reporting import simulate_text
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import chi_square_gof, moment_check
+from harrisproc.validation import add_tallies, chi_square_gof, moment_check, tally
 
 E = math.e
 SEED = 42
@@ -189,6 +191,66 @@ def test_criterion_6_reports_a_mixture_draw_off_the_lattice(monkeypatch):
     run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=1000,
                                   seed=SEED)
     assert run.coupling_violations == 1
+
+
+def test_criterion_6_counts_a_shifted_draw_in_every_block(monkeypatch):
+    def shifted(*args, **kwargs):
+        draws = sample_model2(*args, **kwargs)
+        draws[0] += 1
+        return draws
+
+    monkeypatch.setattr(acceptance, "sample_model2", shifted)
+    # four blocks, the last one short, tallied on the thread pool
+    run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
+                                  replicas=3 * DRAW_BLOCK + 100, seed=SEED)
+    assert run.coupling_violations == 4
+
+
+def test_mixture_output_does_not_depend_on_the_worker_count(monkeypatch):
+    texts = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(acceptance.os, "sched_getaffinity",
+                            lambda _pid, n=cpus: set(range(n)))
+        assert acceptance._usable_cpus() == cpus
+        run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
+                                      replicas=3 * DRAW_BLOCK + 123, seed=SEED)
+        texts.append([simulate_text(run, fmt) for fmt in ("csv", "json")])
+    assert texts[0] == texts[1]
+
+
+def test_first_mixture_block_does_not_depend_on_later_blocks(monkeypatch):
+    def run_recording_blocks(replicas):
+        blocks = {}
+
+        def recording(rng, *args, **kwargs):
+            draws = sample_model2(rng, *args, **kwargs)
+            blocks[rng.stream_id] = tally(draws)
+            return draws
+
+        monkeypatch.setattr(acceptance, "sample_model2", recording)
+        run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
+                                      replicas=replicas, seed=9)
+        return run, blocks
+
+    one_run, one = run_recording_blocks(DRAW_BLOCK)
+    long_run, longer = run_recording_blocks(2 * DRAW_BLOCK + 100)
+    assert list(one) == [0] and sorted(longer) == [0, 1, 2]
+    assert longer[0] == one[0] == one_run.observed
+    # each block has a stream of its own, and the run tallies them all
+    assert longer[1] != longer[0]
+    assert sum(longer[2].values()) == 100
+    assert long_run.observed == add_tallies(longer.values())
+
+
+@pytest.mark.parametrize("replicas", [1000, DRAW_BLOCK])
+def test_one_block_mixture_run_tallies_the_stream_0_draws(replicas):
+    run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
+                                  replicas=replicas, seed=SEED)
+    draws = sample_model2(RngStream(SEED), MixtureParams(1.0, 2), 1.0,
+                          size=replicas)
+    values, counts = np.unique(draws, return_counts=True)
+    assert list(run.observed.items()) == list(zip(values.tolist(), counts.tolist()))
+    assert run.report.mean_check.empirical == draws.mean()
 
 
 def test_criterion_7_identity_suite():

@@ -3,9 +3,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harrisproc.distribution import HarrisParams, harris_pmf
 from harrisproc.sampling import RngStream, sample_harris
@@ -14,8 +17,11 @@ from harrisproc.validation import (
     ValidationReport,
     chi_square_gof,
     chi_square_quantile,
+    add_tallies,
     make_report,
     moment_check,
+    tally,
+    tally_moments,
 )
 
 
@@ -127,6 +133,50 @@ class TestMomentCheck:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             moment_check(2.0, 4.0, 99, 2.0, 4.0)
+
+
+# sample values: small ones (counted by np.bincount) and ones near 2**32,
+# whose squares overflow int64
+SAMPLE_VALUES = st.one_of(st.integers(0, 300),
+                          st.integers(2**32 - 1000, 2**32 + 1000))
+
+
+class TestTally:
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(SAMPLE_VALUES, st.integers(-50, -1)), min_size=1,
+                    max_size=200))
+    def test_matches_np_unique(self, samples):
+        values, counts = np.unique(samples, return_counts=True)
+        observed = tally(np.array(samples, dtype=np.int64))
+        assert list(observed.items()) == list(zip(values.tolist(), counts.tolist()))
+
+    @settings(deadline=None)
+    @given(st.dictionaries(SAMPLE_VALUES, st.integers(1, 10**7), min_size=1,
+                           max_size=30).filter(lambda h: sum(h.values()) >= 2))
+    def test_moments_are_the_correctly_rounded_exact_values(self, histogram):
+        n = sum(histogram.values())
+        s1 = sum(Fraction(v * c) for v, c in histogram.items())
+        s2 = sum(Fraction(v * v * c) for v, c in histogram.items())
+        mean, var = tally_moments(histogram)
+        assert mean == float(s1 / n)
+        assert var == float((s2 - s1 * s1 / n) / (n - 1))
+
+    def test_moments_agree_with_numpy_on_draws(self):
+        draws = sample_harris(RngStream(3), HarrisParams(2.0, 2), size=50_000)
+        mean, var = tally_moments(tally(draws))
+        assert mean == draws.mean()
+        assert var == pytest.approx(draws.var(ddof=1), rel=1e-12)
+
+    def test_one_sample_has_no_variance(self):
+        with pytest.raises(ValueError):
+            tally_moments({5: 1})
+
+    def test_added_tallies_tally_the_joined_samples(self):
+        rng = np.random.default_rng(0)
+        parts = [rng.integers(0, 40, size=size) for size in (1000, 7, 300)]
+        parts.append(np.array([2**40, 3]))
+        assert (list(add_tallies(tally(p) for p in parts).items())
+                == list(tally(np.concatenate(parts)).items()))
 
 
 class TestCalibration:
