@@ -5,6 +5,7 @@ Run:  python demos/validation_workflow.py
 
 import json
 from dataclasses import asdict
+from functools import partial
 
 from harrisproc import (
     HarrisParams,
@@ -16,7 +17,7 @@ from harrisproc import (
 )
 from harrisproc.acceptance import run_scenario
 from harrisproc.reporting import simulate_text
-from harrisproc.validation import chi_square_gof
+from harrisproc.validation import chi_square_gof, gof_support
 
 
 def main():
@@ -64,9 +65,10 @@ def main():
         observed = {}
         for value in draws.tolist():
             observed[value] = observed.get(value, 0) + 1
-        gof = chi_square_gof(observed,
-                             lambda x: harris_pmf(params, (x - 1) // 2),
-                             params.support_values(), len(draws), 0.05)
+        # the law as two arrays: support values and their probabilities
+        support, probs = gof_support(partial(harris_pmf, params),
+                                     params.support_value, observed, len(draws))
+        gof = chi_square_gof(observed, support, probs, len(draws), 0.05)
         rejections += not gof.passed
     print(f"calibration under the null: {rejections}/{seeds} rejections "
           f"at alpha=0.05 (rate {rejections / seeds:.3f})")

@@ -13,30 +13,21 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .birth import (
-    ProcessParams,
-    empirical_distribution,
-    process_moments,
-    simulate_many,
-    solve_forward_odes,
-)
-from .distribution import (
-    HarrisParams,
-    decap_geometric_pmf,
-    harris_pgf,
-    harris_pmf,
-    nb_pmf,
-)
+from .birth import (ProcessParams, empirical_distribution, process_moments,
+                    simulate_many, solve_forward_odes)
+from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
+                           harris_pmf, nb_pmf)
 from .mixture import (DRAW_BLOCK, MixtureParams, mixture_moments, mixture_pmf,
                       mixture_pmf_quadrature, sample_model2)
 from .reporting import simulate_text
 from .sampling import RngStream, sample_harris
 from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
-                         add_tallies, chi_square_gof, make_report, tally,
-                         tally_moments)
+                         add_tallies, chi_square_gof, gof_support, make_report,
+                         tally, tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -73,12 +64,6 @@ class ScenarioRun:
     expected_counts: dict
     coupling_violations: int
     horizon: float
-
-
-def _empirical_tables(observed, marginal, total):
-    states = np.arange(1, max(observed) + 1, marginal.k)
-    expected = total * harris_pmf(marginal, np.arange(len(states)))
-    return dict(zip(states.tolist(), expected.tolist()))
 
 
 def _variance_band(marginal: HarrisParams, n: int) -> float:
@@ -167,19 +152,14 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         raise ValueError(f"unknown model {model!r}")
 
     empirical_mean, empirical_var = tally_moments(observed)
-    report = make_report(
-        scenario,
-        observed,
-        lambda x: harris_pmf(marginal, (x - 1) // marginal.k),
-        marginal.support_values(),
-        empirical_mean,
-        empirical_var,
-        analytic_mean,
-        analytic_var,
-        alpha=alpha,
-        var_rel_tol=_variance_band(marginal, replicas),
-    )
-    expected = _empirical_tables(observed, marginal, replicas)
+    support, probs = gof_support(partial(harris_pmf, marginal),
+                                 marginal.support_value, observed, replicas)
+    report = make_report(scenario, observed, support, probs, empirical_mean,
+                         empirical_var, analytic_mean, analytic_var, alpha=alpha,
+                         var_rel_tol=_variance_band(marginal, replicas))
+    # the expected count of every lattice point up to the largest observation
+    shown = support <= max(observed)
+    expected = dict(zip(support[shown].tolist(), (replicas * probs[shown]).tolist()))
     return ScenarioRun(report, observed, expected, violations,
                        horizon if model == "birth" else None)
 
@@ -218,8 +198,9 @@ def _check_quadrature_grid() -> CriterionResult:
     worst = 0.0
     for a, t, k in QUAD_GRID:
         params = MixtureParams(a, k)
+        closed = mixture_pmf(params, t, np.arange(21)).tolist()
         for n in range(21):
-            gap = abs(mixture_pmf(params, t, n) - mixture_pmf_quadrature(params, t, n))
+            gap = abs(closed[n] - mixture_pmf_quadrature(params, t, n))
             worst = max(worst, gap)
     return CriterionResult(
         2, "mixture-quadrature-vs-closed-form", worst < 1e-8,
@@ -268,13 +249,11 @@ def _check_yule_furry(replicas: int, seed: int):
     batch = simulate_many(params, t, replicas, seed)
     violations = batch.coupling_violations()
     observed = empirical_distribution(batch, t)
-    gof = chi_square_gof(
-        observed,
-        lambda x: decap_geometric_pmf(q, x),
-        params.harris_at(t).support_values(),
-        replicas,
-        0.01,
-    )
+    # the decapitated geometric, not harris_pmf, so the check stays independent
+    support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
+                                 params.harris_at(t).support_value, observed,
+                                 replicas)
+    gof = chi_square_gof(observed, support, probs, replicas, 0.01)
     passed = ode_gap < 1e-8 and gof.passed
     detail = (
         f"ode gap {ode_gap:.3e} (budget 1e-08); gof stat {gof.statistic:.3f} "
@@ -312,14 +291,12 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     params = HarrisParams(2.0, 2)
     rejections = 0
     for seed in range(n_seeds):
-        draws = sample_harris(RngStream(seed), params, size=draws_per_seed)
-        gof = chi_square_gof(
-            tally(draws),
-            lambda x: harris_pmf(params, (x - 1) // 2),
-            params.support_values(),
-            draws_per_seed,
-            0.05,
-        )
+        observed = tally(sample_harris(RngStream(seed), params,
+                                       size=draws_per_seed))
+        support, probs = gof_support(partial(harris_pmf, params),
+                                     params.support_value, observed,
+                                     draws_per_seed)
+        gof = chi_square_gof(observed, support, probs, draws_per_seed, 0.05)
         rejections += not gof.passed
     rate = rejections / n_seeds
     return CriterionResult(

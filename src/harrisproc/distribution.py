@@ -91,16 +91,7 @@ class HarrisParams:
 
     def support_value(self, n):
         """Support point x = 1 + n*k for count index n (scalar or array)."""
-        if np.ndim(n) == 0:
-            return 1 + int(n) * self.k
         return 1 + np.asarray(n) * self.k
-
-    def support_values(self):
-        """Yield the support 1, 1+k, 1+2k, ... indefinitely."""
-        x = 1
-        while True:
-            yield x
-            x += self.k
 
 
 def log_binom(r: float, n) -> float:

@@ -1,12 +1,12 @@
 """Statistical validation: chi-square goodness of fit and moment bands.
 
-The goodness-of-fit test walks a discrete support in increasing order,
-accumulates consecutive points into bins until each bin's expected count
-reaches the classical threshold (5 by default), and closes with one open
-tail bin; the Pearson statistic is then compared against the chi-square
-upper quantile with (bins - 1) degrees of freedom.  Quantiles are obtained
-by bracketed root finding on the regularized incomplete gamma function,
-so no statistical tables are involved.
+The goodness-of-fit test reads a law as two arrays, increasing support
+values and their probabilities (``gof_support`` tabulates them chunk by
+chunk), merges consecutive points into bins until each bin's expected
+count reaches the classical threshold (5 by default), and closes with one
+open tail bin; the Pearson statistic is then compared against the
+chi-square upper quantile with (bins - 1) degrees of freedom, found by
+root finding on the regularized incomplete gamma function.
 
 Samples are tallied once into a frequency map (``tally``); the goodness of
 fit and the exact sample moments (``tally_moments``) are both read from it.
@@ -21,6 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "Bin",
     "GofResult",
@@ -30,6 +32,7 @@ __all__ = [
     "ValidationReport",
     "chi_square_quantile",
     "chi_square_gof",
+    "gof_support",
     "moment_check",
     "make_report",
     "tally",
@@ -39,7 +42,9 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 5.0
 MIN_MOMENT_SAMPLES = 100
-_SUPPORT_WALK_CAP = 1_000_000
+# gof_support's arrays start at this many points and double up to the cap
+_FIRST_SUPPORT_CHUNK = 256
+_MAX_SUPPORT_POINTS = 1_000_000
 # tally counts samples below this with one np.bincount (an 8 MB histogram
 # at most); wider or negative samples are sorted instead
 _DENSE_TALLY_SPAN = 1 << 20
@@ -130,7 +135,30 @@ def _bin_label(lo: int, hi: int, open_tail: bool) -> str:
     return f"{lo}-{hi}"
 
 
-def chi_square_gof(observed, expected_pmf, support, total: int, alpha: float,
+def gof_support(pmf, support_value, observed, total: int) -> tuple:
+    """(support, probs) arrays of a law, long enough for chi_square_gof.
+
+    pmf and support_value map index arrays 0, 1, ... to probabilities and
+    increasing support values.  The arrays double from 256 points until the
+    test of observed stops inside them; past a million points the law is
+    refused with ResourceLimitError.
+    """
+    n = np.arange(_FIRST_SUPPORT_CHUNK)
+    support, probs = support_value(n), pmf(n)
+    # the probabilities are nonnegative, so once the test could stop at the
+    # last point it stops there or sooner
+    while (total * (1.0 - np.cumsum(probs)[-1]) >= MIN_EXPECTED_PER_BIN
+           or support[-1] < max(observed)):
+        if len(support) >= _MAX_SUPPORT_POINTS:
+            raise ResourceLimitError(f"goodness-of-fit support exceeded "
+                                     f"{_MAX_SUPPORT_POINTS} points")
+        n = np.arange(len(support), min(2 * len(support), _MAX_SUPPORT_POINTS))
+        support = np.concatenate([support, support_value(n)])
+        probs = np.concatenate([probs, pmf(n)])
+    return support, probs
+
+
+def chi_square_gof(observed, support, probs, total: int, alpha: float,
                    min_expected: float = MIN_EXPECTED_PER_BIN) -> GofResult:
     """Pearson chi-square test of observed frequencies against a p.m.f.
 
@@ -138,17 +166,19 @@ def chi_square_gof(observed, expected_pmf, support, total: int, alpha: float,
     ----------
     observed : mapping
         Frequency map support value -> count; counts must sum to total.
-    expected_pmf : callable
+    support : array of int
+        Support values in increasing order, e.g. from gof_support.
+    probs : array of float
         Probability of each support value.
-    support : iterable
-        The support values in increasing order (may be unbounded).
     total : int
         Number of samples behind the observed map.
     alpha : float
         Significance level for the pass/fail threshold.
 
-    Consecutive support points are merged until every bin's expected
-    count reaches min_expected; the final bin absorbs the open tail.
+    The support is read up to the first point with no observation and less
+    than min_expected expected beyond it, or to its end.  Consecutive points
+    are merged until every bin's expected count reaches min_expected; the
+    final bin absorbs the open tail, observations past the support included.
     Raises ValueError if fewer than two bins survive merging.
     """
     if total <= 0:
@@ -157,34 +187,32 @@ def chi_square_gof(observed, expected_pmf, support, total: int, alpha: float,
         raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
     if not observed:
         raise ValueError("observed frequency map is empty")
+    support, probs = np.asarray(support), np.asarray(probs, dtype=float)
+    if support.ndim != 1 or support.shape != probs.shape or not support.size:
+        raise ValueError("support and probs must be non-empty 1-d arrays of one length")
+    if np.any(np.diff(support) <= 0):
+        raise ValueError("support values must increase")
     observed_sum = sum(observed.values())
     if abs(observed_sum - total) > 1e-9 * max(total, 1):
         raise ValueError(
             f"observed counts sum to {observed_sum!r}, not the stated total {total!r}"
         )
-    max_observed = max(observed)
 
-    # Walk the support far enough that the open tail cannot form a bin of
-    # its own and every observation is covered.
-    points = []
-    cumulative = 0.0
-    for i, value in enumerate(support):
-        prob = expected_pmf(value)
-        points.append((value, observed.get(value, 0), total * prob))
-        cumulative += prob
-        if total * (1.0 - cumulative) < min_expected and value >= max_observed:
-            break
-        if i >= _SUPPORT_WALK_CAP:
-            raise ValueError("support walk exceeded the configured cap")
-    tail_expected = max(total * (1.0 - cumulative), 0.0)
-    # Observations past the walked range (finite supports only) belong to
-    # the open tail bin.
-    tail_observed = observed_sum - sum(obs for _, obs, _ in points)
+    # np.cumsum adds in support order, as a running sum does
+    cumulative = np.cumsum(probs)
+    stops = np.flatnonzero((total * (1.0 - cumulative) < min_expected)
+                           & (support >= max(observed)))
+    end = int(stops[0]) + 1 if stops.size else len(support)
+    values = support[:end].tolist()
+    counts = [observed.get(value, 0) for value in values]
+    tail_expected = max(total * (1.0 - float(cumulative[end - 1])), 0.0)
+    # Observations past the read range belong to the open tail bin.
+    tail_observed = observed_sum - sum(counts)
 
     bins = []
     acc_obs, acc_exp = 0, 0.0
     acc_lo = None
-    for value, obs, exp in points:
+    for value, obs, exp in zip(values, counts, (total * probs[:end]).tolist()):
         if acc_lo is None:
             acc_lo = value
         acc_obs += obs
@@ -196,7 +224,7 @@ def chi_square_gof(observed, expected_pmf, support, total: int, alpha: float,
     acc_obs += tail_observed
     acc_exp += tail_expected
     if acc_lo is not None or acc_exp > 0.0 or acc_obs > 0:
-        tail_lo = acc_lo if acc_lo is not None else points[-1][0] + 1
+        tail_lo = acc_lo if acc_lo is not None else values[-1] + 1
         tail_bin = Bin(_bin_label(tail_lo, tail_lo, True), acc_obs, acc_exp)
         if tail_bin.expected >= min_expected or not bins:
             bins.append(tail_bin)
@@ -275,12 +303,12 @@ class ValidationReport:
                    VarCheck(**payload["var_check"]), payload["overall"])
 
 
-def make_report(scenario: Scenario, observed, expected_pmf, support,
+def make_report(scenario: Scenario, observed, support, probs,
                 empirical_mean: float, empirical_var: float,
                 analytic_mean: float, analytic_var: float,
                 alpha: float = 0.01, var_rel_tol: float = 0.05) -> ValidationReport:
     """Assemble the full verdict: GoF plus mean and variance bands."""
-    gof = chi_square_gof(observed, expected_pmf, support, scenario.replicas, alpha)
+    gof = chi_square_gof(observed, support, probs, scenario.replicas, alpha)
     mean_pass, var_pass = moment_check(empirical_mean, empirical_var,
                                        scenario.replicas, analytic_mean,
                                        analytic_var, var_rel_tol=var_rel_tol)

@@ -5,9 +5,11 @@ captured output of a failing run) and then asserts the criterion.  The
 expensive Monte Carlo runs are shared through module-scoped fixtures.
 """
 
+import hashlib
 import math
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from harrisproc.mixture import (DRAW_BLOCK, MixtureParams, mixture_pmf,
                                 mixture_pmf_quadrature, sample_model2)
 from harrisproc.reporting import simulate_text
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import add_tallies, chi_square_gof, moment_check, tally
+from harrisproc.validation import (add_tallies, chi_square_gof, gof_support,
+                                   moment_check, tally)
 
 E = math.e
 SEED = 42
@@ -99,13 +102,10 @@ def test_criterion_2_quadrature_vs_closed_form():
 def test_criterion_3_model1_monte_carlo(birth_run):
     _, states = birth_run
     marginal = HarrisParams(E, 2)
-    gof = chi_square_gof(
-        Counter(states.tolist()),
-        lambda x: harris_pmf(marginal, (x - 1) // 2),
-        marginal.support_values(),
-        len(states),
-        alpha=0.01,
-    )
+    observed = Counter(states.tolist())
+    support, probs = gof_support(partial(harris_pmf, marginal), marginal.support_value,
+                                 observed, len(states))
+    gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
     mean_gap = abs(float(states.mean()) - E)
     analytic_var = 2 * E * (E - 1)  # = 9.34155 per the closed form
     var_rel = abs(float(states.var(ddof=1)) - analytic_var) / analytic_var
@@ -119,13 +119,10 @@ def test_criterion_4_model2_monte_carlo(mixture_draws):
     draws = mixture_draws
     marginal = HarrisParams(2.0, 2)
     values, counts = np.unique(draws, return_counts=True)
-    gof = chi_square_gof(
-        {int(v): int(c) for v, c in zip(values, counts)},
-        lambda x: harris_pmf(marginal, (x - 1) // 2),
-        marginal.support_values(),
-        len(draws),
-        alpha=0.01,
-    )
+    observed = {int(v): int(c) for v, c in zip(values, counts)}
+    support, probs = gof_support(partial(harris_pmf, marginal), marginal.support_value,
+                                 observed, len(draws))
+    gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.01)
     mean_gap = abs(float(draws.mean()) - 2.0)
     var_rel = abs(float(draws.var(ddof=1)) - 4.0) / 4.0
     record(4, "model2-monte-carlo",
@@ -141,13 +138,11 @@ def test_criterion_5_yule_furry_triple_agreement(yule_run):
     solution = solve_forward_odes(params, 0.7)
     decap = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - decap).max())
-    gof = chi_square_gof(
-        empirical_distribution(batch, 0.7),
-        lambda x: decap_geometric_pmf(q, x),
-        params.harris_at(0.7).support_values(),
-        len(states),
-        alpha=0.01,
-    )
+    observed = empirical_distribution(batch, 0.7)
+    support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
+                                 params.harris_at(0.7).support_value, observed,
+                                 len(states))
+    gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
     record(5, "yule-furry-reduction", ode_gap < 1e-8 and gof.passed,
            f"ode vs decapitated geometric {ode_gap:.3e} < 1e-8; "
            f"monte carlo gof {gof.statistic:.2f} <= {gof.threshold:.2f}")
@@ -280,13 +275,10 @@ def test_criterion_8_null_calibration():
     for seed in range(200):
         draws = sample_harris(RngStream(seed), params, size=10_000)
         values, counts = np.unique(draws, return_counts=True)
-        gof = chi_square_gof(
-            {int(v): int(c) for v, c in zip(values, counts)},
-            lambda x: harris_pmf(params, (x - 1) // 2),
-            params.support_values(),
-            len(draws),
-            alpha=0.05,
-        )
+        observed = {int(v): int(c) for v, c in zip(values, counts)}
+        support, probs = gof_support(partial(harris_pmf, params), params.support_value,
+                                     observed, len(draws))
+        gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.05)
         rejections += not gof.passed
     rate = rejections / 200
     record(8, "null-calibration", 0.01 <= rate <= 0.11,
@@ -306,6 +298,30 @@ def test_criterion_9_byte_identical_cli_reruns(tmp_path):
     record(9, "byte-identical-reruns",
            identical["csv"] and identical["json"],
            f"csv identical: {identical['csv']}; json identical: {identical['json']}")
+
+
+# Goodness-of-fit results pinned from the scalar support walk the array
+# form replaced: statistic (exact repr), degrees of freedom and bin labels.
+def test_gof_of_criterion_3_is_pinned():
+    gof = acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=100_000,
+                                  seed=SEED).report.gof
+    assert repr(gof.statistic) == "12.031085121478732"
+    assert gof.degrees_of_freedom == 17
+    assert [b.label for b in gof.bins] == [str(x) for x in range(1, 35, 2)] + [">=35"]
+
+
+def test_gof_of_the_deep_birth_run_is_pinned():
+    # simulate --model birth --lambda 1 --k 1 --t 6 --replicas 2000
+    # --seed 1880700755: 2000 paths of ~400 events, 3,385 support points
+    gof = acceptance.run_scenario("birth", lam=1.0, k=1, t=6.0, replicas=2000,
+                                  seed=1880700755).report.gof
+    labels = [b.label for b in gof.bins]
+    assert repr(gof.statistic) == "304.01503144494336"
+    assert gof.degrees_of_freedom == 315
+    assert labels[:3] == ["1-2", "3-4", "5-6"]
+    assert labels[-3:] == ["1904-2037", "2038-2238", ">=2239"]
+    assert hashlib.sha256(" ".join(labels).encode()).hexdigest() == (
+        "3dd4227b231d9c95d84450deb0df2ea509f8c67d4fdf56a702079a14c7d055cf")
 
 
 @pytest.mark.parametrize("m", [1.01, 2.0, E, 10.0, math.exp(6.0)])

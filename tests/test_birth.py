@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from harrisproc.distribution import (
     truncation_index,
 )
 from harrisproc.errors import ConvergenceError, ResourceLimitError
-from harrisproc.validation import chi_square_gof
+from harrisproc.validation import chi_square_gof, gof_support
 
 E = math.e
 
@@ -144,13 +145,10 @@ class TestMonteCarloLaw:
         mean, var = process_moments(params, 1.0)
         assert abs(states.mean() - mean) < 3 * math.sqrt(var / len(states))
         marginal = params.harris_at(1.0)
-        result = chi_square_gof(
-            Counter(states.tolist()),
-            lambda v: harris_pmf(marginal, (v - 1) // 2),
-            marginal.support_values(),
-            len(states),
-            0.001,
-        )
+        observed = Counter(states.tolist())
+        support, probs = gof_support(partial(harris_pmf, marginal),
+                                     marginal.support_value, observed, len(states))
+        result = chi_square_gof(observed, support, probs, len(states), 0.001)
         assert result.passed
 
     def test_yule_furry_reduction(self):
@@ -158,13 +156,11 @@ class TestMonteCarloLaw:
         params = ProcessParams(1.0, 1)
         states = simulate_many(params, 0.7, 20_000, seed=7).states_at(0.7)
         q = math.exp(-0.7)
-        result = chi_square_gof(
-            Counter(states.tolist()),
-            lambda v: decap_geometric_pmf(q, v),
-            params.harris_at(0.7).support_values(),
-            len(states),
-            0.001,
-        )
+        observed = Counter(states.tolist())
+        support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
+                                     params.harris_at(0.7).support_value, observed,
+                                     len(states))
+        result = chi_square_gof(observed, support, probs, len(states), 0.001)
         assert result.passed
 
     def test_law_before_the_horizon(self):
@@ -172,13 +168,10 @@ class TestMonteCarloLaw:
         params = ProcessParams(0.5, 2)
         batch = simulate_many(params, 2.0, 20_000, seed=13)
         marginal = params.harris_at(0.5)
-        result = chi_square_gof(
-            empirical_distribution(batch, 0.5),
-            lambda x: harris_pmf(marginal, (x - 1) // 2),
-            marginal.support_values(),
-            len(batch),
-            0.001,
-        )
+        observed = empirical_distribution(batch, 0.5)
+        support, probs = gof_support(partial(harris_pmf, marginal),
+                                     marginal.support_value, observed, len(batch))
+        result = chi_square_gof(observed, support, probs, len(batch), 0.001)
         assert result.passed
 
     def test_block_prefix_does_not_change_results(self):
@@ -212,13 +205,9 @@ class TestMonteCarloLaw:
 
         trajectories = simulate_many(params, t, 100_000, seed=11)
         observed = empirical_distribution(trajectories, t)
-        gof = chi_square_gof(
-            observed,
-            lambda x: harris_pmf(marginal, (x - 1) // k),
-            marginal.support_values(),
-            100_000,
-            0.001,
-        )
+        support, probs = gof_support(partial(harris_pmf, marginal),
+                                     marginal.support_value, observed, 100_000)
+        gof = chi_square_gof(observed, support, probs, 100_000, 0.001)
         assert gof.passed
 
 

@@ -100,10 +100,9 @@ class TestParams:
     def test_index_is_derived(self):
         assert HarrisParams(2.0, 4).index == 0.25
 
-    def test_support_values(self):
+    def test_support_value(self):
         params = HarrisParams(2.0, 3)
-        gen = params.support_values()
-        assert [next(gen) for _ in range(4)] == [1, 4, 7, 10]
+        assert params.support_value(np.arange(4)).tolist() == [1, 4, 7, 10]
         assert params.support_value(5) == 16
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from harrisproc.mixture import (
     sample_model2,
 )
 from harrisproc.sampling import RngStream
-from harrisproc.validation import chi_square_gof
+from harrisproc.validation import chi_square_gof, gof_support
 
 
 class TestMixtureParams:
@@ -99,13 +100,10 @@ class TestSampler:
         mean, var = mixture_moments(params, 1.0)
         assert abs(draws.mean() - mean) < 3 * math.sqrt(var / len(draws))
         marginal = params.harris_at(1.0)
-        result = chi_square_gof(
-            Counter(draws.tolist()),
-            lambda v: harris_pmf(marginal, (v - 1) // 2),
-            marginal.support_values(),
-            len(draws),
-            0.01,
-        )
+        observed = Counter(draws.tolist())
+        support, probs = gof_support(partial(harris_pmf, marginal),
+                                     marginal.support_value, observed, len(draws))
+        result = chi_square_gof(observed, support, probs, len(draws), 0.01)
         assert result.passed
 
     def test_law_of_total_expectation(self):

@@ -1,16 +1,18 @@
-import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harrisproc import validation
 from harrisproc.distribution import HarrisParams, harris_pmf
+from harrisproc.errors import ResourceLimitError
 from harrisproc.sampling import RngStream, sample_harris
 from harrisproc.validation import (
     Scenario,
@@ -18,6 +20,7 @@ from harrisproc.validation import (
     chi_square_gof,
     chi_square_quantile,
     add_tallies,
+    gof_support,
     make_report,
     moment_check,
     tally,
@@ -52,7 +55,7 @@ class TestChiSquareGof:
     def test_self_consistency_statistic_zero(self):
         # ten equiprobable cells; expected counts fed back as observations
         observed = {v: 100 for v in range(10)}
-        result = chi_square_gof(observed, lambda v: 0.1, range(10), 1000, 0.05)
+        result = chi_square_gof(observed, np.arange(10), np.full(10, 0.1), 1000, 0.05)
         assert result.statistic < 1e-12
         assert result.passed
 
@@ -61,25 +64,19 @@ class TestChiSquareGof:
         # which puts mass on odd states only
         draws = sample_harris(RngStream(0), HarrisParams(math.e, 1), size=100_000)
         wrong = HarrisParams(math.e, 2)
-        result = chi_square_gof(
-            Counter(draws.tolist()),
-            lambda v: harris_pmf(wrong, (v - 1) // 2),
-            wrong.support_values(),
-            len(draws),
-            0.01,
-        )
+        observed = Counter(draws.tolist())
+        support, probs = gof_support(partial(harris_pmf, wrong), wrong.support_value,
+                                     observed, len(draws))
+        result = chi_square_gof(observed, support, probs, len(draws), 0.01)
         assert not result.passed
 
     def test_every_bin_reaches_minimum_expected(self):
         params = HarrisParams(2.0, 1)
         draws = sample_harris(RngStream(3), params, size=2000)
-        result = chi_square_gof(
-            Counter(draws.tolist()),
-            lambda v: harris_pmf(params, v - 1),
-            params.support_values(),
-            len(draws),
-            0.05,
-        )
+        observed = Counter(draws.tolist())
+        support, probs = gof_support(partial(harris_pmf, params), params.support_value,
+                                     observed, len(draws))
+        result = chi_square_gof(observed, support, probs, len(draws), 0.05)
         assert all(b.expected >= 5.0 for b in result.bins)
         assert result.bins[-1].label.startswith(">=")
         assert result.degrees_of_freedom == len(result.bins) - 1
@@ -88,25 +85,90 @@ class TestChiSquareGof:
         # geometric expected counts 600, 240, 96, 38.4, 15.36, 6.1, 2.5, ...
         # spread mass too thinly past v=5 to stand alone
         observed = {0: 600, 1: 240, 2: 96, 3: 38, 4: 16, 5: 6, 6: 4}
-        pmf = lambda v: 0.6 * 0.4**v
-        result = chi_square_gof(observed, pmf, itertools.count(0), 1000, 0.05)
+        support = np.arange(50)
+        result = chi_square_gof(observed, support, 0.6 * 0.4**support, 1000, 0.05)
         assert result.bins[-1].label == ">=5"
         assert all(b.expected >= 5.0 for b in result.bins)
 
     def test_too_few_bins_raises(self):
         with pytest.raises(ValueError, match="fewer than two bins"):
-            chi_square_gof({0: 6}, lambda v: 1.0 if v == 0 else 0.0,
-                           itertools.count(0), 6, 0.05)
+            chi_square_gof({0: 6}, np.arange(2), np.array([1.0, 0.0]), 6, 0.05)
 
     def test_total_mismatch_raises(self):
         with pytest.raises(ValueError, match="not the stated total"):
-            chi_square_gof({0: 5, 1: 4}, lambda v: 0.5, range(2), 100, 0.05)
+            chi_square_gof({0: 5, 1: 4}, np.arange(2), np.full(2, 0.5), 100, 0.05)
 
     def test_observations_beyond_finite_support_count_in_tail(self):
         observed = {0: 50, 1: 30, 2: 12, 9: 8}
-        pmf = lambda v: [0.5, 0.3, 0.12, 0.08][v] if v < 4 else 0.0
-        result = chi_square_gof(observed, pmf, range(4), 100, 0.05)
+        result = chi_square_gof(observed, np.arange(4),
+                                np.array([0.5, 0.3, 0.12, 0.08]), 100, 0.05)
         assert sum(b.observed for b in result.bins) == 100
+
+    def test_support_ending_before_the_stop_rule_leaves_the_rest_to_the_tail(self):
+        # the arrays end at 2 with 8% of the mass still ahead, so the test
+        # reads all three points and the observations at 7 join the open tail
+        observed = {0: 50, 1: 30, 2: 12, 7: 8}
+        result = chi_square_gof(observed, np.arange(3), np.array([0.5, 0.3, 0.12]),
+                                100, 0.05)
+        assert [b.label for b in result.bins] == ["0", "1", "2", ">=3"]
+        assert result.bins[-1].observed == 8
+        assert result.bins[-1].expected == pytest.approx(8.0, rel=1e-12)
+        assert result.statistic < 1e-12
+
+    @pytest.mark.parametrize("support,probs", [
+        (np.arange(4), np.full(3, 0.25)),
+        (np.arange(4), np.full((4, 1), 0.25)),
+        (np.array([0, 1, 1, 2]), np.full(4, 0.25)),
+        (np.array([0, 2, 1, 3]), np.full(4, 0.25)),
+        (np.array([], dtype=int), np.array([])),
+    ])
+    def test_malformed_arrays_raise(self, support, probs):
+        with pytest.raises(ValueError, match="arrays of one length|must increase"):
+            chi_square_gof({0: 4}, support, probs, 4, 0.05)
+
+
+class TestGofSupport:
+    def test_a_heavy_tail_extends_the_first_chunk(self):
+        # m = 1000, k = 1: the expected count beyond n stays above 5 until
+        # n is about 9,900, far past the first chunk
+        params = HarrisParams(1000.0, 1)
+        total = 100_000
+        observed = tally(sample_harris(RngStream(5), params, size=total))
+        support, probs = gof_support(partial(harris_pmf, params),
+                                     params.support_value, observed, total)
+        assert len(support) > 4 * validation._FIRST_SUPPORT_CHUNK
+        assert np.array_equal(support, np.arange(1, len(support) + 1))
+        assert np.array_equal(probs, harris_pmf(params, np.arange(len(support))))
+        # the arrays reach the point where the test stops reading
+        stops = (total * (1.0 - np.cumsum(probs)) < 5.0) & (support >= max(observed))
+        assert stops.any() and not stops[:len(support) // 2].any()
+        result = chi_square_gof(observed, support, probs, total, 0.01)
+        assert sum(b.observed for b in result.bins) == total
+        assert result.passed
+
+    def test_arrays_agree_with_a_scalar_walk(self):
+        # the walk chi_square_gof once made: one scalar pmf call per point
+        # and a running sum, stopped by the same rule
+        params = HarrisParams(3.0, 2)
+        observed = tally(sample_harris(RngStream(1), params, size=20_000))
+        support, probs = gof_support(partial(harris_pmf, params),
+                                     params.support_value, observed, 20_000)
+        cumulative = 0.0
+        for n, (value, prob) in enumerate(zip(support.tolist(), probs.tolist())):
+            assert value == 1 + 2 * n and prob == harris_pmf(params, n)
+            cumulative += prob
+            if 20_000 * (1.0 - cumulative) < 5.0 and value >= max(observed):
+                break
+        else:
+            pytest.fail("the arrays end before the walk stops")
+        assert cumulative == np.cumsum(probs)[n]
+
+    def test_a_law_past_the_point_cap_is_refused(self):
+        # m = 1e7 would need about 1e8 points before the tail drops below 5
+        params = HarrisParams(1e7, 1)
+        with pytest.raises(ResourceLimitError, match="exceeded 1000000 points"):
+            gof_support(partial(harris_pmf, params), params.support_value,
+                        {1: 100_000}, 100_000)
 
 
 class TestMomentCheck:
@@ -186,13 +248,10 @@ class TestCalibration:
         rejections = 0
         for seed in range(200):
             draws = sample_harris(RngStream(seed), params, size=10_000)
-            result = chi_square_gof(
-                Counter(draws.tolist()),
-                lambda v: harris_pmf(params, (v - 1) // 2),
-                params.support_values(),
-                len(draws),
-                0.05,
-            )
+            observed = Counter(draws.tolist())
+            support, probs = gof_support(partial(harris_pmf, params),
+                                         params.support_value, observed, len(draws))
+            result = chi_square_gof(observed, support, probs, len(draws), 0.05)
             rejections += not result.passed
         assert 0.01 <= rejections / 200 <= 0.11
 
@@ -202,11 +261,14 @@ def _example_report():
     draws = sample_harris(RngStream(42), params, size=10_000)
     scenario = Scenario("birth", {"lambda": 0.5, "k": 2}, 1.0, len(draws), 42)
     mean, var = math.e, 2 * math.e * (math.e - 1)
+    observed = Counter(draws.tolist())
+    support, probs = gof_support(partial(harris_pmf, params), params.support_value,
+                                 observed, len(draws))
     return make_report(
         scenario,
-        Counter(draws.tolist()),
-        lambda v: harris_pmf(params, (v - 1) // 2),
-        params.support_values(),
+        observed,
+        support,
+        probs,
         float(draws.mean()),
         float(draws.var(ddof=1)),
         mean,
