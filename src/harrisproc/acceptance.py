@@ -327,6 +327,8 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
                    calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
                    seed: int = 42) -> list:
     """Run every cross-validation criterion; returns one result per check."""
+    if calibration_seeds < 1:
+        raise ValueError(f"calibration seeds must be >= 1, got {calibration_seeds!r}")
     results = [_check_ode_grid(), _check_quadrature_grid()]
     birth_result, birth_run = _check_birth_mc(birth_replicas, seed)
     results.append(birth_result)

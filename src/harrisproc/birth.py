@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from .distribution import (
     HarrisParams,
@@ -313,6 +312,8 @@ def solve_forward_odes(params: ProcessParams, t: float, tail_bound: float = 1e-1
     Raises ConvergenceError if the integration fails.  t = 0 returns the
     initial law directly.
     """
+    # imported here so that commands without a witness never load it
+    from scipy.integrate import ODEintWarning, odeint
     t = float(t)
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t!r}")

@@ -4,7 +4,8 @@ Subcommands: pmf, pgf, simulate, ode, mixture-check, validate.  Output is
 CSV (metadata as ``# key=value`` comment lines before the header) or JSON
 (one top-level object with a schema_version field).  Identical invocations
 produce byte-identical output; the exit status is 0 exactly when every
-requested check passed, 1 when a check failed, 2 on bad parameters.
+requested check passed, 1 when a check failed, 2 on bad parameters or an
+output path that cannot be written.
 
 The same Harris law can be addressed three ways: directly via --m, through
 the birth process via --lambda and --t (m = exp(t*lambda*k)), or through
@@ -14,6 +15,7 @@ the gamma mixture via --a and --t (m = (a+t)/a); exactly one per call.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -36,12 +38,10 @@ DEFAULT_TAIL = 1e-12
 DEFAULT_TOL = 1e-8
 
 
-def _write(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="\n") as handle:
-            handle.write(text)
+def _tolerance(tol: float) -> float:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be > 0 and finite, got {tol!r}")
+    return float(tol)
 
 
 def _resolve_params(args) -> tuple:
@@ -84,6 +84,7 @@ def cmd_pmf(args) -> tuple:
 
 
 def cmd_pgf(args) -> tuple:
+    tol = _tolerance(args.tol)
     params, meta = _resolve_params(args)
     xs, probs, _ = pmf_table(params, 1e-15)
     rows = []
@@ -92,10 +93,9 @@ def cmd_pgf(args) -> tuple:
         series = float((probs * s ** xs).sum())
         rows.append((s, value, series, abs(value - series)))
     worst = max(row[3] for row in rows)
-    meta.update({"tol": float(args.tol), "max_abs_diff": worst,
-                 "passed": worst < args.tol})
+    meta.update({"tol": tol, "max_abs_diff": worst, "passed": worst < tol})
     return envelope("pgf", args.format, meta,
-                    ("s", "pgf", "series_sum", "abs_diff"), rows), worst < args.tol
+                    ("s", "pgf", "series_sum", "abs_diff"), rows), worst < tol
 
 
 def cmd_simulate(args) -> tuple:
@@ -123,9 +123,10 @@ def cmd_ode(args) -> tuple:
         raise ValueError("ode needs --lambda")
     if args.t is None:
         raise ValueError("ode needs a query time --t")
+    tol = _tolerance(args.tol)
     params = ProcessParams(args.lam, args.k)
     meta = {"lambda": float(args.lam), "k": args.k, "t": float(args.t),
-            "tail": float(args.tail), "tol": float(args.tol)}
+            "tail": float(args.tail), "tol": tol}
     solution = solve_forward_odes(params, args.t, tail_bound=args.tail)
     if args.t == 0.0:
         closed = np.array([1.0])
@@ -139,10 +140,10 @@ def cmd_ode(args) -> tuple:
     ]
     worst = float(gaps.max())
     meta.update({"n_max": solution.n_max, "max_abs_diff": worst,
-                 "passed": worst < args.tol})
+                 "passed": worst < tol})
     return envelope("ode", args.format, meta,
                     ("n", "x", "ode_probability", "closedform_probability",
-                     "abs_diff"), rows), worst < args.tol
+                     "abs_diff"), rows), worst < tol
 
 
 def cmd_mixture_check(args) -> tuple:
@@ -152,6 +153,7 @@ def cmd_mixture_check(args) -> tuple:
         raise ValueError("mixture-check needs a query time --t")
     if args.nmax < 0:
         raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+    tol = _tolerance(args.tol)
     params = MixtureParams(args.a, args.k)
     closed = mixture_pmf(params, args.t, np.arange(args.nmax + 1)).tolist()
     rows = []
@@ -160,11 +162,11 @@ def cmd_mixture_check(args) -> tuple:
         rows.append((n, 1 + n * params.k, closed[n], quad, abs(closed[n] - quad)))
     worst = max(row[4] for row in rows)
     meta = {"a": float(args.a), "k": args.k, "t": float(args.t),
-            "nmax": args.nmax, "tol": float(args.tol), "max_abs_diff": worst,
-            "passed": worst < args.tol}
+            "nmax": args.nmax, "tol": tol, "max_abs_diff": worst,
+            "passed": worst < tol}
     return envelope("mixture-check", args.format, meta,
                     ("n", "x", "closed_form", "quadrature", "abs_diff"),
-                    rows), worst < args.tol
+                    rows), worst < tol
 
 
 def cmd_validate(args) -> tuple:
@@ -276,10 +278,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, passed = args.func(args)
-    except (ValueError, ConvergenceError, ResourceLimitError) as exc:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="\n") as handle:
+                handle.write(text)
+    except (ValueError, ConvergenceError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(text, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

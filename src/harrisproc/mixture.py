@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.special import xlogy
 
 from .distribution import HarrisParams, _validate_step, harris_pmf
@@ -87,6 +86,8 @@ def mixture_pmf_quadrature(params: MixtureParams, t: float, n: int,
     the singular corner.  Raises ConvergenceError when the reported
     error estimate misses abs_target.
     """
+    # imported here so that commands without a witness never load it
+    from scipy.integrate import quad
     t = _check_time(t)
     n = int(n)
     if n < 0:

@@ -5,8 +5,8 @@ values and their probabilities (``gof_support`` tabulates them chunk by
 chunk), merges consecutive points into bins until each bin's expected
 count reaches the classical threshold (5 by default), and closes with one
 open tail bin; the Pearson statistic is then compared against the
-chi-square upper quantile with (bins - 1) degrees of freedom, found by
-root finding on the regularized incomplete gamma function.
+chi-square upper quantile with (bins - 1) degrees of freedom,
+``scipy.special.chdtri``.
 
 Samples are tallied once into a frequency map (``tally``); the goodness of
 fit and the exact sample moments (``tally_moments``) are both read from it.
@@ -18,8 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import chdtri
 
 from .errors import ResourceLimitError
 
@@ -88,24 +87,14 @@ def tally_moments(observed: dict) -> tuple:
 def chi_square_quantile(df: int, alpha: float) -> float:
     """Upper alpha quantile of the chi-square law with df degrees of freedom.
 
-    Solves P(df/2, x/2) = 1 - alpha for x, where P is the regularized
-    lower incomplete gamma function, by bracketed root finding.
+    The x with Q(df/2, x/2) = alpha, where Q is the regularized upper
+    incomplete gamma function, from ``scipy.special.chdtri``.
     """
     if df < 1 or int(df) != df:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
-    df = int(df)
-    target = 1.0 - alpha
-
-    def excess(x):
-        return gammainc(df / 2.0, x / 2.0) - target
-
-    hi = float(max(df, 1))
-    while excess(hi) < 0.0:
-        hi *= 2.0
-    return brentq(excess, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    return float(chdtri(int(df), alpha))
 
 
 @dataclass(frozen=True)

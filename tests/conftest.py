@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
-from harrisproc import birth
 from harrisproc.birth import TrajectoryBatch
 
 
@@ -24,6 +24,6 @@ def drop_last_event():
 @pytest.fixture
 def starved_odeint(monkeypatch):
     """Make every forward-equation solve fail: odeint gets one step only."""
-    real_odeint = birth.odeint
-    monkeypatch.setattr(birth, "odeint", lambda *args, **kwargs:
+    real_odeint = integrate.odeint
+    monkeypatch.setattr(integrate, "odeint", lambda *args, **kwargs:
                         real_odeint(*args, mxstep=1, **kwargs))

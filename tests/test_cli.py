@@ -262,11 +262,46 @@ class TestParameterGuards:
         (["pgf", "--m", "1e300", "--k", "2"], "exceeded 1000000 terms"),
         (["ode", "--lambda", "50", "--k", "3", "--t", "1"],
          "exceeded 20000 terms"),
+        *[(argv + ["--tol", tol], "tolerance must be > 0 and finite")
+          for argv in (["pgf", "--m", "2", "--k", "1"],
+                       ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
+                       ["mixture-check", "--a", "1", "--k", "2", "--t", "1"])
+          for tol in ("0", "-1", "nan", "inf")],
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_calibration_seeds_checked_before_any_run(self, seeds, capsys,
+                                                      monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the battery ran")
+        for name in ("solve_forward_odes", "run_scenario", "simulate_many",
+                     "sample_harris"):
+            monkeypatch.setattr(acceptance, name, ran)
+        code, out, err = run_cli(["validate", "--calibration-seeds", seeds],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "calibration seeds must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--m", "2", "--k", "1"],
+        ["pgf", "--m", "2", "--k", "1"],
+        ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+         "--replicas", "1000"],
+        ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
+        ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"],
+        ["validate", "--replicas", "200", "--mixture-draws", "1000",
+         "--calibration-seeds", "1"],
+    ])
+    def test_unwritable_out_exits_2(self, argv, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
 
 
 class TestMixtureCheck:

@@ -1,0 +1,69 @@
+"""Commands that use no witness must not load scipy.integrate.
+
+scipy.integrate (and scipy.optimize, which it imports) is most of the
+package's import time, and only the ODE and quadrature witnesses need it.
+Each case runs in a fresh interpreter: pytest itself has imported
+scipy.integrate for the ODEintWarning filter in pyproject.toml.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import harrisproc
+
+SRC = str(Path(harrisproc.__file__).resolve().parents[1])
+HEAVY = ("scipy.integrate", "scipy.optimize")
+
+CHILD = """
+import contextlib, io, json, sys
+from harrisproc.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in %r if m in sys.modules]}))
+""" % (HEAVY,)
+
+
+def run_fresh(argvs):
+    """Exit codes of main(argv) for each argv, and the heavy modules loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], result["loaded"]
+
+
+def test_import_loads_neither():
+    assert run_fresh([]) == ([], [])
+
+
+def test_closed_form_and_simulation_commands_load_neither():
+    argvs = [
+        ["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
+         "--t", "1", "--replicas", "2000"],
+        ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+         "--replicas", "10000", "--format", "csv"],
+        ["pmf", "--m", "3", "--k", "2"],
+        ["pgf", "--m", "3", "--k", "2"],
+    ]
+    assert run_fresh(argvs) == ([0, 0, 0, 0], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
+    ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"],
+])
+def test_witness_commands_load_scipy_integrate(argv):
+    codes, loaded = run_fresh([argv])
+    assert codes == [0]
+    assert "scipy.integrate" in loaded

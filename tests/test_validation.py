@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from harrisproc import validation
 from harrisproc.distribution import HarrisParams, harris_pmf
@@ -44,6 +45,13 @@ class TestChiSquareQuantile:
     def test_monotone_in_df(self):
         values = [chi_square_quantile(df, 0.05) for df in range(1, 12)]
         assert np.all(np.diff(values) > 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
+    def test_upper_tail_at_the_quantile_is_alpha(self, alpha):
+        df = np.arange(1, 400)
+        x = np.array([chi_square_quantile(d, alpha) for d in df])
+        np.testing.assert_allclose(special.gammaincc(df / 2.0, x / 2.0), alpha,
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("df,alpha", [(0, 0.05), (-1, 0.05), (2, 0.0), (2, 1.0)])
     def test_domain_errors(self, df, alpha):
