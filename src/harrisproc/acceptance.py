@@ -40,7 +40,9 @@ __all__ = [
 DEFAULT_BIRTH_REPLICAS = 100_000
 DEFAULT_MIXTURE_DRAWS = 1_000_000
 DEFAULT_CALIBRATION_SEEDS = 200
-DEFAULT_CALIBRATION_DRAWS = 10_000
+CALIBRATION_DRAWS = 10_000
+# Criterion 8's band [0.01, 0.11] holds no rejection rate j/n for n < 10.
+MIN_CALIBRATION_SEEDS = 10
 
 ODE_GRID = tuple(
     (lam, k, t) for lam in (0.25, 0.5, 1.0) for k in (1, 2, 3) for t in (0.5, 1.0)
@@ -111,8 +113,9 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                  horizon: float = None) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
-    Model "birth" requires lam and simulates replica trajectories (replica
-    block b on stream b); model "mixture" requires a and draws replicas
+    Model "birth" requires lam, takes no a, and simulates replica
+    trajectories to horizon (default t; replica block b on stream b); model
+    "mixture" requires a, takes no lam and no horizon, and draws replicas
     samples (draw block b of DRAW_BLOCK on stream b).  Either way the
     samples are tallied once; the goodness of fit, the exact sample mean
     and variance and, for the mixture, the draws off the lattice
@@ -124,8 +127,8 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} replicas, "
                          f"got {replicas!r}")
     if model == "birth":
-        if lam is None:
-            raise ValueError("model 'birth' needs the rate lam")
+        if lam is None or a is not None:
+            raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
         horizon = t if horizon is None else float(horizon)
         if horizon < t:
@@ -138,8 +141,9 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
                             t, replicas, seed)
     elif model == "mixture":
-        if a is None:
-            raise ValueError("model 'mixture' needs the mixing rate a")
+        if a is None or lam is not None or horizon is not None:
+            raise ValueError("model 'mixture' takes the mixing rate a and "
+                             "no rate lam or horizon")
         params = MixtureParams(a, k)
         observed = _tally_mixture(params, t, replicas, seed)
         violations = sum(count for value, count in observed.items()
@@ -305,30 +309,32 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     )
 
 
-def _check_determinism(replicas: int, seed: int) -> CriterionResult:
-    texts = []
-    for fmt in ("csv", "json"):
-        pair = []
-        for _ in range(2):
-            run = run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=replicas,
-                               seed=seed, alpha=0.01)
-            pair.append(simulate_text(run, fmt))
-        texts.append(pair[0] == pair[1])
-    passed = all(texts)
+def _check_determinism(first: ScenarioRun, rerun: ScenarioRun) -> CriterionResult:
+    """Criterion 3's run against its rerun, rendered in both formats."""
+    same = [simulate_text(first, fmt) == simulate_text(rerun, fmt)
+            for fmt in ("csv", "json")]
     return CriterionResult(
-        9, "byte-identical-reruns", passed,
-        f"csv rerun identical: {texts[0]}; json rerun identical: {texts[1]}",
+        9, "byte-identical-reruns", all(same),
+        f"csv rerun identical: {same[0]}; json rerun identical: {same[1]}",
     )
 
 
 def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
                    mixture_draws: int = DEFAULT_MIXTURE_DRAWS,
                    calibration_seeds: int = DEFAULT_CALIBRATION_SEEDS,
-                   calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
                    seed: int = 42) -> list:
-    """Run every cross-validation criterion; returns one result per check."""
-    if calibration_seeds < 1:
-        raise ValueError(f"calibration seeds must be >= 1, got {calibration_seeds!r}")
+    """Run every cross-validation criterion; returns one result per check.
+
+    Scales the battery cannot judge are refused before anything runs.
+    """
+    if calibration_seeds < MIN_CALIBRATION_SEEDS:
+        raise ValueError(f"calibration seeds must be >= {MIN_CALIBRATION_SEEDS}, "
+                         f"got {calibration_seeds!r}")
+    for name, count in (("birth replicas", birth_replicas),
+                        ("mixture draws", mixture_draws)):
+        if count < MIN_MOMENT_SAMPLES:
+            raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} {name}, "
+                             f"got {count!r}")
     results = [_check_ode_grid(), _check_quadrature_grid()]
     birth_result, birth_run = _check_birth_mc(birth_replicas, seed)
     results.append(birth_result)
@@ -344,6 +350,7 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         f"{2 * birth_replicas} trajectories and {mixture_draws} mixture draws",
     ))
     results.append(_check_identities())
-    results.append(_check_calibration(calibration_seeds, calibration_draws))
-    results.append(_check_determinism(birth_replicas, seed))
+    results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
+    _, rerun = _check_birth_mc(birth_replicas, seed)
+    results.append(_check_determinism(birth_run, rerun))
     return sorted(results, key=lambda r: r.number)

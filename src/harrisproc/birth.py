@@ -45,8 +45,10 @@ __all__ = [
     "incentive_pmf",
 ]
 
-DEFAULT_EVENT_CAP = 1_000_000
-DEFAULT_STATE_CAP = 20_000
+# Read on every call: caps for pathological parameters, LSODA's rtol and atol.
+MAX_EVENTS = 1_000_000
+STATE_CAP = 20_000
+ODE_TOL = 1e-10
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
 
@@ -202,7 +204,7 @@ class TrajectoryBatch:
 
 
 def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
-                  seed: int, max_events: int = DEFAULT_EVENT_CAP) -> TrajectoryBatch:
+                  seed: int) -> TrajectoryBatch:
     """Exact event-driven simulation of independent replicas to the horizon.
 
     Each round advances every replica still inside the horizon by one
@@ -213,7 +215,7 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     RngStream(seed, b), one uniform per replica of the block still alive
     in each round, in replica order.  So every full block gives the same
     paths whatever n_replicas is.  Raises ResourceLimitError if a path
-    would exceed max_events (a guard for pathological parameters; the
+    would exceed MAX_EVENTS (a guard for pathological parameters; the
     process itself is non-explosive on finite horizons).
     """
     horizon = float(horizon)
@@ -239,9 +241,9 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
         alive, clock = alive[inside], clock[inside]
         if alive.size == 0:
             break
-        if len(rounds) == max_events:
+        if len(rounds) == MAX_EVENTS:
             raise ResourceLimitError(
-                f"trajectory exceeded {max_events} events before t={horizon}"
+                f"trajectory exceeded {MAX_EVENTS} events before t={horizon}"
             )
         n_events[alive] += 1
         rounds.append(clock)
@@ -299,9 +301,8 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
     return rhs, band
 
 
-def solve_forward_odes(params: ProcessParams, t: float, tail_bound: float = 1e-12,
-                       state_cap: int = DEFAULT_STATE_CAP,
-                       rtol: float = 1e-10, atol: float = 1e-10) -> TransientSolution:
+def solve_forward_odes(params: ProcessParams, t: float,
+                       tail_bound: float = 1e-12) -> TransientSolution:
     """Integrate the truncated forward equations from the unit start to t.
 
     The grid stops at the certified truncation index of the closed-form
@@ -309,7 +310,8 @@ def solve_forward_odes(params: ProcessParams, t: float, tail_bound: float = 1e-1
     truncating it leaves every retained state exact: no margin is needed.
     The rates run up to (n_max*k + 1)*lam, so the system is stiff; LSODA
     with the exact Jacobian sizes its steps by accuracy, not by stability.
-    Raises ConvergenceError if the integration fails.  t = 0 returns the
+    Raises ConvergenceError if the integration fails, and
+    ResourceLimitError past STATE_CAP states.  t = 0 returns the
     initial law directly.
     """
     # imported here so that commands without a witness never load it
@@ -323,8 +325,7 @@ def solve_forward_odes(params: ProcessParams, t: float, tail_bound: float = 1e-1
         return TransientSolution(params, 0.0, np.array([1.0]), 0.0)
 
     marginal = params.harris_at(t)
-    # truncation_index raises ResourceLimitError past state_cap terms
-    n_max = max(truncation_index(marginal, tail_bound, max_terms=state_cap), 2)
+    n_max = max(truncation_index(marginal, tail_bound, max_terms=STATE_CAP), 2)
     rhs, band = _forward_system(params, n_max)
     y0 = np.zeros(n_max + 1)
     y0[0] = 1.0
@@ -334,7 +335,7 @@ def solve_forward_odes(params: ProcessParams, t: float, tail_bound: float = 1e-1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
         path, info = odeint(rhs, y0, (0.0, t), Dfun=lambda _p, _t: band,
-                            ml=1, mu=0, rtol=rtol, atol=atol, full_output=True)
+                            ml=1, mu=0, rtol=ODE_TOL, atol=ODE_TOL, full_output=True)
     if info["message"] != "Integration successful.":
         raise ConvergenceError(f"forward integration failed: {info['message']}")
     probs = path[-1]

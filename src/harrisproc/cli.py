@@ -9,7 +9,10 @@ output path that cannot be written.
 
 The same Harris law can be addressed three ways: directly via --m, through
 the birth process via --lambda and --t (m = exp(t*lambda*k)), or through
-the gamma mixture via --a and --t (m = (a+t)/a); exactly one per call.
+the gamma mixture via --a and --t (m = (a+t)/a).  pmf and pgf take exactly
+one of the three (--m without --t); simulate takes the route of its
+--model; ode takes only --lambda and mixture-check only --a.  An option a
+subcommand does not read is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ def _resolve_params(args) -> tuple:
     modes = [args.m is not None, args.lam is not None, args.a is not None]
     if sum(modes) != 1:
         raise ValueError("give exactly one of --m, --lambda, or --a")
+    if (args.t is None) != (args.m is not None):
+        raise ValueError("--lambda and --a need a query time --t; --m takes none")
     if args.m is not None:
         return HarrisParams(args.m, args.k), {"mode": "direct", "m": float(args.m),
                                               "k": args.k}
-    if args.t is None:
-        raise ValueError("--lambda and --a need a query time --t")
     if args.lam is not None:
         params = ProcessParams(args.lam, args.k).harris_at(args.t)
         return params, {"mode": "birth", "lambda": float(args.lam), "k": args.k,
@@ -99,30 +102,14 @@ def cmd_pgf(args) -> tuple:
 
 
 def cmd_simulate(args) -> tuple:
-    if args.m is not None:
-        raise ValueError("simulate runs a process; give --lambda or --a, not --m")
-    if args.t is None:
-        raise ValueError("simulate needs a query time --t")
-    if args.model == "birth":
-        if args.lam is None:
-            raise ValueError("--model birth needs --lambda")
-        run = run_scenario("birth", lam=args.lam, k=args.k, t=args.t,
-                           replicas=args.replicas, seed=args.seed,
-                           alpha=args.alpha, horizon=args.horizon)
-    else:
-        if args.a is None:
-            raise ValueError("--model mixture needs --a")
-        run = run_scenario("mixture", a=args.a, k=args.k, t=args.t,
-                           replicas=args.replicas, seed=args.seed,
-                           alpha=args.alpha)
+    # run_scenario refuses a route or a --horizon the model does not use
+    run = run_scenario(args.model, lam=args.lam, a=args.a, k=args.k, t=args.t,
+                       replicas=args.replicas, seed=args.seed, alpha=args.alpha,
+                       horizon=args.horizon)
     return simulate_text(run, args.format), run.report.overall
 
 
 def cmd_ode(args) -> tuple:
-    if args.lam is None:
-        raise ValueError("ode needs --lambda")
-    if args.t is None:
-        raise ValueError("ode needs a query time --t")
     tol = _tolerance(args.tol)
     params = ProcessParams(args.lam, args.k)
     meta = {"lambda": float(args.lam), "k": args.k, "t": float(args.t),
@@ -147,10 +134,6 @@ def cmd_ode(args) -> tuple:
 
 
 def cmd_mixture_check(args) -> tuple:
-    if args.a is None:
-        raise ValueError("mixture-check needs --a")
-    if args.t is None:
-        raise ValueError("mixture-check needs a query time --t")
     if args.nmax < 0:
         raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
     tol = _tolerance(args.tol)
@@ -185,16 +168,27 @@ def cmd_validate(args) -> tuple:
                     ("criterion", "name", "passed", "detail"), rows), overall
 
 
-def _add_law_options(parser, with_time_default=None):
-    parser.add_argument("--m", type=float, default=None,
-                        help="Harris scale parameter directly (m > 1)")
+# The routes to the Harris scale: flag -> its add_argument keywords.
+_ROUTES = {
+    "--m": {"help": "Harris scale parameter directly (m > 1)"},
+    "--lambda": {"dest": "lam",
+                 "help": "birth rate; with --t induces m = exp(t*lambda*k)"},
+    "--a": {"help": "gamma mixing rate; with --t induces m = (a+t)/a"},
+}
+
+
+def _add_law_options(parser, routes):
+    """--k, the given routes to the Harris scale, and the query time --t.
+
+    A route that is the subcommand's only one is required, and so is --t
+    where --m is not a route.
+    """
     parser.add_argument("--k", type=int, required=True,
                         help="step parameter (positive integer)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="birth rate; with --t induces m = exp(t*lambda*k)")
-    parser.add_argument("--a", type=float, default=None,
-                        help="gamma mixing rate; with --t induces m = (a+t)/a")
-    parser.add_argument("--t", type=float, default=with_time_default,
+    for flag in routes:
+        parser.add_argument(flag, type=float, required=len(routes) == 1,
+                            **_ROUTES[flag])
+    parser.add_argument("--t", type=float, required="--m" not in routes,
                         help="query time for the induced parameterizations")
 
 
@@ -213,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("pmf", help="tabulate the probability mass function")
-    _add_law_options(p)
+    _add_law_options(p, ("--m", "--lambda", "--a"))
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
                    help="stop once cumulative probability reaches 1 - tail")
     _add_output_options(p, "csv")
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pgf", help="evaluate the generating function against "
                                    "its own power series")
-    _add_law_options(p)
+    _add_law_options(p, ("--m", "--lambda", "--a"))
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest allowed pgf-vs-series gap")
     _add_output_options(p, "csv")
@@ -230,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a model and validate it against "
                                         "its analytic law")
     p.add_argument("--model", choices=("birth", "mixture"), required=True)
-    _add_law_options(p)
+    _add_law_options(p, ("--lambda", "--a"))
     p.add_argument("--horizon", type=float, default=None,
                    help="simulation horizon for the birth model (default: t)")
     p.add_argument("--replicas", type=int, default=100_000)
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ode", help="integrate the forward equations and "
                                    "compare with the closed form")
-    _add_law_options(p)
+    _add_law_options(p, ("--lambda",))
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
                    help="truncation tail bound for the state grid")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixture-check", help="compare the mixture closed form "
                                              "against adaptive quadrature")
-    _add_law_options(p)
+    _add_law_options(p, ("--a",))
     p.add_argument("--nmax", type=int, default=20,
                    help="largest count index to check")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)

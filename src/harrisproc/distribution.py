@@ -213,15 +213,14 @@ def truncation_index(params: HarrisParams, tail_bound: float,
     return n
 
 
-def pmf_table(params: HarrisParams, tail_bound: float = 1e-12,
-              max_terms: int = 1_000_000) -> tuple:
+def pmf_table(params: HarrisParams, tail_bound: float = 1e-12) -> tuple:
     """Tabulate the p.m.f. until the certified tail drops below tail_bound.
 
     Returns (x, probs, tail_mass): the support values 1 + n*k and their
     probabilities for n = 0 .. n_stop, and a certified upper bound on the
     mass beyond n_stop, so probs.sum() + tail_mass brackets 1.
     """
-    n_stop = truncation_index(params, tail_bound, max_terms=max_terms)
+    n_stop = truncation_index(params, tail_bound)
     ns = np.arange(n_stop + 1)
     return (1 + ns * params.k, harris_pmf(params, ns),
             tail_bound_after(params, n_stop))

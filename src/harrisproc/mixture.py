@@ -33,6 +33,8 @@ __all__ = [
 
 # Draws per random stream: block b of a Monte Carlo run owns RngStream(seed, b).
 DRAW_BLOCK = 1 << 16
+# Largest error estimate a quadrature may report, read on every call.
+QUAD_ABS_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,7 @@ def mixture_pmf(params: MixtureParams, t: float, n) -> float:
     return harris_pmf(params.harris_at(_check_time(t)), n)
 
 
-def mixture_pmf_quadrature(params: MixtureParams, t: float, n: int,
-                           abs_target: float = 1e-10) -> float:
+def mixture_pmf_quadrature(params: MixtureParams, t: float, n: int) -> float:
     """P(Z(t) = 1 + n*k) by adaptive quadrature of the mixture integral.
 
     Integrates Poisson(n; lam*t) against the gamma density over
@@ -84,7 +85,7 @@ def mixture_pmf_quadrature(params: MixtureParams, t: float, n: int,
     and the Jacobian 1/(1-u)**2 blows up at 1); Gauss-Kronrod nodes
     never touch the endpoints and the QUADPACK extrapolation handles
     the singular corner.  Raises ConvergenceError when the reported
-    error estimate misses abs_target.
+    error estimate misses QUAD_ABS_TARGET.
     """
     # imported here so that commands without a witness never load it
     from scipy.integrate import quad
@@ -108,9 +109,9 @@ def mixture_pmf_quadrature(params: MixtureParams, t: float, n: int,
 
     value, abserr = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
                          limit=500)
-    if abserr > abs_target:
+    if abserr > QUAD_ABS_TARGET:
         raise ConvergenceError(
-            f"mixture quadrature error {abserr!r} above target {abs_target!r} "
+            f"mixture quadrature error {abserr!r} above target {QUAD_ABS_TARGET!r} "
             f"for a={a}, k={params.k}, t={t}, n={n}"
         )
     return value

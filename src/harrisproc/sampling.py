@@ -58,10 +58,6 @@ class RngStream:
         sequence = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(sequence))
 
-    @property
-    def algorithm(self) -> str:
-        return GENERATOR_ALGORITHM
-
     def uniform(self, size=None):
         """Uniform draws on the open interval (0, 1), scalar or array."""
         u = self.generator.random(size)

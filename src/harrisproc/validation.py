@@ -147,8 +147,8 @@ def gof_support(pmf, support_value, observed, total: int) -> tuple:
     return support, probs
 
 
-def chi_square_gof(observed, support, probs, total: int, alpha: float,
-                   min_expected: float = MIN_EXPECTED_PER_BIN) -> GofResult:
+def chi_square_gof(observed, support, probs, total: int,
+                   alpha: float) -> GofResult:
     """Pearson chi-square test of observed frequencies against a p.m.f.
 
     Parameters
@@ -165,10 +165,11 @@ def chi_square_gof(observed, support, probs, total: int, alpha: float,
         Significance level for the pass/fail threshold.
 
     The support is read up to the first point with no observation and less
-    than min_expected expected beyond it, or to its end.  Consecutive points
-    are merged until every bin's expected count reaches min_expected; the
-    final bin absorbs the open tail, observations past the support included.
-    Raises ValueError if fewer than two bins survive merging.
+    than MIN_EXPECTED_PER_BIN expected beyond it, or to its end.  Consecutive
+    points are merged until every bin's expected count reaches
+    MIN_EXPECTED_PER_BIN; the final bin absorbs the open tail, observations
+    past the support included.  Raises ValueError if fewer than two bins
+    survive merging.
     """
     if total <= 0:
         raise ValueError(f"total must be positive, got {total!r}")
@@ -189,7 +190,7 @@ def chi_square_gof(observed, support, probs, total: int, alpha: float,
 
     # np.cumsum adds in support order, as a running sum does
     cumulative = np.cumsum(probs)
-    stops = np.flatnonzero((total * (1.0 - cumulative) < min_expected)
+    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
                            & (support >= max(observed)))
     end = int(stops[0]) + 1 if stops.size else len(support)
     values = support[:end].tolist()
@@ -206,7 +207,7 @@ def chi_square_gof(observed, support, probs, total: int, alpha: float,
             acc_lo = value
         acc_obs += obs
         acc_exp += exp
-        if acc_exp >= min_expected:
+        if acc_exp >= MIN_EXPECTED_PER_BIN:
             bins.append(Bin(_bin_label(acc_lo, value, False), acc_obs, acc_exp))
             acc_obs, acc_exp, acc_lo = 0, 0.0, None
     # Open tail (plus any residual accumulation) becomes the last bin.
@@ -215,7 +216,7 @@ def chi_square_gof(observed, support, probs, total: int, alpha: float,
     if acc_lo is not None or acc_exp > 0.0 or acc_obs > 0:
         tail_lo = acc_lo if acc_lo is not None else values[-1] + 1
         tail_bin = Bin(_bin_label(tail_lo, tail_lo, True), acc_obs, acc_exp)
-        if tail_bin.expected >= min_expected or not bins:
+        if tail_bin.expected >= MIN_EXPECTED_PER_BIN or not bins:
             bins.append(tail_bin)
         else:
             last = bins.pop()

@@ -167,9 +167,9 @@ def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
         return drop_last_event(batch, int(np.flatnonzero(batch.n_events)[0]))
 
     monkeypatch.setattr(acceptance, "simulate_many", lossy)
+    monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
     results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
-                                        calibration_seeds=25,
-                                        calibration_draws=2000)
+                                        calibration_seeds=25)
     coupling = results[5]
     assert coupling.number == 6 and not coupling.passed
     # one dropped event in each of the criterion 3 and criterion 5 runs
@@ -298,6 +298,29 @@ def test_criterion_9_byte_identical_cli_reruns(tmp_path):
     record(9, "byte-identical-reruns",
            identical["csv"] and identical["json"],
            f"csv identical: {identical['csv']}; json identical: {identical['json']}")
+
+
+def test_criterion_9_fails_when_the_rerun_differs(monkeypatch):
+    run_scenario = acceptance.run_scenario
+    birth_calls = []
+
+    def drifting(model, **kwargs):
+        if model == "birth":
+            birth_calls.append(kwargs["seed"])
+            # the rerun draws other paths from another seed
+            kwargs["seed"] += len(birth_calls) - 1
+        return run_scenario(model, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_scenario", drifting)
+    monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
+    results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
+                                        calibration_seeds=25)
+    # criterion 3's run is the first of the pair; one rerun follows it
+    assert birth_calls == [SEED, SEED]
+    determinism = results[8]
+    assert determinism.number == 9 and not determinism.passed
+    assert determinism.detail == ("csv rerun identical: False; "
+                                  "json rerun identical: False")
 
 
 # Goodness-of-fit results pinned from the scalar support walk the array

@@ -106,9 +106,10 @@ class TestTrajectory:
                                 np.array([0.1, 0.5, 0.2]), np.array([0, 2, 3]))
         assert batch.states_at(0.3).tolist() == [3, 3]
 
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError):
-            simulate_many(ProcessParams(5.0, 2), 10.0, 1, seed=0, max_events=3)
+            simulate_many(ProcessParams(5.0, 2), 10.0, 1, seed=0)
 
     def test_dropped_event_is_a_coupling_violation(self, drop_last_event):
         batch = simulate_many(ProcessParams(0.5, 2), 1.0, 200, seed=4)
@@ -239,9 +240,10 @@ class TestForwardEquations:
             sol = solve_forward_odes(ProcessParams(1.0, 3), t)
             assert abs(sol.total - 1.0) < 1e-9
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(birth, "STATE_CAP", 100)
         with pytest.raises(ResourceLimitError):
-            solve_forward_odes(ProcessParams(1.0, 3), 1.0, state_cap=100)
+            solve_forward_odes(ProcessParams(1.0, 3), 1.0)
 
     def test_state_cap_bounds_the_truncation_walk(self):
         # m = exp(150): the certified tail never falls below 1e-12, and the

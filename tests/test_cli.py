@@ -273,18 +273,46 @@ class TestParameterGuards:
         assert (code, out) == (2, "")
         assert message in err
 
-    @pytest.mark.parametrize("seeds", ["0", "-3"])
-    def test_calibration_seeds_checked_before_any_run(self, seeds, capsys,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("argv,message", [
+        *[pytest.param(["--calibration-seeds", seeds],
+                       "calibration seeds must be >= 10", id=seeds)
+          for seeds in ("0", "-3", "1", "9")],
+        pytest.param(["--replicas", "50"], "need at least 100 birth replicas",
+                     id="replicas-50"),
+        pytest.param(["--mixture-draws", "99"], "need at least 100 mixture draws",
+                     id="mixture-draws-99"),
+    ])
+    def test_calibration_seeds_checked_before_any_run(self, argv, message,
+                                                      capsys, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
         for name in ("solve_forward_odes", "run_scenario", "simulate_many",
                      "sample_harris"):
             monkeypatch.setattr(acceptance, name, ran)
-        code, out, err = run_cli(["validate", "--calibration-seeds", seeds],
-                                 capsys)
+        code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
-        assert "calibration seeds must be >= 1" in err
+        assert message in err
+
+    # each exited 0 with the option silently ignored
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--lambda", "1", "--k", "1", "--t", "0.5", "--m", "3"],
+        ["ode", "--lambda", "1", "--k", "1", "--t", "0.5", "--a", "7"],
+        ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--m", "3"],
+        ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--lambda", "9"],
+        ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
+         "--replicas", "1000", "--a", "5"],
+        ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+         "--replicas", "1000", "--lambda", "5"],
+        ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+         "--replicas", "1000", "--horizon", "9"],
+        ["pmf", "--m", "3", "--k", "1", "--t", "1"],
+    ])
+    def test_an_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (2, "")
 
     @pytest.mark.parametrize("argv", [
         ["pmf", "--m", "2", "--k", "1"],
@@ -294,7 +322,7 @@ class TestParameterGuards:
         ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
         ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"],
         ["validate", "--replicas", "200", "--mixture-draws", "1000",
-         "--calibration-seeds", "1"],
+         "--calibration-seeds", "10"],
     ])
     def test_unwritable_out_exits_2(self, argv, capsys, tmp_path):
         path = tmp_path / "missing" / "out.txt"
@@ -324,9 +352,10 @@ class TestMixtureCheck:
         assert "--nmax must be >= 0" in err
 
     def test_missing_mixing_rate(self, capsys):
-        code, _, err = run_cli(["mixture-check", "--k", "2", "--t", "1"], capsys)
-        assert code != 0
-        assert "--a" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["mixture-check", "--k", "2", "--t", "1"])
+        assert exc.value.code != 0
+        assert "--a" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from harrisproc import mixture
 from harrisproc.birth import ProcessParams
 from harrisproc.distribution import HarrisParams, harris_mean_var, harris_pmf
 from harrisproc.errors import ConvergenceError
@@ -79,9 +80,10 @@ class TestQuadrature:
         tail = 1.0 - harris_pmf(params.harris_at(1.0), np.arange(80)).sum()
         assert total + tail == pytest.approx(1.0, abs=1e-8)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(mixture, "QUAD_ABS_TARGET", 1e-30)
         with pytest.raises(ConvergenceError):
-            mixture_pmf_quadrature(MixtureParams(1.0, 2), 1.0, 0, abs_target=1e-30)
+            mixture_pmf_quadrature(MixtureParams(1.0, 2), 1.0, 0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
