@@ -22,13 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (
-    HarrisParams,
-    _validate_step,
-    nb_pmf,
-    tail_bound_after,
-    truncation_index,
-)
+from .distribution import (HarrisParams, _validate_step, nb_pmf,
+                           tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .sampling import RngStream
 from .validation import tally

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -27,9 +29,12 @@ from .birth import ProcessParams, solve_forward_odes
 from .distribution import (HarrisParams, harris_pgf, harris_pmf, pmf_table,
                            truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
-from .mixture import MixtureParams, mixture_pmf, mixture_pmf_quadrature
+from .mixture import (MixtureParams, mixture_pmf, mixture_pmf_quadrature,
+                      quadrature_agrees)
 from .reporting import envelope, simulate_text
-from .acceptance import run_scenario, run_acceptance
+from .acceptance import (DEFAULT_ACCEPTANCE_SEED, DEFAULT_BIRTH_REPLICAS,
+                         DEFAULT_CALIBRATION_SEEDS, DEFAULT_MIXTURE_DRAWS,
+                         run_acceptance, run_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,18 +143,18 @@ def cmd_mixture_check(args) -> tuple:
         raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
     tol = _tolerance(args.tol)
     params = MixtureParams(args.a, args.k)
-    closed = mixture_pmf(params, args.t, np.arange(args.nmax + 1)).tolist()
-    rows = []
-    for n in range(args.nmax + 1):
-        quad = mixture_pmf_quadrature(params, args.t, n)
-        rows.append((n, 1 + n * params.k, closed[n], quad, abs(closed[n] - quad)))
-    worst = max(row[4] for row in rows)
+    ns = np.arange(args.nmax + 1)
+    closed = mixture_pmf(params, args.t, ns)
+    quad = mixture_pmf_quadrature(params, args.t, ns)
+    gaps, passed = np.abs(closed - quad), quadrature_agrees(closed, quad, tol)
+    rows = zip(ns.tolist(), (1 + ns * params.k).tolist(), closed.tolist(),
+               quad.tolist(), gaps.tolist())
     meta = {"a": float(args.a), "k": args.k, "t": float(args.t),
-            "nmax": args.nmax, "tol": tol, "max_abs_diff": worst,
-            "passed": worst < tol}
+            "nmax": args.nmax, "tol": tol, "max_abs_diff": float(gaps.max()),
+            "passed": passed}
     return envelope("mixture-check", args.format, meta,
                     ("n", "x", "closed_form", "quadrature", "abs_diff"),
-                    rows), worst < tol
+                    rows), passed
 
 
 def cmd_validate(args) -> tuple:
@@ -203,26 +208,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harrisproc",
         description="Harris distribution and Harris process toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # no prefix matching: a flag a subcommand lacks is never read as another
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("pmf", help="tabulate the probability mass function")
+    p = command("pmf", help="tabulate the probability mass function")
     _add_law_options(p, ("--m", "--lambda", "--a"))
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
                    help="stop once cumulative probability reaches 1 - tail")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_pmf)
 
-    p = sub.add_parser("pgf", help="evaluate the generating function against "
-                                   "its own power series")
+    p = command("pgf", help="evaluate the generating function against its "
+                            "own power series")
     _add_law_options(p, ("--m", "--lambda", "--a"))
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest allowed pgf-vs-series gap")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_pgf)
 
-    p = sub.add_parser("simulate", help="run a model and validate it against "
-                                        "its analytic law")
+    p = command("simulate", help="run a model and validate it against its "
+                                 "analytic law")
     p.add_argument("--model", choices=("birth", "mixture"), required=True)
     _add_law_options(p, ("--lambda", "--a"))
     p.add_argument("--horizon", type=float, default=None,
@@ -234,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, "json")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ode", help="integrate the forward equations and "
-                                   "compare with the closed form")
+    p = command("ode", help="integrate the forward equations and compare "
+                            "with the closed form")
     _add_law_options(p, ("--lambda",))
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
                    help="truncation tail bound for the state grid")
@@ -246,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_ode)
 
-    p = sub.add_parser("mixture-check", help="compare the mixture closed form "
-                                             "against adaptive quadrature")
+    p = command("mixture-check", help="compare the mixture closed form "
+                                      "against adaptive quadrature")
     _add_law_options(p, ("--a",))
     p.add_argument("--nmax", type=int, default=20,
                    help="largest count index to check")
@@ -255,12 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_mixture_check)
 
-    p = sub.add_parser("validate", help="run the full cross-validation grid")
-    p.add_argument("--replicas", type=int, default=100_000,
+    p = command("validate", help="run the full cross-validation grid")
+    p.add_argument("--replicas", type=int, default=DEFAULT_BIRTH_REPLICAS,
                    help="birth-model Monte Carlo replicas")
-    p.add_argument("--mixture-draws", type=int, default=1_000_000)
-    p.add_argument("--calibration-seeds", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--mixture-draws", type=int, default=DEFAULT_MIXTURE_DRAWS)
+    p.add_argument("--calibration-seeds", type=int,
+                   default=DEFAULT_CALIBRATION_SEEDS)
+    p.add_argument("--seed", type=int, default=DEFAULT_ACCEPTANCE_SEED,
                    help="seed for the Monte Carlo criteria")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_validate)
@@ -268,9 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an --out path that cannot be written, creating nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise OSError(f"cannot write --out {path}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_writable(args.out)
         text, passed = args.func(args)
         if args.out is None:
             sys.stdout.write(text)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from harrisproc import acceptance
-from harrisproc.cli import main
+from harrisproc.cli import build_parser, main
 from harrisproc.distribution import HarrisParams, harris_pmf, truncation_index
 from harrisproc.validation import ValidationReport
 
@@ -331,6 +332,47 @@ class TestParameterGuards:
         assert err.startswith("error: ") and str(path) in err
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
+         "--replicas", "1000"],
+        ["validate", "--replicas", "200", "--mixture-draws", "1000",
+         "--calibration-seeds", "10"],
+    ])
+    def test_unwritable_out_refused_before_simulating(self, argv, capsys,
+                                                      monkeypatch, tmp_path):
+        def ran(*args, **kwargs):
+            raise AssertionError("ran with an unwritable --out")
+        for name in ("solve_forward_odes", "_mixture_quadrature",
+                     "simulate_many", "sample_model2", "sample_harris"):
+            monkeypatch.setattr(acceptance, name, ran)
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert str(path) in err
+
+    def test_failed_run_leaves_an_existing_out_file(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        code, out, err = run_cli(
+            ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "-1",
+             "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert path.read_text() == "kept\n"
+
+    # each was read as another option by argparse's prefix matching
+    @pytest.mark.parametrize("argv,unrecognized", [
+        (["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+          "--replicas", "1000", "--m", "birth"], "--m birth"),
+        (["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
+          "--rep", "2000"], "--rep 2000"),
+    ])
+    def test_option_prefixes_are_not_expanded(self, argv, unrecognized, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {unrecognized}"
+                in capsys.readouterr().err)
+
 
 class TestMixtureCheck:
     def test_quadrature_agreement(self, capsys):
@@ -350,6 +392,19 @@ class TestMixtureCheck:
         assert code == 2
         assert out == ""
         assert "--nmax must be >= 0" in err
+
+    # the uncentred QUADPACK map got both wrong: quadrature 0.0 against a
+    # 1e-3 law, and a 100% error that an absolute tolerance let pass
+    @pytest.mark.parametrize("k,t", [("2", "1e6"), ("1", "1e9")])
+    def test_large_time_rows_agree_relatively(self, k, t, capsys):
+        code, out, _ = run_cli(["mixture-check", "--a", "1", "--k", k, "--t", t],
+                               capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 21
+        for row in rows:
+            closed, quad = float(row[2]), float(row[3])
+            assert abs(quad - closed) <= 1e-8 * closed
 
     def test_missing_mixing_rate(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -386,6 +441,14 @@ class TestValidate:
 
 
 class TestParser:
+    def test_validate_defaults_are_the_librarys(self):
+        args = build_parser().parse_args(["validate"])
+        defaults = inspect.signature(acceptance.run_acceptance).parameters
+        assert (args.replicas, args.mixture_draws, args.calibration_seeds,
+                args.seed) == tuple(defaults[name].default for name in (
+                    "birth_replicas", "mixture_draws", "calibration_seeds",
+                    "seed"))
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

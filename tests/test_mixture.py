@@ -1,11 +1,15 @@
 import math
+import time
+import warnings
 from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harrisproc import mixture
+from harrisproc import acceptance, mixture
 from harrisproc.birth import ProcessParams
 from harrisproc.distribution import HarrisParams, harris_mean_var, harris_pmf
 from harrisproc.errors import ConvergenceError
@@ -14,6 +18,7 @@ from harrisproc.mixture import (
     mixture_moments,
     mixture_pmf,
     mixture_pmf_quadrature,
+    quadrature_agrees,
     sample_model2,
 )
 from harrisproc.sampling import RngStream
@@ -81,13 +86,84 @@ class TestQuadrature:
         assert total + tail == pytest.approx(1.0, abs=1e-8)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(mixture, "QUAD_ABS_TARGET", 1e-30)
+        monkeypatch.setattr(mixture, "QUAD_REL_TARGET", 1e-30)
+        start = time.perf_counter()
         with pytest.raises(ConvergenceError):
             mixture_pmf_quadrature(MixtureParams(1.0, 2), 1.0, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_nan_integrand_raises(self):
+        # a NaN error estimate passes cubature's own stopping test
+        with pytest.raises(ConvergenceError):
+            mixture._mixture_quadrature(np.array([1.0, np.nan]), 2, 1.0, 3)
+
+    def test_array_counts_match_scalar_calls(self):
+        params = MixtureParams(1.0, 2)
+        values = mixture_pmf_quadrature(params, 1.0, np.arange(6))
+        assert values.shape == (6,)
+        for n, value in enumerate(values):
+            assert value == pytest.approx(
+                mixture_pmf_quadrature(params, 1.0, n), rel=1e-9)
+
+    @pytest.mark.parametrize("a,k,t", [(1.0, 2, 1e6), (1.0, 1, 1e9),
+                                       (1e-3, 5, 1e12), (1e3, 3, 1e-3)])
+    def test_large_and_small_times_match_relatively(self, a, k, t):
+        params = MixtureParams(a, k)
+        ns = np.array([0, 1, 2, 20, 200, 20_000])
+        closed = mixture_pmf(params, t, ns)
+        assert np.all(np.abs(mixture_pmf_quadrature(params, t, ns) - closed)
+                      <= 1e-8 * closed)
+
+    @pytest.mark.parametrize("n", [5, 20, 100, 1000])
+    def test_narrow_peak_integrated_alone(self, n):
+        # the integrand's peak is about 1/(k*sqrt(n)) wide in log x, far
+        # narrower than the Gauss-Kronrod nodes around it unless widened
+        params = MixtureParams(1.0, 500)
+        closed = mixture_pmf(params, 1e6, n)
+        assert (abs(mixture_pmf_quadrature(params, 1e6, n) - closed)
+                <= 1e-8 * closed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), k=st.sampled_from([1, 2, 3, 5]),
+           t=st.floats(1e-3, 1e12), n=st.integers(0, 20_000))
+    def test_matches_closed_form_relatively_or_raises(self, a, k, t, n):
+        params = MixtureParams(a, k)
+        closed = mixture_pmf(params, t, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = mixture_pmf_quadrature(params, t, n)
+            except ConvergenceError:
+                return
+        # below the normal range a float carries no 1e-8 relative precision
+        assert abs(value - closed) <= 1e-8 * max(closed, np.finfo(float).tiny)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             mixture_pmf_quadrature(MixtureParams(1.0, 1), 1.0, -1)
+
+    def test_criterion_2_makes_one_cubature_call(self, monkeypatch):
+        import scipy.integrate
+        calls = []
+        real = scipy.integrate.cubature
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "cubature", counted)
+        assert acceptance._check_quadrature_grid().passed
+        assert len(calls) == 1
+
+
+class TestQuadratureVerdict:
+    def test_relative_below_the_tolerance(self):
+        # an absolute gap under tol is a 100% error on a 1e-9 probability
+        assert not quadrature_agrees([0.5, 1e-9], [0.5, 0.0], 1e-8)
+        assert quadrature_agrees([0.5, 1e-9], [0.5, 1e-9 * (1 + 1e-9)], 1e-8)
+        assert not quadrature_agrees([0.5], [0.5 + 2e-8], 1e-8)
+        # rows that underflow to 0 in both agree
+        assert quadrature_agrees([0.0], [0.0], 1e-8)
 
 
 class TestSampler:
