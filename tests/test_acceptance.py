@@ -87,14 +87,14 @@ def test_criterion_1_ode_vs_closed_form():
 
 def test_criterion_2_quadrature_vs_closed_form():
     worst = 0.0
+    ns = np.arange(21)
     for a in (0.5, 1.0, 2.0):
         for t in (0.5, 1.0, 2.0):
             for k in (1, 2, 3):
                 params = MixtureParams(a, k)
-                for n in range(21):
-                    gap = abs(mixture_pmf(params, t, n)
-                              - mixture_pmf_quadrature(params, t, n))
-                    worst = max(worst, gap)
+                gap = np.abs(mixture_pmf(params, t, ns)
+                             - mixture_pmf_quadrature(params, t, ns))
+                worst = max(worst, float(gap.max()))
     record(2, "quadrature-vs-closed-form", worst < 1e-8,
            f"max-abs diff {worst:.3e} < 1e-8 over the full (a, t, k, n) grid")
 
@@ -201,12 +201,16 @@ def test_criterion_6_counts_a_shifted_draw_in_every_block(monkeypatch):
     assert run.coupling_violations == 4
 
 
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(acceptance.os, "sched_getaffinity",
+                        lambda _pid: set(range(cpus)))
+    assert acceptance._usable_cpus() == cpus
+
+
 def test_mixture_output_does_not_depend_on_the_worker_count(monkeypatch):
     texts = []
     for cpus in (1, 4):
-        monkeypatch.setattr(acceptance.os, "sched_getaffinity",
-                            lambda _pid, n=cpus: set(range(n)))
-        assert acceptance._usable_cpus() == cpus
+        _use_cpus(monkeypatch, cpus)
         run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
                                       replicas=3 * DRAW_BLOCK + 123, seed=SEED)
         texts.append([simulate_text(run, fmt) for fmt in ("csv", "json")])
@@ -283,6 +287,98 @@ def test_criterion_8_null_calibration():
     rate = rejections / 200
     record(8, "null-calibration", 0.01 <= rate <= 0.11,
            f"rejection rate {rate:.3f} within [0.01, 0.11] over 200 seeds")
+
+
+def test_calibration_does_not_depend_on_the_worker_count(monkeypatch, capsys):
+    per_seed, results, texts = [], [], []
+    real_gof = acceptance.chi_square_gof
+
+    def recording(*args, **kwargs):
+        gof = real_gof(*args, **kwargs)
+        per_seed[-1].append(gof.statistic)
+        return gof
+
+    for cpus in (1, 4):
+        _use_cpus(monkeypatch, cpus)
+        per_seed.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(acceptance, "chi_square_gof", recording)
+            results.append(acceptance._check_calibration(25, 2000))
+        assert main(["validate", "--replicas", "2000", "--mixture-draws",
+                     "20000", "--calibration-seeds", "25"]) == 0
+        texts.append(capsys.readouterr().out)
+    # each seed tested alone against its own table, as one loop would
+    params = HarrisParams(2.0, 2)
+    alone = []
+    for seed in range(25):
+        observed = tally(sample_harris(RngStream(seed), params, size=2000))
+        own = gof_support(partial(harris_pmf, params), params.support_value,
+                          observed, 2000)
+        alone.append(chi_square_gof(observed, *own, 2000, 0.05).statistic)
+    assert per_seed[0] == per_seed[1] == alone
+    assert results[0] == results[1]
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("cpus,streams", [(4, 1), (1, 5)])
+def test_map_streams_makes_no_pool_for_one_stream_or_one_cpu(monkeypatch, cpus,
+                                                             streams):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(acceptance, "ThreadPoolExecutor", no_pool)
+    assert acceptance._map_streams(lambda b: b * b, streams) == [
+        b * b for b in range(streams)]
+
+
+@pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1)])
+def test_one_shared_table_gives_every_seed_its_own_gof(m, k):
+    # (2, 2) is criterion 8's law; at (100, 1) the seeds' own tables differ
+    # in length, so the shared table is longer than some of them
+    params = HarrisParams(m, k)
+    pmf = partial(harris_pmf, params)
+    tallies = [tally(sample_harris(RngStream(seed), params, size=10_000))
+               for seed in range(50)]
+    shared = gof_support(pmf, params.support_value, [max(map(max, tallies))],
+                         10_000)
+    own_lengths = set()
+    for observed in tallies:
+        own = gof_support(pmf, params.support_value, observed, 10_000)
+        own_lengths.add(len(own[0]))
+        assert np.array_equal(own[1], shared[1][:len(own[1])])
+        assert (chi_square_gof(observed, *own, 10_000, 0.05)
+                == chi_square_gof(observed, *shared, 10_000, 0.05))
+    assert m == 2.0 or min(own_lengths) < len(shared[0])
+
+
+def _small_battery(monkeypatch):
+    monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
+    return acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
+                                     calibration_seeds=25)
+
+
+def test_criterion_8_rejects_a_sampler_at_the_wrong_scale(monkeypatch):
+    def drifted(rng, params, size=None):
+        return sample_harris(rng, HarrisParams(2.4, params.k), size=size)
+
+    monkeypatch.setattr(acceptance, "sample_harris", drifted)
+    calibration = _small_battery(monkeypatch)[7]
+    assert calibration.number == 8 and not calibration.passed
+    assert calibration.detail.startswith("rejection rate 1.000 over 25 seeds")
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_failing_calibration_seed_fails_the_battery(monkeypatch, cpus):
+    def failing(rng, params, size=None):
+        if rng.seed == 7:
+            raise RuntimeError("seed 7 failed")
+        return sample_harris(rng, params, size=size)
+
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(acceptance, "sample_harris", failing)
+    with pytest.raises(RuntimeError, match="seed 7 failed"):
+        _small_battery(monkeypatch)
 
 
 def test_criterion_9_byte_identical_cli_reruns(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from harrisproc.distribution import (
@@ -160,6 +162,19 @@ class TestPmfTable:
         n = truncation_index(params, 1e-12)
         true_tail = 1.0 - harris_pmf(params, np.arange(n + 1)).sum()
         assert true_tail <= tail_bound_after(params, n) < 1e-12
+
+    # a law that needs over a million terms is refused after ~0.2 s, and
+    # about half of the examples are such laws
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.floats(1.0, 1e6, exclude_min=True), k=st.integers(1, 10),
+           tail=st.floats(1e-15, 1e-3))
+    def test_table_and_certified_tail_bracket_one(self, m, k, tail):
+        try:
+            _, probs, tail_mass = pmf_table(HarrisParams(m, k), tail_bound=tail)
+        except ResourceLimitError:
+            return
+        assert probs.sum() <= 1.0 + 1e-12
+        assert probs.sum() + tail_mass >= 1.0 - 1e-12
 
     def test_tail_stays_finite_where_q_rounds_to_one(self):
         # 1 - 1/m is exactly 1.0 here, so q/(1-q) would divide by zero
