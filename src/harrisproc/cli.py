@@ -21,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -85,25 +85,23 @@ def cmd_pmf(args) -> tuple:
     probs = harris_pmf(params, ns)
     cumulative = np.cumsum(probs)
     ns = ns[:np.searchsorted(cumulative, 1.0 - args.tail) + 1]
-    rows = zip(ns.tolist(), (1 + ns * params.k).tolist(),
-               probs[:len(ns)].tolist(), cumulative[:len(ns)].tolist())
-    return envelope("pmf", args.format, meta,
-                    ("n", "x", "probability", "cumulative"), rows), True
+    columns = {"n": ns, "x": 1 + ns * params.k, "probability": probs[:len(ns)],
+               "cumulative": cumulative[:len(ns)]}
+    return envelope("pmf", args.format, meta, columns), True
 
 
 def cmd_pgf(args) -> tuple:
     tol = _tolerance(args.tol)
     params, meta = _resolve_params(args)
     xs, probs, _ = pmf_table(params, 1e-15)
-    rows = []
-    for s in [round(0.05 * i, 2) for i in range(21)]:
-        value = harris_pgf(params, s)
-        series = float((probs * s ** xs).sum())
-        rows.append((s, value, series, abs(value - series)))
-    worst = max(row[3] for row in rows)
+    ss = [round(0.05 * i, 2) for i in range(21)]
+    values = [harris_pgf(params, s) for s in ss]
+    series = [float((probs * s ** xs).sum()) for s in ss]
+    gaps = [abs(value - sum_) for value, sum_ in zip(values, series)]
+    worst = max(gaps)
     meta.update({"tol": tol, "max_abs_diff": worst, "passed": worst < tol})
-    return envelope("pgf", args.format, meta,
-                    ("s", "pgf", "series_sum", "abs_diff"), rows), worst < tol
+    columns = {"s": ss, "pgf": values, "series_sum": series, "abs_diff": gaps}
+    return envelope("pgf", args.format, meta, columns), worst < tol
 
 
 def cmd_simulate(args) -> tuple:
@@ -126,16 +124,14 @@ def cmd_ode(args) -> tuple:
         closed = harris_pmf(params.harris_at(args.t),
                             np.arange(solution.n_max + 1))
     gaps = np.abs(solution.probs - closed)
-    rows = [
-        (n, 1 + n * params.k, solution.probs[n], closed[n], gaps[n])
-        for n in range(solution.n_max + 1)
-    ]
     worst = float(gaps.max())
     meta.update({"n_max": solution.n_max, "max_abs_diff": worst,
                  "passed": worst < tol})
-    return envelope("ode", args.format, meta,
-                    ("n", "x", "ode_probability", "closedform_probability",
-                     "abs_diff"), rows), worst < tol
+    ns = np.arange(solution.n_max + 1)
+    columns = {"n": ns, "x": 1 + ns * params.k,
+               "ode_probability": solution.probs,
+               "closedform_probability": closed, "abs_diff": gaps}
+    return envelope("ode", args.format, meta, columns), worst < tol
 
 
 def cmd_mixture_check(args) -> tuple:
@@ -147,14 +143,12 @@ def cmd_mixture_check(args) -> tuple:
     closed = mixture_pmf(params, args.t, ns)
     quad = mixture_pmf_quadrature(params, args.t, ns)
     gaps, passed = np.abs(closed - quad), quadrature_agrees(closed, quad, tol)
-    rows = zip(ns.tolist(), (1 + ns * params.k).tolist(), closed.tolist(),
-               quad.tolist(), gaps.tolist())
     meta = {"a": float(args.a), "k": args.k, "t": float(args.t),
             "nmax": args.nmax, "tol": tol, "max_abs_diff": float(gaps.max()),
             "passed": passed}
-    return envelope("mixture-check", args.format, meta,
-                    ("n", "x", "closed_form", "quadrature", "abs_diff"),
-                    rows), passed
+    columns = {"n": ns, "x": 1 + ns * params.k, "closed_form": closed,
+               "quadrature": quad, "abs_diff": gaps}
+    return envelope("mixture-check", args.format, meta, columns), passed
 
 
 def cmd_validate(args) -> tuple:
@@ -168,9 +162,11 @@ def cmd_validate(args) -> tuple:
     meta = {"replicas": args.replicas, "mixture_draws": args.mixture_draws,
             "calibration_seeds": args.calibration_seeds, "seed": args.seed,
             "overall": overall}
-    rows = [(r.number, r.name, r.passed, r.detail) for r in results]
-    return envelope("validate", args.format, meta,
-                    ("criterion", "name", "passed", "detail"), rows), overall
+    columns = {"criterion": [r.number for r in results],
+               "name": [r.name for r in results],
+               "passed": [r.passed for r in results],
+               "detail": [r.detail for r in results]}
+    return envelope("validate", args.format, meta, columns), overall
 
 
 # The routes to the Harris scale: flag -> its add_argument keywords.
@@ -204,7 +200,9 @@ def _add_output_options(parser, default_format):
                         help="write to PATH instead of standard output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="harrisproc",
         description="Harris distribution and Harris process toolkit",

@@ -34,18 +34,43 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def render_csv(metadata: dict, header, rows) -> str:
+_BOOL_TEXT = {True: "true", False: "false"}
+_NUMERIC = {bool, int, float}
+
+
+def _cells(column: list, kinds: set):
+    """The column's cells as text, lazily, with one formatter per column.
+
+    kinds is the set of the cells' types.  A column of one built-in type
+    skips fmt_value's type dispatch per cell; the text is the same.
+    """
+    if kinds == {float}:
+        return map(float.__repr__, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if kinds == {bool}:
+        return map(_BOOL_TEXT.__getitem__, column)
+    return map(fmt_value, column)
+
+
+def render_csv(metadata: dict, header, columns) -> str:
     """Comment-prefixed metadata lines, a header row, then the data rows.
 
-    Cells are minimally quoted, so free-text columns may contain commas.
+    Cells are minimally quoted, so free-text columns may contain commas;
+    rows of numbers and booleans need no quoting and are joined directly.
     """
     buffer = io.StringIO()
     for key, value in metadata.items():
         buffer.write(f"# {key}={fmt_value(value)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_value(cell) for cell in row])
+    kinds = [set(map(type, column)) for column in columns]
+    rows = zip(*map(_cells, columns, kinds))
+    if all(kind <= _NUMERIC for kind in kinds):
+        for row in rows:
+            buffer.write(",".join(row) + "\n")
+    else:
+        writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -54,21 +79,25 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def envelope(command: str, fmt: str, metadata: dict, header, rows,
+def envelope(command: str, fmt: str, metadata: dict, columns: dict,
              rows_key: str = "rows", **sections) -> str:
     """The output of every subcommand, as CSV or JSON.
 
-    CSV: ``# command=``, ``# schema_version=`` and the metadata as comment
-    lines, then the header and the rows.  JSON: schema_version, command,
-    metadata, the extra sections in order, then the rows as objects under
-    rows_key.
+    columns maps each column name, in order, to its values (a numpy array
+    or a list of equal length).  CSV: ``# command=``, ``# schema_version=``
+    and the metadata as comment lines, then the header and the rows.  JSON:
+    schema_version, command, metadata, the extra sections in order, then
+    the rows as objects under rows_key.
     """
+    header = list(columns)
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+             for c in columns.values()]
     if fmt == "csv":
         return render_csv({"command": command, "schema_version": SCHEMA_VERSION,
-                           **metadata}, header, rows)
+                           **metadata}, header, lists)
     return render_json({"schema_version": SCHEMA_VERSION, "command": command,
                         "metadata": metadata, **sections,
-                        rows_key: [dict(zip(header, row)) for row in rows]})
+                        rows_key: [dict(zip(header, row)) for row in zip(*lists)]})
 
 
 def _verdict_fields(prefix: str, check) -> dict:
@@ -91,9 +120,11 @@ def simulate_text(run, fmt: str) -> str:
                 coupling_violations=run.coupling_violations,
                 overall=report.overall)
     k = int(scenario.params["k"])
-    rows = [((x - 1) // k, x, run.observed.get(x, 0), expected)
-            for x, expected in sorted(run.expected_counts.items())]
+    xs = sorted(run.expected_counts)
+    columns = {"n": [(x - 1) // k for x in xs], "x": xs,
+               "observed": [run.observed.get(x, 0) for x in xs],
+               "expected": [run.expected_counts[x] for x in xs]}
     # only JSON carries the full report; CSV would drop it
     sections = {"report": asdict(report)} if fmt == "json" else {}
-    return envelope("simulate", fmt, meta, ("n", "x", "observed", "expected"),
-                    rows, rows_key="empirical", **sections)
+    return envelope("simulate", fmt, meta, columns, rows_key="empirical",
+                    **sections)

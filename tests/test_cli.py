@@ -456,3 +456,21 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_nothing_leaks_between_calls(self, capsys, tmp_path):
+        out = tmp_path / "table.json"
+        assert run_cli(["pmf", "--m", "2", "--k", "1", "--format", "json",
+                        "--tail", "1e-6", "--out", str(out)], capsys)[:2] == (0, "")
+        assert json.loads(out.read_text())["metadata"]["tail"] == 1e-6
+        with pytest.raises(SystemExit) as usage:
+            main(["pmf", "--m", "2", "--k", "1", "--nmax", "3"])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        code, text, _ = run_cli(["pmf", "--m", "2", "--k", "1"], capsys)
+        metadata, header, _ = parse_csv(text)
+        assert code == 0
+        assert header == ["n", "x", "probability", "cumulative"]
+        assert float(metadata["tail"]) == 1e-12

@@ -31,13 +31,18 @@ print(json.dumps({"codes": codes,
 """ % (HEAVY,)
 
 
-def run_fresh(argvs):
-    """Exit codes of main(argv) for each argv, and the heavy modules loaded."""
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(argvs):
+    """Exit codes of main(argv) for each argv, and the heavy modules loaded."""
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     return result["codes"], result["loaded"]
@@ -45,6 +50,15 @@ def run_fresh(argvs):
 
 def test_import_loads_neither():
     assert run_fresh([]) == ([], [])
+
+
+def test_import_builds_no_parser():
+    code = ("import harrisproc.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_closed_form_and_simulation_commands_load_neither():

@@ -1,27 +1,77 @@
+import csv
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from harrisproc.acceptance import run_scenario
-from harrisproc.reporting import envelope, simulate_text
+from harrisproc.reporting import envelope, fmt_value, simulate_text
 
 
 def test_csv_envelope_leads_with_command_and_schema():
-    text = envelope("pmf", "csv", {"m": 2.0, "passed": True}, ("n", "p"),
-                    [(0, 0.5), (1, 0.25)])
+    text = envelope("pmf", "csv", {"m": 2.0, "passed": True},
+                    {"n": [0, 1], "p": [0.5, 0.25]})
     assert text == ("# command=pmf\n# schema_version=1\n# m=2.0\n"
                     "# passed=true\nn,p\n0,0.5\n1,0.25\n")
 
 
 def test_json_envelope_orders_sections_before_rows():
-    payload = json.loads(envelope("simulate", "json", {"seed": 3}, ("n", "p"),
-                                  [(0, 0.5)], rows_key="empirical",
+    payload = json.loads(envelope("simulate", "json", {"seed": 3},
+                                  {"n": [0], "p": [0.5]}, rows_key="empirical",
                                   report={"overall": True}))
     assert list(payload) == ["schema_version", "command", "metadata", "report",
                              "empirical"]
     assert payload["command"] == "simulate"
     assert payload["metadata"] == {"seed": 3}
     assert payload["empirical"] == [{"n": 0, "p": 0.5}]
+
+
+def _columns(n):
+    """Strategies for one column of n cells, as a list or a numpy array."""
+    def of(cells):
+        return st.lists(cells, min_size=n, max_size=n)
+    floats = st.floats()  # +-inf, nan and subnormals included
+    ints = st.integers(-2**63, 2**63)
+    return st.one_of(
+        of(floats), of(floats).map(np.array),
+        of(ints), of(st.integers(-2**63, 2**63 - 1)).map(
+            lambda cells: np.array(cells, dtype=np.int64)),
+        of(st.booleans()), of(st.booleans()).map(np.array),
+        of(st.text(alphabet='ab ,"\n\r')),
+        of(st.one_of(ints, floats)))
+
+
+TABLES = st.integers(0, 8).flatmap(
+    lambda n: st.lists(_columns(n), min_size=1, max_size=5))
+
+
+@given(TABLES)
+def test_columns_render_as_the_per_cell_reference(table):
+    header = [f"c{i}" for i in range(len(table))]
+    columns = dict(zip(header, table))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_value(cell) for cell in row] for row in zip(*table))
+    assert envelope("t", "csv", {}, columns) == (
+        "# command=t\n# schema_version=1\n" + buffer.getvalue())
+
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
+    expected = [dict(zip(header, row)) for row in zip(*values)]
+    if not all(math.isfinite(v) for column in values for v in column
+               if isinstance(v, float)):
+        with pytest.raises(ValueError):
+            envelope("t", "json", {}, columns)
+        return
+    rows = json.loads(envelope("t", "json", {}, columns))["rows"]
+    # == alone would let 1 stand for True or 1.0
+    assert rows == expected
+    assert [list(map(type, row.values())) for row in rows] == [
+        list(map(type, row.values())) for row in expected]
 
 
 @pytest.mark.parametrize("model, law", [("birth", {"lam": 0.5}),
