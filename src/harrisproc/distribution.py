@@ -14,8 +14,9 @@ Equivalently, X = 1 + k*I where I follows the negative binomial law
 NB(1/k, 1/m) on {0, 1, 2, ...}; for k = 1 the law reduces to the
 decapitated (1-shifted) geometric with parameter 1/m.
 
-All probabilities are computed in log space via log-gamma so that deep
-tail terms neither overflow nor lose normalization.
+All probabilities are computed in log space, the binomial coefficient
+through the log-Pochhammer symbol, so that deep tail terms neither
+overflow nor lose normalization.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
 
@@ -99,12 +100,22 @@ def log_binom(r: float, n) -> float:
 
     Equals log( Gamma(r+n) / (Gamma(r) * n!) ); requires r > 0.
     Accepts a scalar or array of nonnegative integers n.
+
+    The ratio Gamma(r+n) / n! is the Pochhammer symbol (n+1)_(r-1), taken
+    whole: the difference of the two log-gammas, each ~1e7 at n ~ 1e6,
+    loses ~1e-9 to cancellation.  Where the symbol overflows (r above
+    ~170) the log-gamma difference is used.
     """
     r = float(r)
     if not r > 0.0:
         raise ValueError(f"coefficient parameter r must be > 0, got {r!r}")
     arr, scalar = _as_counts(n)
-    out = gammaln(r + arr) - gammaln(r) - gammaln(arr + 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.log(poch(arr + 1.0, r - 1.0)) - gammaln(r)
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out,
+                       gammaln(r + arr) - gammaln(r) - gammaln(arr + 1.0))
     return float(out) if scalar else out
 
 

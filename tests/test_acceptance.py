@@ -421,10 +421,12 @@ def test_criterion_9_fails_when_the_rerun_differs(monkeypatch):
 
 # Goodness-of-fit results pinned from the scalar support walk the array
 # form replaced: statistic (exact repr), degrees of freedom and bin labels.
+# The statistic is that of the log-Pochhammer p.m.f.; with probabilities
+# exact to 50 digits it is 12.031085121469468.
 def test_gof_of_criterion_3_is_pinned():
     gof = acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=100_000,
                                   seed=SEED).report.gof
-    assert repr(gof.statistic) == "12.031085121478732"
+    assert repr(gof.statistic) == "12.03108512146931"
     assert gof.degrees_of_freedom == 17
     assert [b.label for b in gof.bins] == [str(x) for x in range(1, 35, 2)] + [">=35"]
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -81,6 +81,21 @@ class TestLogBinom:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             log_binom(0.5, -1)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0 / 3.0, 0.5, 1.7])
+    def test_deep_terms_match_mpmath(self, r):
+        # three log-gammas of ~1e7 each would cancel to ~1e-9 here
+        mpmath = pytest.importorskip("mpmath")
+        ns = [10**5, 8 * 10**5, 10**7]
+        with mpmath.workdps(50):
+            expected = [float(mpmath.log(mpmath.binomial(mpmath.mpf(r) + n - 1, n)))
+                        for n in ns]
+        assert_allclose(log_binom(r, ns), expected, rtol=1e-11)
+
+    def test_large_index_stays_finite(self):
+        # (n+1)_(r-1) overflows a double for r = 500; C(502, 3) does not
+        assert log_binom(500.0, 3) == pytest.approx(math.log(20958500), rel=1e-14)
+        assert log_binom(500.0, 0) == 0.0
 
 
 class TestParams:
@@ -168,6 +183,8 @@ class TestPmfTable:
     @settings(max_examples=20, deadline=None)
     @given(m=st.floats(1.0, 1e6, exclude_min=True), k=st.integers(1, 10),
            tail=st.floats(1e-15, 1e-3))
+    @example(m=26073.0, k=2, tail=1e-15)
+    @example(m=31623.0, k=4, tail=1e-15)
     def test_table_and_certified_tail_bracket_one(self, m, k, tail):
         try:
             _, probs, tail_mass = pmf_table(HarrisParams(m, k), tail_bound=tail)
