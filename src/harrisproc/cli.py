@@ -97,7 +97,7 @@ def cmd_pgf(args) -> tuple:
     ss = [round(0.05 * i, 2) for i in range(21)]
     values = [harris_pgf(params, s) for s in ss]
     series = [float((probs * s ** xs).sum()) for s in ss]
-    gaps = [abs(value - sum_) for value, sum_ in zip(values, series)]
+    gaps = [abs(v - w) for v, w in zip(values, series)]
     worst = max(gaps)
     meta.update({"tol": tol, "max_abs_diff": worst, "passed": worst < tol})
     columns = {"s": ss, "pgf": values, "series_sum": series, "abs_diff": gaps}
