@@ -103,8 +103,10 @@ def log_binom(r: float, n) -> float:
 
     The ratio Gamma(r+n) / n! is the Pochhammer symbol (n+1)_(r-1), taken
     whole: the difference of the two log-gammas, each ~1e7 at n ~ 1e6,
-    loses ~1e-9 to cancellation.  Where the symbol overflows (r above
-    ~170) the log-gamma difference is used.
+    loses ~1e-9 to cancellation.  Where the symbol is not finite, roughly
+    where (n+r)^(r-1) > 1e308 (r = 60 from n ~ 2e5, any n for r above
+    ~170), the log-gamma difference is used, with its cancellation: an
+    error of a few ulps of gammaln(r+n) in the log.
     """
     r = float(r)
     if not r > 0.0:

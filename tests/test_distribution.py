@@ -97,6 +97,18 @@ class TestLogBinom:
         assert log_binom(500.0, 3) == pytest.approx(math.log(20958500), rel=1e-14)
         assert log_binom(500.0, 0) == 0.0
 
+    @pytest.mark.parametrize("r, n", [(60.0, 10**6), (60.0, 10**7), (500.0, 10**5)])
+    def test_overflowing_symbol_falls_back_to_log_gamma(self, r, n):
+        # (n+1)_(r-1) is not finite here, so the log-gamma difference is
+        # used, accurate only to a few ulps of gammaln(r+n)
+        from scipy.special import gammaln, poch
+        mpmath = pytest.importorskip("mpmath")
+        assert not np.isfinite(poch(n + 1.0, r - 1.0))
+        with mpmath.workdps(50):
+            expected = float(mpmath.log(mpmath.binomial(mpmath.mpf(r) + n - 1, n)))
+        ulp = np.spacing(gammaln(r + n))
+        assert log_binom(r, n) == pytest.approx(expected, rel=0, abs=4 * ulp)
+
 
 class TestParams:
     @pytest.mark.parametrize("m", [1.0, 0.5, -2.0])
