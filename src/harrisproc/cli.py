@@ -27,7 +27,7 @@ import numpy as np
 
 from .birth import ProcessParams, solve_forward_odes
 from .distribution import (HarrisParams, harris_pgf, harris_pmf, pmf_table,
-                           truncation_index)
+                           tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .mixture import (MixtureParams, mixture_pmf, mixture_pmf_quadrature,
                       quadrature_agrees)
@@ -80,11 +80,15 @@ def cmd_pmf(args) -> tuple:
     params, meta = _resolve_params(args)
     meta["tail"] = float(args.tail)
     # one term past the certified truncation; the table stops at the first
-    # row whose cumulative probability reaches 1 - tail
+    # row whose remaining mass, the later rows plus the certified tail after
+    # the last one, is at most tail (summed from the far end: 1 - cumulative
+    # would cancel), or at the last row if none is
     ns = np.arange(truncation_index(params, min(args.tail, 1e-12)) + 2)
     probs = harris_pmf(params, ns)
+    remaining = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)
+    remaining += tail_bound_after(params, ns[-1])
+    ns = ns[:min(np.count_nonzero(remaining > args.tail) + 1, len(ns))]
     cumulative = np.cumsum(probs)
-    ns = ns[:np.searchsorted(cumulative, 1.0 - args.tail) + 1]
     columns = {"n": ns, "x": 1 + ns * params.k, "probability": probs[:len(ns)],
                "cumulative": cumulative[:len(ns)]}
     return envelope("pmf", args.format, meta, columns), True
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pmf", help="tabulate the probability mass function")
     _add_law_options(p, ("--m", "--lambda", "--a"))
     p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
-                   help="stop once cumulative probability reaches 1 - tail")
+                   help="stop once the mass beyond the table is at most tail")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_pmf)
 

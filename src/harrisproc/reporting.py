@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -73,9 +75,38 @@ def render_csv(metadata: dict, header, columns) -> str:
     return buffer.getvalue()
 
 
-def render_json(payload: dict) -> str:
-    """Indented JSON with insertion-ordered keys and a trailing newline."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _json_cells(column: list):
+    """The column's cells as JSON text, lazily, with one formatter per column.
+
+    The text is what json.dumps writes for each cell.  A column holding a
+    non-finite float goes through json.dumps, which raises ValueError.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    return map(partial(json.dumps, allow_nan=False), column)
+
+
+def render_json(head: dict, rows_key: str, header, columns) -> str:
+    """Indented JSON: head's keys in order, then the rows under rows_key.
+
+    The text is ``json.dumps({**head, rows_key: rows}, indent=2,
+    allow_nan=False)`` and a newline, rows being one object per row, for
+    string column names, rows_key not in head and scalar cells.  Only the
+    head goes through json.dumps, whose indent mode runs the pure-Python
+    encoder; each row fills one %-template built from the header.
+    """
+    text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False)
+    rows = zip(*map(_json_cells, columns))
+    keys = (json.dumps(name).replace("%", "%%") for name in header)
+    template = "    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
+    body = ",\n".join(map(template.__mod__, rows))
+    if not body:
+        return text + "\n"
+    # text ends with the empty rows list: "[]\n}"
+    return text[:-4] + "[\n" + body + "\n  ]\n}\n"
 
 
 def envelope(command: str, fmt: str, metadata: dict, columns: dict,
@@ -86,7 +117,8 @@ def envelope(command: str, fmt: str, metadata: dict, columns: dict,
     or a list of equal length).  CSV: ``# command=``, ``# schema_version=``
     and the metadata as comment lines, then the header and the rows.  JSON:
     schema_version, command, metadata, the extra sections in order, then
-    the rows as objects under rows_key.
+    the rows as objects under rows_key.  Each column is converted once and
+    its cells formatted by one function for its type, in either format.
     """
     header = list(columns)
     lists = [c.tolist() if isinstance(c, np.ndarray) else list(c)
@@ -95,8 +127,7 @@ def envelope(command: str, fmt: str, metadata: dict, columns: dict,
         return render_csv({"command": command, "schema_version": SCHEMA_VERSION,
                            **metadata}, header, lists)
     return render_json({"schema_version": SCHEMA_VERSION, "command": command,
-                        "metadata": metadata, **sections,
-                        rows_key: [dict(zip(header, row)) for row in zip(*lists)]})
+                        "metadata": metadata, **sections}, rows_key, header, lists)
 
 
 def _verdict_fields(prefix: str, check) -> dict:

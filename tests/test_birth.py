@@ -25,6 +25,7 @@ from harrisproc.distribution import (
     truncation_index,
 )
 from harrisproc.errors import ConvergenceError, ResourceLimitError
+from harrisproc.sampling import RngStream
 from harrisproc.validation import chi_square_gof, gof_support
 
 E = math.e
@@ -210,6 +211,83 @@ class TestMonteCarloLaw:
                                      marginal.support_value, observed, 100_000)
         gof = chi_square_gof(observed, support, probs, 100_000, 0.001)
         assert gof.passed
+
+
+def _reference_batch(params, horizon, n_replicas, seed):
+    """All blocks advance together, one stream.uniform call per block and round.
+
+    The per-round loop that simulate_many's chunked draws must reproduce
+    value for value.
+    """
+    streams = [birth.RngStream(seed, stream_id=b)
+               for b in range(math.ceil(n_replicas / BLOCK_SIZE))]
+    alive = np.arange(n_replicas)
+    clock = np.zeros(n_replicas)
+    n_events = np.zeros(n_replicas, dtype=np.int64)
+    rounds = []
+    while True:
+        per_block = np.bincount(alive // BLOCK_SIZE, minlength=len(streams))
+        uniforms = np.concatenate([stream.uniform(size) for stream, size
+                                   in zip(streams, per_block) if size])
+        rate = (len(rounds) * params.k + 1) * params.lam
+        clock = clock - np.log(uniforms) / rate
+        inside = clock <= horizon
+        alive, clock = alive[inside], clock[inside]
+        if alive.size == 0:
+            break
+        n_events[alive] += 1
+        rounds.append(clock)
+    offsets = np.zeros(n_replicas + 1, dtype=np.int64)
+    np.cumsum(n_events, out=offsets[1:])
+    event_times = np.empty(offsets[-1])
+    members = np.arange(n_replicas)
+    for j, times in enumerate(rounds):
+        members = members[n_events[members] > j]
+        event_times[offsets[members] + j] = times
+    return n_events, offsets, event_times
+
+
+class _ZeroingGenerator:
+    """A generator whose random() zeroes every draw u with int(u*1e12) % p == 0.
+
+    Zeros depend on the value only, so random(a) then random(b) still
+    gives the values of random(a + b).
+    """
+
+    def __init__(self, generator, p):
+        self.generator, self.p = generator, p
+
+    def random(self, size):
+        u = self.generator.random(size)
+        u[(u * 1e12).astype(np.int64) % self.p == 0] = 0.0
+        return u
+
+
+class TestDrawContract:
+    LAWS = [((1.0, 1), 6.0, 2000, 7),             # several chunk refills
+            ((0.5, 2), 1.0, 2 * BLOCK_SIZE + 100, 9),
+            ((0.5, 2), 2.0, 1, 3),
+            ((1e-9, 2), 1.0, 300, 0)]             # no replica has an event
+
+    @pytest.mark.parametrize("zero_every", [None, 3, 100])
+    @pytest.mark.parametrize("law, horizon, n_replicas, seed", LAWS)
+    def test_paths_equal_the_per_round_draws(self, monkeypatch, law, horizon,
+                                             n_replicas, seed, zero_every):
+        if zero_every is not None:
+            def stream(seed, stream_id=0):
+                made = RngStream(seed, stream_id)
+                made.generator = _ZeroingGenerator(made.generator, zero_every)
+                return made
+            monkeypatch.setattr(birth, "RngStream", stream)
+        params = ProcessParams(*law)
+        batch = simulate_many(params, horizon, n_replicas, seed)
+        n_events, offsets, event_times = _reference_batch(params, horizon,
+                                                          n_replicas, seed)
+        assert np.array_equal(batch.n_events, n_events)
+        assert np.array_equal(batch.offsets, offsets)
+        assert np.array_equal(batch.event_times, event_times)
+        if law == (1e-9, 2):
+            assert batch.event_times.size == 0
 
 
 class TestForwardEquations:

@@ -9,7 +9,8 @@ import pytest
 
 from harrisproc import acceptance
 from harrisproc.cli import build_parser, main
-from harrisproc.distribution import HarrisParams, harris_pmf, truncation_index
+from harrisproc.distribution import (HarrisParams, harris_pmf, tail_bound_after,
+                                     truncation_index)
 from harrisproc.validation import ValidationReport
 
 E = math.e
@@ -82,19 +83,42 @@ class TestPmf:
     @pytest.mark.parametrize("m, k, tail", [(1000.0, 2, 1e-12), (2.0, 1, 1e-6),
                                             (1.1, 5, 1e-15)])
     def test_rows_equal_the_scalar_running_sum(self, m, k, tail, capsys):
-        # reference: one scalar pmf call per row and a running Python sum
+        # reference: one scalar pmf call per row, a running Python sum, and
+        # the stop at the first row whose later rows, summed from the far
+        # end, plus the certified tail after the last row are <= tail
         params = HarrisParams(m, k)
+        ns = range(truncation_index(params, min(tail, 1e-12)) + 2)
+        probs = [harris_pmf(params, n) for n in ns]
+        later = [0.0]
+        for prob in probs[:0:-1]:
+            later.append(later[-1] + prob)
+        bound = tail_bound_after(params, ns[-1])
         expected, cumulative = [], 0.0
-        for n in range(truncation_index(params, min(tail, 1e-12)) + 2):
-            prob = harris_pmf(params, n)
+        for n, prob in zip(ns, probs):
             cumulative += prob
             expected.append([str(n), str(1 + n * k), repr(prob), repr(cumulative)])
-            if cumulative >= 1.0 - tail:
+            if later[-1 - n] + bound <= tail:
                 break
         code, out, _ = run_cli(["pmf", "--m", repr(m), "--k", str(k),
                                 "--tail", repr(tail)], capsys)
         assert code == 0
         assert parse_csv(out)[2] == expected
+
+    @pytest.mark.parametrize("m, k, tail", [(1000.0, 2, 1e-12), (1000.0, 1, 1e-12),
+                                            (2.0, 1, 1e-6), (50.0, 3, 1e-9)])
+    def test_table_ends_where_the_true_tail_is_within_tail(self, m, k, tail,
+                                                           capsys):
+        from scipy.stats import nbinom
+        code, out, _ = run_cli(["pmf", "--m", repr(m), "--k", str(k),
+                                "--tail", repr(tail)], capsys)
+        assert code == 0
+        last = int(parse_csv(out)[2][-1][0])
+        # P(I > n) for the event count I ~ NB(1/k, 1/m) of X = 1 + k*I
+        true_tail = nbinom(1.0 / k, 1.0 / m).sf
+        assert true_tail(last) <= tail
+        # and one row sooner would not do, up to the few percent by which
+        # the certified tail bound exceeds the true tail on these laws
+        assert true_tail(last - 1) > 0.95 * tail
 
     @pytest.mark.parametrize("tail", ["2", "1", "0", "-0.5"])
     def test_tail_outside_unit_interval_rejected(self, tail, capsys):

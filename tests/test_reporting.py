@@ -74,6 +74,64 @@ def test_columns_render_as_the_per_cell_reference(table):
         list(map(type, row.values())) for row in expected]
 
 
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+JSON_INTS = st.integers(-2**63, 2**63)
+JSON_TEXT = st.one_of(st.text(), st.sampled_from(['"', '\\"\n', "é%s", "\u2028 ∞"]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), FINITE_FLOATS, JSON_INTS,
+                         JSON_TEXT)
+
+
+def _json_columns(n):
+    """One column of n JSON scalars, as a list or a numpy array."""
+    def of(cells):
+        return st.lists(cells, min_size=n, max_size=n)
+    return st.one_of(
+        of(FINITE_FLOATS), of(FINITE_FLOATS).map(np.array),
+        of(JSON_INTS), of(st.integers(-2**63, 2**63 - 1)).map(
+            lambda cells: np.array(cells, dtype=np.int64)),
+        of(st.booleans()), of(st.booleans()).map(np.array),
+        of(JSON_TEXT), of(st.one_of(JSON_INTS, FINITE_FLOATS)),
+        of(JSON_SCALARS))
+
+
+JSON_TABLES = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(JSON_TEXT, max_size=4, unique=True),
+    st.lists(_json_columns(n), min_size=4, max_size=4)))
+SECTIONS = st.dictionaries(
+    st.sampled_from(["report", "notes", "é"]),
+    st.recursive(JSON_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(JSON_TEXT, children, max_size=3)), max_leaves=8))
+
+
+@given(JSON_TABLES, st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3),
+       SECTIONS, st.sampled_from(["rows", "empirical"]))
+def test_json_envelope_is_the_indented_dump(table, metadata, sections, rows_key):
+    header, columns = table
+    columns = dict(zip(header, columns))
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    payload = {"schema_version": 1, "command": "t", "metadata": metadata,
+               **sections,
+               rows_key: [dict(zip(header, row)) for row in zip(*values)]}
+    assert envelope("t", "json", metadata, columns, rows_key=rows_key,
+                    **sections) == json.dumps(payload, indent=2,
+                                              allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [
+    lambda bad: [0.5, bad], lambda bad: np.array([bad, 0.5]),
+    lambda bad: [1, bad], lambda bad: ["a", bad]])
+def test_json_envelope_refuses_a_non_finite_cell(bad, column):
+    with pytest.raises(ValueError):
+        envelope("t", "json", {}, {"n": [0, 1], "p": column(bad)})
+    with pytest.raises(ValueError):
+        envelope("t", "json", {"tail": bad}, {"n": [0]})
+
+
 @pytest.mark.parametrize("model, law", [("birth", {"lam": 0.5}),
                                         ("mixture", {"a": 1.0})])
 def test_simulate_metadata_keys(model, law):
