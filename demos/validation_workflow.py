@@ -5,14 +5,12 @@ Run:  python demos/validation_workflow.py
 
 import json
 from dataclasses import asdict
-from functools import partial
 
 from harrisproc import (
     HarrisParams,
     RngStream,
     ValidationReport,
     chi_square_quantile,
-    harris_pmf,
     sample_harris,
 )
 from harrisproc.acceptance import run_scenario
@@ -66,8 +64,7 @@ def main():
         for value in draws.tolist():
             observed[value] = observed.get(value, 0) + 1
         # the law as two arrays: support values and their probabilities
-        support, probs = gof_support(partial(harris_pmf, params),
-                                     params.support_value, observed, len(draws))
+        support, probs = gof_support(params, observed, len(draws))
         gof = chi_square_gof(observed, support, probs, len(draws), 0.05)
         rejections += not gof.passed
     print(f"calibration under the null: {rejections}/{seeds} rejections "

@@ -13,7 +13,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -162,8 +161,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         raise ValueError(f"unknown model {model!r}")
 
     empirical_mean, empirical_var = tally_moments(observed)
-    support, probs = gof_support(partial(harris_pmf, marginal),
-                                 marginal.support_value, observed, replicas)
+    support, probs = gof_support(marginal, observed, replicas)
     report = make_report(scenario, observed, support, probs, empirical_mean,
                          empirical_var, analytic_mean, analytic_var, alpha=alpha,
                          var_rel_tol=_variance_band(marginal, replicas))
@@ -260,9 +258,8 @@ def _check_yule_furry(replicas: int, seed: int):
     violations = batch.coupling_violations()
     observed = empirical_distribution(batch, t)
     # the decapitated geometric, not harris_pmf, so the check stays independent
-    support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
-                                 params.harris_at(t).support_value, observed,
-                                 replicas)
+    support, _ = gof_support(params.harris_at(t), observed, replicas)
+    probs = decap_geometric_pmf(q, support)
     gof = chi_square_gof(observed, support, probs, replicas, 0.01)
     passed = ode_gap < 1e-8 and gof.passed
     detail = (
@@ -308,8 +305,7 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     params = HarrisParams(2.0, 2)
     tallies = _map_streams(lambda seed: tally(sample_harris(
         RngStream(seed), params, size=draws_per_seed)), n_seeds)
-    support, probs = gof_support(partial(harris_pmf, params), params.support_value,
-                                 [max(map(max, tallies))], draws_per_seed)
+    support, probs = gof_support(params, [max(map(max, tallies))], draws_per_seed)
     rejections = sum(not chi_square_gof(observed, support, probs, draws_per_seed,
                                         0.05).passed for observed in tallies)
     rate = rejections / n_seeds

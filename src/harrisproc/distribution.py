@@ -30,7 +30,11 @@ from scipy.special import gammaln, poch
 
 from .errors import ResourceLimitError
 
+MAX_TERMS = 1_000_000  # the longest table of any law: truncation_index's cap
+_PROBES = 64  # truncation_index's probes per array call
+
 __all__ = [
+    "MAX_TERMS",
     "HarrisParams",
     "log_binom",
     "harris_pmf",
@@ -56,13 +60,14 @@ def _validate_step(k) -> int:
 def _as_counts(n):
     """Validate nonnegative integer count index; scalar or array."""
     arr = np.asarray(n)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr))):
+    # dtype kinds and array methods: np.issubdtype and np.any cost microseconds
+    if arr.dtype.kind not in "iu":
+        if not (arr.dtype.kind == "f" and (arr == np.floor(arr)).all()):
             raise ValueError(f"count index must be integral, got {n!r}")
         arr = arr.astype(np.int64)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError(f"count index must be nonnegative, got {n!r}")
-    return arr, np.ndim(n) == 0
+    return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -195,35 +200,42 @@ def decap_geometric_pmf(q: float, n) -> float:
     return float(out) if np.ndim(n) == 0 else out
 
 
-def tail_bound_after(params: HarrisParams, n: int) -> float:
+def tail_bound_after(params: HarrisParams, n):
     """Certified upper bound on the Harris mass strictly beyond index n.
 
     Successive p.m.f. ratios are q*(r+j)/(j+1) <= q with q = 1 - 1/m
     (the index r = 1/k never exceeds 1), so the tail after n is at most
     pmf(n) * q / (1 - q) = pmf(n) * (m - 1); the right-hand form stays
-    finite where q rounds to 1.
+    finite where q rounds to 1.  Takes a scalar or array n; the bound
+    falls with n.
     """
     return harris_pmf(params, n) * (params.m - 1.0)
 
 
 def truncation_index(params: HarrisParams, tail_bound: float,
-                     max_terms: int = 1_000_000) -> int:
-    """Smallest n whose certified remaining tail is below tail_bound."""
-    if not 0.0 < tail_bound < 1.0:
-        raise ValueError(f"tail bound must lie in (0, 1), got {tail_bound!r}")
-    r = params.index
-    q = 1.0 - 1.0 / params.m
-    ratio = params.m - 1.0  # q / (1 - q), finite where q rounds to 1
-    p = params.m ** (-r)
-    n = 0
-    while p * ratio >= tail_bound:
-        p *= q * (r + n) / (n + 1)
-        n += 1
-        if n > max_terms:
-            raise ResourceLimitError(
-                f"support truncation exceeded {max_terms} terms for {params}"
-            )
-    return n
+                     max_terms: int = MAX_TERMS) -> int:
+    """Smallest n whose certified remaining tail is below tail_bound.
+
+    The bound falls with n, so [0, max_terms] is searched with at most
+    _PROBES evenly spaced probes per array call, each call narrowing the
+    bracket to the gap after the last probe still at or above tail_bound.
+    Below the smallest normal float no bound holds relative precision.
+    """
+    if not np.finfo(float).tiny <= tail_bound < 1.0:
+        raise ValueError(f"tail bound must lie in (0, 1) and be a normal float, "
+                         f"got {tail_bound!r}")
+    # the index lies in [lo, hi]: hi is below the tail or past max_terms
+    lo, hi = 0, max_terms + 1
+    while lo < hi:
+        probes = np.arange(lo, hi, -(-(hi - lo) // _PROBES))
+        below = tail_bound_after(params, probes) < tail_bound
+        first = int(below.argmax()) if below.any() else probes.size
+        lo = int(probes[first - 1]) + 1 if first else lo
+        hi = int(probes[first]) if first < probes.size else hi
+    if lo > max_terms:
+        raise ResourceLimitError(f"support truncation exceeded {max_terms} "
+                                 f"terms for {params}")
+    return lo
 
 
 def pmf_table(params: HarrisParams, tail_bound: float = 1e-12) -> tuple:

@@ -1,12 +1,12 @@
 """Statistical validation: chi-square goodness of fit and moment bands.
 
 The goodness-of-fit test reads a law as two arrays, increasing support
-values and their probabilities (``gof_support`` tabulates them chunk by
-chunk), merges consecutive points into bins until each bin's expected
-count reaches the classical threshold (5 by default), and closes with one
-open tail bin; the Pearson statistic is then compared against the
-chi-square upper quantile with (bins - 1) degrees of freedom,
-``scipy.special.chdtri``.
+values and their probabilities (``gof_support`` tabulates a Harris law in
+one call, to its certified truncation), merges consecutive points into
+bins until each bin's expected count reaches the classical threshold (5
+by default), and closes with one open tail bin; the Pearson statistic is
+then compared against the chi-square upper quantile with (bins - 1)
+degrees of freedom, ``scipy.special.chdtri``.
 
 Samples are tallied once into a frequency map (``tally``); the goodness of
 fit and the exact sample moments (``tally_moments``) are both read from it.
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtri
 
+from .distribution import MAX_TERMS, HarrisParams, harris_pmf, truncation_index
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 5.0
 MIN_MOMENT_SAMPLES = 100
-# gof_support's arrays start at this many points and double up to the cap
-_FIRST_SUPPORT_CHUNK = 256
-_MAX_SUPPORT_POINTS = 1_000_000
 # tally counts samples below this with one np.bincount (an 8 MB histogram
 # at most); wider or negative samples are sorted instead
 _DENSE_TALLY_SPAN = 1 << 20
@@ -124,27 +122,21 @@ def _bin_label(lo: int, hi: int, open_tail: bool) -> str:
     return f"{lo}-{hi}"
 
 
-def gof_support(pmf, support_value, observed, total: int) -> tuple:
-    """(support, probs) arrays of a law, long enough for chi_square_gof.
+def gof_support(params: HarrisParams, observed, total: int) -> tuple:
+    """(support, probs) arrays of a Harris law, long enough for chi_square_gof.
 
-    pmf and support_value map index arrays 0, 1, ... to probabilities and
-    increasing support values.  The arrays double from 256 points until the
-    test of observed stops inside them; past a million points the law is
-    refused with ResourceLimitError.
+    The table runs to the largest observed value or to the truncation index
+    certified for half the tail at which the test may stop, so it stops
+    inside: at k = 1 the bound is the true tail, and the half keeps 1 - cumsum
+    rounding from moving the stop past the end.  Past MAX_TERMS points the law
+    is refused with ResourceLimitError.
     """
-    n = np.arange(_FIRST_SUPPORT_CHUNK)
-    support, probs = support_value(n), pmf(n)
-    # the probabilities are nonnegative, so once the test could stop at the
-    # last point it stops there or sooner
-    while (total * (1.0 - np.cumsum(probs)[-1]) >= MIN_EXPECTED_PER_BIN
-           or support[-1] < max(observed)):
-        if len(support) >= _MAX_SUPPORT_POINTS:
-            raise ResourceLimitError(f"goodness-of-fit support exceeded "
-                                     f"{_MAX_SUPPORT_POINTS} points")
-        n = np.arange(len(support), min(2 * len(support), _MAX_SUPPORT_POINTS))
-        support = np.concatenate([support, support_value(n)])
-        probs = np.concatenate([probs, pmf(n)])
-    return support, probs
+    n = max(truncation_index(params, min(MIN_EXPECTED_PER_BIN / (2 * total), 0.5)),
+            (max(observed) - 1) // params.k)
+    if n > MAX_TERMS:
+        raise ResourceLimitError(f"goodness-of-fit support exceeded {MAX_TERMS} points")
+    ns = np.arange(n + 1)
+    return params.support_value(ns), harris_pmf(params, ns)
 
 
 def chi_square_gof(observed, support, probs, total: int,

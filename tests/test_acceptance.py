@@ -9,7 +9,6 @@ import hashlib
 import math
 import time
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -103,8 +102,7 @@ def test_criterion_3_model1_monte_carlo(birth_run):
     _, states = birth_run
     marginal = HarrisParams(E, 2)
     observed = Counter(states.tolist())
-    support, probs = gof_support(partial(harris_pmf, marginal), marginal.support_value,
-                                 observed, len(states))
+    support, probs = gof_support(marginal, observed, len(states))
     gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
     mean_gap = abs(float(states.mean()) - E)
     analytic_var = 2 * E * (E - 1)  # = 9.34155 per the closed form
@@ -120,8 +118,7 @@ def test_criterion_4_model2_monte_carlo(mixture_draws):
     marginal = HarrisParams(2.0, 2)
     values, counts = np.unique(draws, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, counts)}
-    support, probs = gof_support(partial(harris_pmf, marginal), marginal.support_value,
-                                 observed, len(draws))
+    support, probs = gof_support(marginal, observed, len(draws))
     gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.01)
     mean_gap = abs(float(draws.mean()) - 2.0)
     var_rel = abs(float(draws.var(ddof=1)) - 4.0) / 4.0
@@ -139,9 +136,8 @@ def test_criterion_5_yule_furry_triple_agreement(yule_run):
     decap = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - decap).max())
     observed = empirical_distribution(batch, 0.7)
-    support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
-                                 params.harris_at(0.7).support_value, observed,
-                                 len(states))
+    support, _ = gof_support(params.harris_at(0.7), observed, len(states))
+    probs = decap_geometric_pmf(q, support)
     gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
     record(5, "yule-furry-reduction", ode_gap < 1e-8 and gof.passed,
            f"ode vs decapitated geometric {ode_gap:.3e} < 1e-8; "
@@ -280,8 +276,7 @@ def test_criterion_8_null_calibration():
         draws = sample_harris(RngStream(seed), params, size=10_000)
         values, counts = np.unique(draws, return_counts=True)
         observed = {int(v): int(c) for v, c in zip(values, counts)}
-        support, probs = gof_support(partial(harris_pmf, params), params.support_value,
-                                     observed, len(draws))
+        support, probs = gof_support(params, observed, len(draws))
         gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.05)
         rejections += not gof.passed
     rate = rejections / 200
@@ -312,8 +307,7 @@ def test_calibration_does_not_depend_on_the_worker_count(monkeypatch, capsys):
     alone = []
     for seed in range(25):
         observed = tally(sample_harris(RngStream(seed), params, size=2000))
-        own = gof_support(partial(harris_pmf, params), params.support_value,
-                          observed, 2000)
+        own = gof_support(params, observed, 2000)
         alone.append(chi_square_gof(observed, *own, 2000, 0.05).statistic)
     assert per_seed[0] == per_seed[1] == alone
     assert results[0] == results[1]
@@ -337,14 +331,12 @@ def test_one_shared_table_gives_every_seed_its_own_gof(m, k):
     # (2, 2) is criterion 8's law; at (100, 1) the seeds' own tables differ
     # in length, so the shared table is longer than some of them
     params = HarrisParams(m, k)
-    pmf = partial(harris_pmf, params)
     tallies = [tally(sample_harris(RngStream(seed), params, size=10_000))
                for seed in range(50)]
-    shared = gof_support(pmf, params.support_value, [max(map(max, tallies))],
-                         10_000)
+    shared = gof_support(params, [max(map(max, tallies))], 10_000)
     own_lengths = set()
     for observed in tallies:
-        own = gof_support(pmf, params.support_value, observed, 10_000)
+        own = gof_support(params, observed, 10_000)
         own_lengths.add(len(own[0]))
         assert np.array_equal(own[1], shared[1][:len(own[1])])
         assert (chi_square_gof(observed, *own, 10_000, 0.05)

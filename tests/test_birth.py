@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -148,8 +147,7 @@ class TestMonteCarloLaw:
         assert abs(states.mean() - mean) < 3 * math.sqrt(var / len(states))
         marginal = params.harris_at(1.0)
         observed = Counter(states.tolist())
-        support, probs = gof_support(partial(harris_pmf, marginal),
-                                     marginal.support_value, observed, len(states))
+        support, probs = gof_support(marginal, observed, len(states))
         result = chi_square_gof(observed, support, probs, len(states), 0.001)
         assert result.passed
 
@@ -159,9 +157,8 @@ class TestMonteCarloLaw:
         states = simulate_many(params, 0.7, 20_000, seed=7).states_at(0.7)
         q = math.exp(-0.7)
         observed = Counter(states.tolist())
-        support, probs = gof_support(lambda n: decap_geometric_pmf(q, n + 1),
-                                     params.harris_at(0.7).support_value, observed,
-                                     len(states))
+        support, _ = gof_support(params.harris_at(0.7), observed, len(states))
+        probs = decap_geometric_pmf(q, support)
         result = chi_square_gof(observed, support, probs, len(states), 0.001)
         assert result.passed
 
@@ -171,8 +168,7 @@ class TestMonteCarloLaw:
         batch = simulate_many(params, 2.0, 20_000, seed=13)
         marginal = params.harris_at(0.5)
         observed = empirical_distribution(batch, 0.5)
-        support, probs = gof_support(partial(harris_pmf, marginal),
-                                     marginal.support_value, observed, len(batch))
+        support, probs = gof_support(marginal, observed, len(batch))
         result = chi_square_gof(observed, support, probs, len(batch), 0.001)
         assert result.passed
 
@@ -207,8 +203,7 @@ class TestMonteCarloLaw:
 
         trajectories = simulate_many(params, t, 100_000, seed=11)
         observed = empirical_distribution(trajectories, t)
-        support, probs = gof_support(partial(harris_pmf, marginal),
-                                     marginal.support_value, observed, 100_000)
+        support, probs = gof_support(marginal, observed, 100_000)
         gof = chi_square_gof(observed, support, probs, 100_000, 0.001)
         assert gof.passed
 

@@ -292,6 +292,17 @@ class TestParameterGuards:
                        ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
                        ["mixture-check", "--a", "1", "--k", "2", "--t", "1"])
           for tol in ("0", "-1", "nan", "inf")],
+        (["pgf", "--m", "1e300", "--k", "3"], "exceeded 1000000 terms"),
+        (["pmf", "--m", "1e5", "--k", "1"], "exceeded 1000000 terms"),
+        (["pmf", "--a", "1e-300", "--t", "1", "--k", "1"],
+         "exceeded 1000000 terms"),
+        # tails below the smallest normal float: no bound is relatively precise
+        (["pmf", "--m", "25.191002639540564", "--k", "1", "--tail", "4e-322"],
+         "tail bound must lie in"),
+        (["pmf", "--m", "14.770960494304251", "--k", "1", "--tail", "1e-320"],
+         "tail bound must lie in"),
+        (["ode", "--lambda", "1", "--k", "1", "--t", "1", "--tail", "1e-320"],
+         "tail bound must lie in"),
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -21,6 +21,7 @@ from harrisproc.distribution import (
 from harrisproc.errors import ResourceLimitError
 
 E = math.e
+TINY = float(np.finfo(float).tiny)
 
 # Parameter grid used throughout (scale x step).
 GRID_M = (1.1, 2.0, E, 10.0)
@@ -33,6 +34,22 @@ def naive_binom(r, n):
     for i in range(n):
         num *= r + i
     return num / math.factorial(n)
+
+
+def walk_index(params, tail_bound, max_terms):
+    """Oracle: the running-product walk truncation_index once made, one term
+    per iteration; None where it refuses the law."""
+    r = params.index
+    q = 1.0 - 1.0 / params.m
+    ratio = params.m - 1.0  # q / (1 - q), finite where q rounds to 1
+    p = params.m ** (-r)
+    n = 0
+    while p * ratio >= tail_bound:
+        p *= q * (r + n) / (n + 1)
+        n += 1
+        if n > max_terms:
+            return None
+    return n
 
 
 def pmf_recurrence(m, k, n_max):
@@ -190,9 +207,7 @@ class TestPmfTable:
         true_tail = 1.0 - harris_pmf(params, np.arange(n + 1)).sum()
         assert true_tail <= tail_bound_after(params, n) < 1e-12
 
-    # a law that needs over a million terms is refused after ~0.2 s, and
-    # about half of the examples are such laws
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(m=st.floats(1.0, 1e6, exclude_min=True), k=st.integers(1, 10),
            tail=st.floats(1e-15, 1e-3))
     @example(m=26073.0, k=2, tail=1e-15)
@@ -204,6 +219,37 @@ class TestPmfTable:
             return
         assert probs.sum() <= 1.0 + 1e-12
         assert probs.sum() + tail_mass >= 1.0 - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_m=st.floats(1e-9, math.log(1e6)),
+           k=st.integers(1, 12),
+           tail=st.floats(TINY, 1.0, exclude_max=True),
+           max_terms=st.sampled_from([20_000, 1_000_000]))
+    @example(log_m=math.log(1e5), k=1, tail=1e-12, max_terms=1_000_000)
+    @example(log_m=math.log(1000.0), k=2, tail=1e-12, max_terms=1_000_000)
+    @example(log_m=math.log(25.191002639540564), k=1, tail=TINY, max_terms=20_000)
+    @example(log_m=1e-6, k=12, tail=0.5, max_terms=20_000)
+    def test_index_is_the_running_product_walks(self, log_m, k, tail, max_terms):
+        params = HarrisParams(math.exp(log_m), k)
+        try:
+            index = truncation_index(params, tail, max_terms)
+        except ResourceLimitError:
+            index = None
+        assert index == walk_index(params, tail, max_terms)
+
+    @pytest.mark.parametrize("tail", [4e-322, 1e-320, TINY / 2])
+    def test_subnormal_tails_are_refused(self, tail):
+        # the running product sticks at the smallest subnormal, and below
+        # the smallest normal float no bound holds relative precision
+        with pytest.raises(ValueError, match="tail bound must lie in"):
+            truncation_index(HarrisParams(25.191002639540564, 1), tail)
+        with pytest.raises(ValueError, match="tail bound must lie in"):
+            pmf_table(HarrisParams(14.770960494304251, 1), tail)
+
+    def test_smallest_normal_tail_is_accepted(self):
+        params = HarrisParams(25.191002639540564, 1)
+        n = truncation_index(params, TINY)
+        assert tail_bound_after(params, n) < TINY <= tail_bound_after(params, n - 1)
 
     def test_tail_stays_finite_where_q_rounds_to_one(self):
         # 1 - 1/m is exactly 1.0 here, so q/(1-q) would divide by zero

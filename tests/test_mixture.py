@@ -2,7 +2,6 @@ import math
 import time
 import warnings
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -179,8 +178,7 @@ class TestSampler:
         assert abs(draws.mean() - mean) < 3 * math.sqrt(var / len(draws))
         marginal = params.harris_at(1.0)
         observed = Counter(draws.tolist())
-        support, probs = gof_support(partial(harris_pmf, marginal),
-                                     marginal.support_value, observed, len(draws))
+        support, probs = gof_support(marginal, observed, len(draws))
         result = chi_square_gof(observed, support, probs, len(draws), 0.01)
         assert result.passed
 

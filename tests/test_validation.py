@@ -3,7 +3,6 @@ import math
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from harrisproc import validation
 from harrisproc.distribution import HarrisParams, harris_pmf
 from harrisproc.errors import ResourceLimitError
 from harrisproc.sampling import RngStream, sample_harris
@@ -73,8 +71,7 @@ class TestChiSquareGof:
         draws = sample_harris(RngStream(0), HarrisParams(math.e, 1), size=100_000)
         wrong = HarrisParams(math.e, 2)
         observed = Counter(draws.tolist())
-        support, probs = gof_support(partial(harris_pmf, wrong), wrong.support_value,
-                                     observed, len(draws))
+        support, probs = gof_support(wrong, observed, len(draws))
         result = chi_square_gof(observed, support, probs, len(draws), 0.01)
         assert not result.passed
 
@@ -82,8 +79,7 @@ class TestChiSquareGof:
         params = HarrisParams(2.0, 1)
         draws = sample_harris(RngStream(3), params, size=2000)
         observed = Counter(draws.tolist())
-        support, probs = gof_support(partial(harris_pmf, params), params.support_value,
-                                     observed, len(draws))
+        support, probs = gof_support(params, observed, len(draws))
         result = chi_square_gof(observed, support, probs, len(draws), 0.05)
         assert all(b.expected >= 5.0 for b in result.bins)
         assert result.bins[-1].label.startswith(">=")
@@ -135,16 +131,37 @@ class TestChiSquareGof:
             chi_square_gof({0: 4}, support, probs, 4, 0.05)
 
 
+def doubling_table(params, observed, total):
+    """Oracle: the table gof_support once made, doubling from 256 points
+    until the test of observed stops inside it; None past a million points."""
+    n = np.arange(256)
+    support, probs = params.support_value(n), harris_pmf(params, n)
+    while (total * (1.0 - np.cumsum(probs)[-1]) >= 5.0
+           or support[-1] < max(observed)):
+        if len(support) >= 1_000_000:
+            return None
+        n = np.arange(len(support), min(2 * len(support), 1_000_000))
+        support = np.concatenate([support, params.support_value(n)])
+        probs = np.concatenate([probs, harris_pmf(params, n)])
+    return support, probs
+
+
+def gof_or_refusal(observed, table, total):
+    try:
+        return chi_square_gof(observed, *table, total, 0.01)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestGofSupport:
-    def test_a_heavy_tail_extends_the_first_chunk(self):
+    def test_a_heavy_tail_gets_one_long_table(self):
         # m = 1000, k = 1: the expected count beyond n stays above 5 until
-        # n is about 9,900, far past the first chunk
+        # n is about 9,900, and the table reaches past that in one call
         params = HarrisParams(1000.0, 1)
         total = 100_000
         observed = tally(sample_harris(RngStream(5), params, size=total))
-        support, probs = gof_support(partial(harris_pmf, params),
-                                     params.support_value, observed, total)
-        assert len(support) > 4 * validation._FIRST_SUPPORT_CHUNK
+        support, probs = gof_support(params, observed, total)
+        assert len(support) > 9_900
         assert np.array_equal(support, np.arange(1, len(support) + 1))
         assert np.array_equal(probs, harris_pmf(params, np.arange(len(support))))
         # the arrays reach the point where the test stops reading
@@ -154,13 +171,35 @@ class TestGofSupport:
         assert sum(b.observed for b in result.bins) == total
         assert result.passed
 
+    @settings(max_examples=100, deadline=None)
+    @given(log_m=st.floats(1e-6, math.log(3e4)), k=st.integers(1, 12),
+           spread=st.floats(1.0, 4.0), total=st.integers(2, 20_000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_test_on_the_table_is_the_doubling_tables(self, log_m, k, spread,
+                                                          total, seed):
+        # samples from the law itself or from a wider one, whose largest
+        # value may lie past the law's truncation
+        params = HarrisParams(math.exp(log_m), k)
+        drawn = HarrisParams(params.m * spread, k)
+        observed = tally(sample_harris(RngStream(seed), drawn, size=total))
+        reference = doubling_table(params, observed, total)
+        try:
+            support, probs = gof_support(params, observed, total)
+        except ResourceLimitError:
+            assert reference is None
+            return
+        assert total * (1.0 - np.cumsum(probs)[-1]) < 5.0
+        assert support[-1] >= max(observed)
+        assert reference is not None
+        assert (gof_or_refusal(observed, (support, probs), total)
+                == gof_or_refusal(observed, reference, total))
+
     def test_arrays_agree_with_a_scalar_walk(self):
         # the walk chi_square_gof once made: one scalar pmf call per point
         # and a running sum, stopped by the same rule
         params = HarrisParams(3.0, 2)
         observed = tally(sample_harris(RngStream(1), params, size=20_000))
-        support, probs = gof_support(partial(harris_pmf, params),
-                                     params.support_value, observed, 20_000)
+        support, probs = gof_support(params, observed, 20_000)
         cumulative = 0.0
         for n, (value, prob) in enumerate(zip(support.tolist(), probs.tolist())):
             assert value == 1 + 2 * n and prob == harris_pmf(params, n)
@@ -174,9 +213,13 @@ class TestGofSupport:
     def test_a_law_past_the_point_cap_is_refused(self):
         # m = 1e7 would need about 1e8 points before the tail drops below 5
         params = HarrisParams(1e7, 1)
+        with pytest.raises(ResourceLimitError, match="exceeded 1000000"):
+            gof_support(params, {1: 100_000}, 100_000)
+
+    def test_observations_past_the_point_cap_are_refused(self):
+        params = HarrisParams(2.0, 1)
         with pytest.raises(ResourceLimitError, match="exceeded 1000000 points"):
-            gof_support(partial(harris_pmf, params), params.support_value,
-                        {1: 100_000}, 100_000)
+            gof_support(params, {1: 99, 2_000_000: 1}, 100)
 
 
 class TestMomentCheck:
@@ -257,8 +300,7 @@ class TestCalibration:
         for seed in range(200):
             draws = sample_harris(RngStream(seed), params, size=10_000)
             observed = Counter(draws.tolist())
-            support, probs = gof_support(partial(harris_pmf, params),
-                                         params.support_value, observed, len(draws))
+            support, probs = gof_support(params, observed, len(draws))
             result = chi_square_gof(observed, support, probs, len(draws), 0.05)
             rejections += not result.passed
         assert 0.01 <= rejections / 200 <= 0.11
@@ -270,8 +312,7 @@ def _example_report():
     scenario = Scenario("birth", {"lambda": 0.5, "k": 2}, 1.0, len(draws), 42)
     mean, var = math.e, 2 * math.e * (math.e - 1)
     observed = Counter(draws.tolist())
-    support, probs = gof_support(partial(harris_pmf, params), params.support_value,
-                                 observed, len(draws))
+    support, probs = gof_support(params, observed, len(draws))
     return make_report(
         scenario,
         observed,
