@@ -48,9 +48,11 @@ ODE_TOL = 1e-10
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
 # Uniforms a block draws ahead, and about the events per group when the
-# rows are filled.  At least BLOCK_SIZE, so one refill covers any round;
-# a 5000-path run of ~0.9 events each uses ~9,500 draws, and drawing
-# 65,536 made it 0.8 ms slower than drawing per round.
+# rows are filled.  The uniforms are the stream's nonzero values in order;
+# consecutive calls concatenate, so the chunk changes no value.  At least
+# BLOCK_SIZE, so one refill covers any round; a 5000-path run of ~0.9
+# events each uses ~9,500 draws, and drawing 65,536 made it 0.8 ms slower
+# than drawing per round.
 DRAW_CHUNK = 16_384
 
 
@@ -208,45 +210,25 @@ class _Exponentials:
     """Exponentials -ln(U) of one stream, drawn DRAW_CHUNK uniforms ahead.
 
     take(n) returns -ln of exactly the uniforms stream.uniform(n) would
-    return at the same point of the stream: random(a) then random(b) gives
-    the values of random(a + b), and a zero U is replaced, in order, by the
-    draws that follow the n requested ones.
+    return at the same point of the stream: uniform gives the stream's
+    nonzero values in order and consecutive calls concatenate, so reading
+    ahead changes no value.
     """
 
     def __init__(self, stream: RngStream):
-        self._random = stream.generator.random
+        self._uniform = stream.uniform
         self._draws = np.empty(0)
         self._pos = 0
-        # index of the first -ln(0) = inf at or after _pos, else len(_draws)
-        self._next_zero = 0
 
-    def _find_zero(self) -> None:
-        zeros = np.flatnonzero(self._draws[self._pos:] == np.inf)
-        self._next_zero = self._pos + zeros[0] if zeros.size else self._draws.size
-
-    def _next(self, n: int) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
         if self._pos + n > self._draws.size:
-            fresh = self._random(max(DRAW_CHUNK, n))
-            with np.errstate(divide="ignore"):
-                np.log(fresh, out=fresh)
+            fresh = self._uniform(max(DRAW_CHUNK, n))
+            np.log(fresh, out=fresh)
             np.negative(fresh, out=fresh)
             self._draws = np.concatenate((self._draws[self._pos:], fresh))
             self._pos = 0
-            self._find_zero()
         self._pos += n
         return self._draws[self._pos - n:self._pos]
-
-    def take(self, n: int) -> np.ndarray:
-        draws = self._next(n)
-        if self._next_zero < self._pos:
-            # a zero U (2**-53 per draw) is redrawn from the values after
-            # this request
-            zero = np.flatnonzero(draws == np.inf)
-            while zero.size:
-                draws[zero] = self._next(zero.size)
-                zero = zero[draws[zero] == np.inf]
-            self._find_zero()
-        return draws
 
 
 def _block_groups(params: ProcessParams, horizon: float, stream: RngStream,
@@ -292,13 +274,15 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     -ln(U)/((j*k + 1)*lam), where j, the round, is the event count of every
     such replica, and retires those that pass the horizon; no time
     discretization is involved.  The uniforms are those of one
-    stream.uniform call per round, one per live replica in replica order,
-    drawn ahead in chunks of DRAW_CHUNK.  So every full block gives the
-    same paths whatever n_replicas is.  The rows are filled from groups of
-    about DRAW_CHUNK events, so no temporary spans the whole batch.
-    Raises ResourceLimitError if a path would exceed MAX_EVENTS (a guard
-    for pathological parameters; the process itself is non-explosive on
-    finite horizons).
+    stream.uniform call per round, one per live replica in replica order.
+    uniform gives the stream's nonzero values in order and consecutive
+    calls concatenate, so drawing them ahead in chunks of DRAW_CHUNK
+    changes none, and every full block gives the same paths whatever
+    n_replicas is.  The rows are filled from groups of about DRAW_CHUNK
+    events, so no temporary spans the whole batch.  Raises
+    ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
+    pathological parameters; the process itself is non-explosive on finite
+    horizons).
     """
     horizon = float(horizon)
     if not horizon > 0.0:

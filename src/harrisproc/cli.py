@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w", newline="\n") as handle:
                 handle.write(text)
-    except (ValueError, ConvergenceError, ResourceLimitError, OSError) as exc:
+    except (ValueError, ConvergenceError, ResourceLimitError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_CHECK_FAILED

@@ -117,18 +117,24 @@ def log_binom(r: float, n) -> float:
     if not r > 0.0:
         raise ValueError(f"coefficient parameter r must be > 0, got {r!r}")
     arr, scalar = _as_counts(n)
+    out = _log_binom(r, arr)
+    return float(out) if scalar else out
+
+
+def _log_binom(r: float, arr):
+    # log_binom without its checks, for a float r > 0 and checked counts
     with np.errstate(over="ignore", divide="ignore"):
         out = np.log(poch(arr + 1.0, r - 1.0)) - gammaln(r)
     finite = np.isfinite(out)
     if not finite.all():
         out = np.where(finite, out,
                        gammaln(r + arr) - gammaln(r) - gammaln(arr + 1.0))
-    return float(out) if scalar else out
+    return out
 
 
 def _nb_logpmf(r: float, p: float, arr):
     # shared log-space path: Harris and NB probabilities are the same formula
-    return log_binom(r, arr) + r * math.log(p) + arr * math.log1p(-p)
+    return _log_binom(r, arr) + r * math.log(p) + arr * math.log1p(-p)
 
 
 def nb_pmf(r: float, p: float, n) -> float:

@@ -59,17 +59,19 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(sequence))
 
     def uniform(self, size=None):
-        """Uniform draws on the open interval (0, 1), scalar or array."""
-        u = self.generator.random(size)
-        if size is None:
-            while u == 0.0:  # random() spans [0, 1); keep the support open
-                u = self.generator.random()
-            return u
-        zero = u == 0.0
-        while zero.any():
-            u[zero] = self.generator.random(int(zero.sum()))
-            zero = u == 0.0
-        return u
+        """Uniform draws on the open interval (0, 1): a float, or size of them.
+
+        The values are the stream's nonzero values in order; consecutive
+        calls concatenate.  random() spans [0, 1), and a zero (2**-53 per
+        draw) is skipped, so uniform(a) then uniform(b) gives the values of
+        uniform(a + b), and uniform() the value of uniform(1).
+        """
+        n = 1 if size is None else size
+        u = self.generator.random(n)
+        while (u == 0.0).any():
+            u = u[u != 0.0]
+            u = np.concatenate((u, self.generator.random(n - u.size)))
+        return float(u[0]) if size is None else u
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

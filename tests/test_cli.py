@@ -303,6 +303,11 @@ class TestParameterGuards:
          "tail bound must lie in"),
         (["ode", "--lambda", "1", "--k", "1", "--t", "1", "--tail", "1e-320"],
          "tail bound must lie in"),
+        # 8e16 bytes, past a 128 TiB address space: the allocation fails at once
+        (["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
+          "--replicas", str(10**16)], "error: Unable to allocate"),
+        (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
+          "--nmax", str(10**16)], "error: Unable to allocate"),
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -67,6 +67,52 @@ class TestRngStream:
             RngStream(seed, stream)
 
 
+class _ZeroingGenerator:
+    """A generator whose random() zeroes every draw u with int(u*1e12) % p == 0.
+
+    Zeros depend on the value only, so random(a) then random(b) still
+    gives the values of random(a + b).
+    """
+
+    def __init__(self, generator, p):
+        self.generator, self.p = generator, p
+
+    def random(self, size):
+        u = self.generator.random(size)
+        u[(u * 1e12).astype(np.int64) % self.p == 0] = 0.0
+        return u
+
+
+def zeroing_stream(seed, p):
+    stream = RngStream(seed)
+    stream.generator = _ZeroingGenerator(stream.generator, p)
+    return stream
+
+
+class TestUniformContract:
+    """uniform gives the stream's nonzero values in order; calls concatenate."""
+
+    @pytest.mark.parametrize("zero_every", [3, 100])
+    @pytest.mark.parametrize("sizes", [(1, 999), (500, 500), (7, 0, 300, 693),
+                                       (1000,)])
+    def test_split_calls_equal_one_call(self, zero_every, sizes):
+        total = sum(sizes)
+        raw = zeroing_stream(5, zero_every).generator.random(2 * total)
+        whole = zeroing_stream(5, zero_every).uniform(total)
+        assert np.array_equal(whole, raw[raw != 0.0][:total])
+        split = zeroing_stream(5, zero_every)
+        parts = np.concatenate([split.uniform(n) for n in sizes])
+        assert np.array_equal(parts, whole)
+
+    @pytest.mark.parametrize("zero_every", [3, 100])
+    def test_scalar_calls_equal_one_call(self, zero_every):
+        whole = zeroing_stream(8, zero_every).uniform(300)
+        stream = zeroing_stream(8, zero_every)
+        scalars = [stream.uniform() for _ in range(300)]
+        assert all(isinstance(u, float) for u in scalars)
+        assert np.array_equal(scalars, whole)
+
+
 class TestExponential:
     def test_mean_unit_rate(self):
         draws = sample_exponential(RngStream(42), 1.0, size=N_BIG)
