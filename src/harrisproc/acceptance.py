@@ -44,6 +44,11 @@ DEFAULT_ACCEPTANCE_SEED = 42
 CALIBRATION_DRAWS = 10_000
 # Criterion 8's band [0.01, 0.11] holds no rejection rate j/n for n < 10.
 MIN_CALIBRATION_SEEDS = 10
+# Streams _map_streams submits at once.  The pool makes a future (~1.6 KiB)
+# for each stream of a batch before the first result is read, so a fixed
+# batch bounds that memory for any stream count; 1024 holds the 200
+# calibration seeds or the 153 blocks of 1e7 mixture draws in one batch.
+STREAM_BATCH = 1024
 
 ODE_GRID = tuple(
     (lam, k, t) for lam in (0.25, 0.5, 1.0) for k in (1, 2, 3) for t in (0.5, 1.0)
@@ -89,12 +94,16 @@ def _usable_cpus() -> int:
 
 def _map_streams(task, n: int) -> list:
     """[task(b) for b in range(n)], one thread per usable CPU (numpy's
-    samplers release the GIL); one stream or one CPU runs inline."""
+    samplers release the GIL); one stream or one CPU runs inline.  Streams
+    are submitted STREAM_BATCH at a time, each batch scheduled dynamically."""
     workers = min(_usable_cpus(), n)
     if workers <= 1:
         return [task(b) for b in range(n)]
+    results = []
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(task, range(n)))
+        for start in range(0, n, STREAM_BATCH):
+            results += pool.map(task, range(start, min(start + STREAM_BATCH, n)))
+    return results
 
 
 def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> dict:

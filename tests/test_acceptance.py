@@ -8,7 +8,9 @@ expensive Monte Carlo runs are shared through module-scoped fixtures.
 import hashlib
 import math
 import time
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -324,6 +326,27 @@ def test_map_streams_makes_no_pool_for_one_stream_or_one_cpu(monkeypatch, cpus,
     monkeypatch.setattr(acceptance, "ThreadPoolExecutor", no_pool)
     assert acceptance._map_streams(lambda b: b * b, streams) == [
         b * b for b in range(streams)]
+
+
+def test_map_streams_bounds_the_futures_in_flight(monkeypatch):
+    # one pool.map over every stream makes all its futures before the first
+    # result is read, so its memory grows with the stream count
+    _use_cpus(monkeypatch, 2)
+    n = 10_000
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            assert run() == list(range(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def unbatched():
+        with ThreadPoolExecutor(2) as pool:
+            return list(pool.map(lambda b: b, range(n)))
+
+    assert peak(lambda: acceptance._map_streams(lambda b: b, n)) < peak(unbatched) / 4
 
 
 @pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1)])

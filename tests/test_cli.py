@@ -446,6 +446,15 @@ class TestMixtureCheck:
             closed, quad = float(row[2]), float(row[3])
             assert abs(quad - closed) <= 1e-8 * closed
 
+    def test_zero_count_drop_at_large_k_agrees(self, capsys):
+        # the n = 0 integrand's drop sat on the first bisection point
+        code, out, _ = run_cli(["mixture-check", "--a", "1", "--k", "1000",
+                                "--t", "1e6", "--nmax", "0"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        closed, quad = float(rows[0][2]), float(rows[0][3])
+        assert abs(quad - closed) <= 1e-8 * closed
+
     def test_missing_mixing_rate(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mixture-check", "--k", "2", "--t", "1"])

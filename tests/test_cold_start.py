@@ -1,7 +1,7 @@
-"""Commands that use no witness must not load scipy.integrate.
+"""Commands that use no ODE solve must not load scipy.integrate.
 
 scipy.integrate (and scipy.optimize, which it imports) is most of the
-package's import time, and only the ODE and quadrature witnesses need it.
+package's import time, and only the ODE witness needs it.
 Each case runs in a fresh interpreter: pytest itself has imported
 scipy.integrate for the ODEintWarning filter in pyproject.toml.
 """
@@ -73,9 +73,13 @@ def test_closed_form_and_simulation_commands_load_neither():
     assert run_fresh(argvs) == ([0, 0, 0, 0], [])
 
 
+def test_quadrature_witness_loads_neither():
+    argv = ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"]
+    assert run_fresh([argv]) == ([0], [])
+
+
 @pytest.mark.parametrize("argv", [
     ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
-    ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"],
 ])
 def test_witness_commands_load_scipy_integrate(argv):
     codes, loaded = run_fresh([argv])

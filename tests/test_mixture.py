@@ -92,7 +92,8 @@ class TestQuadrature:
         assert time.perf_counter() - start < 1.0
 
     def test_nan_integrand_raises(self):
-        # a NaN error estimate passes cubature's own stopping test
+        # a NaN estimate fails every comparison: it neither converges nor
+        # marks an interval for bisection
         with pytest.raises(ConvergenceError):
             mixture._mixture_quadrature(np.array([1.0, np.nan]), 2, 1.0, 3)
 
@@ -122,6 +123,30 @@ class TestQuadrature:
         assert (abs(mixture_pmf_quadrature(params, 1e6, n) - closed)
                 <= 1e-8 * closed)
 
+    @pytest.mark.parametrize("k", [100, 1000, 3000, 10_000])
+    def test_zero_count_drop_integrated_alone(self, k):
+        # at n = 0 the integrand is flat up to its centre and then drops over
+        # about 1/k in log x; centred at u = 1/2, a bisection point, no node
+        # saw the drop near k = 1000
+        params = MixtureParams(1.0, k)
+        closed = mixture_pmf(params, 1e6, 0)
+        assert (abs(mixture_pmf_quadrature(params, 1e6, 0) - closed)
+                <= 1e-8 * closed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_a=st.floats(-3, 3), k=st.sampled_from([1, 2, 3, 5, 10, 50]),
+           log_t=st.floats(-3, 12),
+           ns=st.lists(st.integers(2, 20_000), min_size=5, max_size=5))
+    def test_array_calls_match_closed_form_relatively(self, log_a, k, log_t, ns):
+        # the elements share their bisections, so every element must reach
+        # its target however the others converge
+        params, t = MixtureParams(10.0 ** log_a, k), 10.0 ** log_t
+        ns = np.array([0, 1, *ns])
+        closed = mixture_pmf(params, t, ns)
+        value = mixture_pmf_quadrature(params, t, ns)
+        assert np.all(np.abs(value - closed)
+                      <= 1e-8 * np.maximum(closed, np.finfo(float).tiny))
+
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(1e-3, 1e3), k=st.sampled_from([1, 2, 3, 5]),
            t=st.floats(1e-3, 1e12), n=st.integers(0, 20_000))
@@ -141,16 +166,15 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             mixture_pmf_quadrature(MixtureParams(1.0, 1), 1.0, -1)
 
-    def test_criterion_2_makes_one_cubature_call(self, monkeypatch):
-        import scipy.integrate
+    def test_criterion_2_makes_one_quadrature_call(self, monkeypatch):
         calls = []
-        real = scipy.integrate.cubature
+        real = acceptance._mixture_quadrature
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(scipy.integrate, "cubature", counted)
+        monkeypatch.setattr(acceptance, "_mixture_quadrature", counted)
         assert acceptance._check_quadrature_grid().passed
         assert len(calls) == 1
 
