@@ -9,15 +9,15 @@ quadrature of the mixture integral) through the validation harness.
 """
 
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_mean_var,
-                           harris_pgf, harris_pmf, log_binom, nb_pmf, pmf_table)
+                           harris_pgf, harris_pmf, nb_pmf, pmf_table)
 from .birth import (ProcessParams, Trajectory, TrajectoryBatch, TransientSolution,
-                    empirical_distribution, incentive_pmf, process_moments,
-                    simulate_many, solve_forward_odes)
+                    empirical_distribution, process_moments, simulate_many,
+                    solve_forward_odes)
 from .errors import ConvergenceError, ResourceLimitError
 from .mixture import (MixtureParams, mixture_moments, mixture_pmf,
                       mixture_pmf_quadrature, sample_model2)
-from .sampling import (RngStream, sample_exponential, sample_gamma,
-                       sample_harris, sample_nb, sample_poisson)
+from .sampling import (RngStream, sample_gamma, sample_harris, sample_nb,
+                       sample_poisson)
 from .validation import (GofResult, MeanCheck, Scenario, ValidationReport,
                          VarCheck, chi_square_gof, chi_square_quantile,
                          make_report, moment_check)

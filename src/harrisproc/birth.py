@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (HarrisParams, _validate_step, nb_pmf,
-                           tail_bound_after, truncation_index)
+from .distribution import (HarrisParams, _validate_step, tail_bound_after,
+                           truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .sampling import RngStream
 from .validation import tally
@@ -38,7 +38,6 @@ __all__ = [
     "empirical_distribution",
     "solve_forward_odes",
     "process_moments",
-    "incentive_pmf",
 ]
 
 # Read on every call: caps for pathological parameters, LSODA's rtol and atol.
@@ -102,38 +101,15 @@ class Trajectory:
         self.batch = batch
         self.index = index
 
-    def __repr__(self):
-        return f"Trajectory(replica={self.index}, n_events={self.n_events})"
-
-    @property
-    def params(self) -> ProcessParams:
-        return self.batch.params
-
-    @property
-    def horizon(self) -> float:
-        return self.batch.horizon
-
     @property
     def n_events(self) -> int:
         return int(self.batch.n_events[self.index])
 
-    def _event_times(self) -> np.ndarray:
-        offsets = self.batch.offsets
-        return self.batch.event_times[offsets[self.index]:offsets[self.index + 1]]
-
     @property
     def jump_times(self) -> np.ndarray:
-        return np.concatenate(([0.0], self._event_times()))
-
-    def state_at(self, t: float) -> int:
-        """N(t): the last state entered no later than t."""
-        self.batch._check_time(t)
-        events = np.searchsorted(self._event_times(), t, side="right")
-        return 1 + self.params.k * int(events)
-
-    def incentives_at(self, t: float) -> int:
-        """I(t) = (N(t) - 1) / k, the exact event count by time t."""
-        return (self.state_at(t) - 1) // self.params.k
+        offsets = self.batch.offsets
+        row = self.batch.event_times[offsets[self.index]:offsets[self.index + 1]]
+        return np.concatenate(([0.0], row))
 
 
 @dataclass(frozen=True)
@@ -179,13 +155,10 @@ class TrajectoryBatch:
     def __iter__(self):
         return (Trajectory(self, r) for r in range(len(self)))
 
-    def _check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"query time {t!r} outside [0, horizon={self.horizon}]")
-
     def counts_at(self, t: float) -> np.ndarray:
         """I(t) per replica: the number of recorded event times <= t."""
-        self._check_time(t)
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"query time {t!r} outside [0, horizon={self.horizon}]")
         # rows increase, so a row's events up to t end where its first event
         # after t (or the next row) begins
         after = np.append(np.flatnonzero(self.event_times > t), len(self.event_times))
@@ -282,13 +255,20 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     events, so no temporary spans the whole batch.  Raises
     ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
     pathological parameters; the process itself is non-explosive on finite
-    horizons).
+    horizons), before any draw if the mean path, (m(horizon) - 1)/k events,
+    already does.
     """
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     if n_replicas < 1:
         raise ValueError(f"need at least one replica, got {n_replicas!r}")
+    mean_events = (params.scale_at(horizon) - 1.0) / params.k
+    if mean_events > MAX_EVENTS:
+        raise ResourceLimitError(
+            f"a path to t={horizon} averages {mean_events:.4g} events, "
+            f"more than {MAX_EVENTS}"
+        )
     n_events = np.zeros(n_replicas, dtype=np.int64)
     blocks = []
     for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
@@ -407,11 +387,3 @@ def process_moments(params: ProcessParams, t: float) -> tuple:
         raise ValueError(f"time must be >= 0, got {t!r}")
     m = params.scale_at(t)
     return m, params.k * m * (m - 1.0)  # same ordering as harris_mean_var
-
-
-def incentive_pmf(params: ProcessParams, t: float, n) -> float:
-    """P(I(t) = n): negative binomial NB(1/k, exp(-t*lam*k))."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be > 0, got {t!r}")
-    return nb_pmf(1.0 / params.k, math.exp(-t * params.lam * params.k), n)

@@ -36,7 +36,6 @@ _PROBES = 64  # truncation_index's probes per array call
 __all__ = [
     "MAX_TERMS",
     "HarrisParams",
-    "log_binom",
     "harris_pmf",
     "harris_pgf",
     "harris_mean_var",
@@ -100,11 +99,11 @@ class HarrisParams:
         return 1 + np.asarray(n) * self.k
 
 
-def log_binom(r: float, n) -> float:
+def _log_binom(r: float, arr):
     """Log of the generalized binomial coefficient C(r + n - 1, n).
 
-    Equals log( Gamma(r+n) / (Gamma(r) * n!) ); requires r > 0.
-    Accepts a scalar or array of nonnegative integers n.
+    Equals log( Gamma(r+n) / (Gamma(r) * n!) ) for each count n of arr.
+    Unchecked: r must be a float > 0 and arr come from _as_counts.
 
     The ratio Gamma(r+n) / n! is the Pochhammer symbol (n+1)_(r-1), taken
     whole: the difference of the two log-gammas, each ~1e7 at n ~ 1e6,
@@ -113,16 +112,6 @@ def log_binom(r: float, n) -> float:
     ~170), the log-gamma difference is used, with its cancellation: an
     error of a few ulps of gammaln(r+n) in the log.
     """
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"coefficient parameter r must be > 0, got {r!r}")
-    arr, scalar = _as_counts(n)
-    out = _log_binom(r, arr)
-    return float(out) if scalar else out
-
-
-def _log_binom(r: float, arr):
-    # log_binom without its checks, for a float r > 0 and checked counts
     with np.errstate(over="ignore", divide="ignore"):
         out = np.log(poch(arr + 1.0, r - 1.0)) - gammaln(r)
     finite = np.isfinite(out)

@@ -26,13 +26,13 @@ __all__ = ["SCHEMA_VERSION", "fmt_value", "render_csv", "render_json",
 
 
 def fmt_value(value) -> str:
-    """Render one cell; floats round-trip losslessly through repr."""
-    if isinstance(value, (bool, np.bool_)):
+    """Render one cell of a built-in type; booleans in lower case.
+
+    str of a float is its repr, the shortest text that parses back to the
+    same double, so floats round-trip losslessly.
+    """
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 

@@ -24,7 +24,6 @@ from .distribution import HarrisParams
 
 __all__ = [
     "RngStream",
-    "sample_exponential",
     "sample_gamma",
     "sample_poisson",
     "sample_nb",
@@ -75,18 +74,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def sample_exponential(rng: RngStream, rate: float, size=None):
-    """Exponential draws by inversion: -ln(U)/rate with U uniform on (0, 1).
-
-    The inverse-CDF construction guarantees strictly positive draws and
-    exact 1/rate scaling of a fixed stream's sequence.
-    """
-    rate = float(rate)
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate!r}")
-    return -np.log(rng.uniform(size)) / rate
 
 
 def sample_gamma(rng: RngStream, shape: float, rate: float, size=None):

@@ -11,7 +11,6 @@ from harrisproc.birth import (
     ProcessParams,
     TrajectoryBatch,
     empirical_distribution,
-    incentive_pmf,
     process_moments,
     simulate_many,
     solve_forward_odes,
@@ -52,42 +51,42 @@ class TestProcessParams:
 
 class TestTrajectory:
     def test_starts_at_one(self):
-        traj = simulate_many(ProcessParams(0.5, 2), 1.0, 1, seed=0)[0]
-        assert traj.state_at(0.0) == 1
-        assert traj.incentives_at(0.0) == 0
+        batch = simulate_many(ProcessParams(0.5, 2), 1.0, 1, seed=0)
+        assert batch.states_at(0.0).tolist() == [1]
+        assert batch.counts_at(0.0).tolist() == [0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_invariants(self, seed):
         params = ProcessParams(1.0, 3)
         batch = simulate_many(params, 2.0, 1, seed=seed)
-        traj = batch[0]
-        states = [traj.state_at(s) for s in traj.jump_times]
-        assert traj.jump_times[0] == 0.0 and states[0] == 1
-        assert np.all(np.diff(traj.jump_times) > 0.0)
-        assert traj.jump_times[-1] <= traj.horizon
+        jump_times = batch[0].jump_times
+        states = [int(batch.states_at(s)[0]) for s in jump_times]
+        assert jump_times[0] == 0.0 and states[0] == 1
+        assert np.all(np.diff(jump_times) > 0.0)
+        assert jump_times[-1] <= batch.horizon
         assert np.all(np.diff(states) == 3)
         assert batch.coupling_violations() == 0
 
     def test_coupling_identity_at_query_times(self):
         params = ProcessParams(1.0, 2)
         batch = simulate_many(params, 3.0, 5, seed=1)
-        traj = batch[4]
         for t in np.linspace(0.0, 3.0, 13):
-            assert traj.state_at(t) == 1 + 2 * traj.incentives_at(t)
-            assert batch.states_at(t)[4] == 1 + 2 * batch.counts_at(t)[4]
+            assert np.array_equal(batch.states_at(t), 1 + 2 * batch.counts_at(t))
 
     def test_batch_queries_match_views(self):
         batch = simulate_many(ProcessParams(1.0, 2), 1.5, 300, seed=5)
         for t in (0.0, 0.3, 0.9, 1.5):
-            assert batch.states_at(t).tolist() == [tr.state_at(t) for tr in batch]
+            # per row: the events at or before t, searched in the row itself
+            expected = [1 + 2 * np.searchsorted(tr.jump_times[1:], t, side="right")
+                        for tr in batch]
+            assert batch.states_at(t).tolist() == expected
         assert batch.n_events.tolist() == [len(tr.jump_times) - 1 for tr in batch]
 
     def test_query_outside_horizon_rejected(self):
         batch = simulate_many(ProcessParams(0.5, 1), 1.0, 1, seed=0)
-        with pytest.raises(ValueError):
-            batch[0].state_at(1.5)
-        with pytest.raises(ValueError):
-            batch.states_at(1.5)
+        for t in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                batch.states_at(t)
 
     def test_invalid_construction_rejected(self):
         params = ProcessParams(1.0, 2)
@@ -107,9 +106,19 @@ class TestTrajectory:
         assert batch.states_at(0.3).tolist() == [3, 3]
 
     def test_event_cap(self, monkeypatch):
+        # the mean path count (e - 1) is below the cap, so the round loop
+        # runs and stops at the first path that passes it
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
-        with pytest.raises(ResourceLimitError):
-            simulate_many(ProcessParams(5.0, 2), 10.0, 1, seed=0)
+        with pytest.raises(ResourceLimitError, match="trajectory exceeded 3"):
+            simulate_many(ProcessParams(0.5, 1), 2.0, 1000, seed=0)
+
+    def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        with pytest.raises(ResourceLimitError, match="averages 1.203e"):
+            simulate_many(ProcessParams(1.0, 1), 14.0, 100, seed=0)
+        monkeypatch.setattr(birth, "MAX_EVENTS", 3)
+        with pytest.raises(ResourceLimitError, match="averages 6.389"):
+            simulate_many(ProcessParams(1.0, 1), 2.0, 1, seed=0)
 
     def test_dropped_event_is_a_coupling_violation(self, drop_last_event):
         batch = simulate_many(ProcessParams(0.5, 2), 1.0, 200, seed=4)
@@ -383,18 +392,9 @@ class TestMoments:
 
 
 class TestIncentiveLaw:
-    def test_zero_count_value(self):
-        params = ProcessParams(0.5, 2)
-        assert incentive_pmf(params, 1.0, 0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-
-    def test_identity_with_state_law(self):
-        params = ProcessParams(0.5, 2)
-        marginal = params.harris_at(1.0)
-        for n in range(30):
-            assert incentive_pmf(params, 1.0, n) == harris_pmf(marginal, n)
-
     def test_truncated_mean(self):
+        # I(t) = (N(t) - 1)/k, so its mean is (e - 1)/2 at lam*k*t = 1
         params = ProcessParams(0.5, 2)
         ns = np.arange(300)
-        mean = float((ns * incentive_pmf(params, 1.0, ns)).sum())
+        mean = float((ns * harris_pmf(params.harris_at(1.0), ns)).sum())
         assert mean == pytest.approx((E - 1) / 2, abs=1e-9)

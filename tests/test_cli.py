@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from harrisproc import acceptance
+from harrisproc import acceptance, birth
 from harrisproc.cli import build_parser, main
 from harrisproc.distribution import (HarrisParams, harris_pmf, tail_bound_after,
                                      truncation_index)
@@ -201,6 +201,18 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert "need at least 100 replicas" in err
+
+    def test_horizon_past_the_event_cap_exits_2_before_any_draw(self, capsys,
+                                                                monkeypatch):
+        # the mean path to horizon 14 has e**14 - 1 > MAX_EVENTS events
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        code, out, err = run_cli(
+            ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
+             "--t", "1", "--horizon", "14", "--replicas", "100"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "averages 1.203e+06 events, more than 1000000" in err
 
     def test_threads_flag_is_rejected(self, capsys):
         for command in (["simulate", "--model", "birth", "--lambda", "0.5",

@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 
 from harrisproc.distribution import (
     HarrisParams,
+    _log_binom,
     decap_geometric_pmf,
     harris_mean_var,
     harris_pgf,
     harris_pmf,
-    log_binom,
     nb_pmf,
     pmf_table,
     tail_bound_after,
@@ -71,33 +71,37 @@ def truncated_moments(m, k, n_max=2000):
 
 class TestLogBinom:
     def test_unit_index_gives_coefficient_one(self):
-        assert abs(log_binom(1.0, 5)) < 1e-13
+        assert abs(_log_binom(1.0, np.asarray(5))) < 1e-13
 
     def test_half_index_single_step(self):
-        assert log_binom(0.5, 1) == pytest.approx(math.log(0.5), rel=1e-14)
+        assert _log_binom(0.5, np.asarray(1)) == pytest.approx(math.log(0.5),
+                                                               rel=1e-14)
 
     def test_half_index_three_steps(self):
         # naive loop: (0.5 * 1.5 * 2.5) / 3! = 0.3125
         assert naive_binom(0.5, 3) == 0.3125
-        assert log_binom(0.5, 3) == pytest.approx(math.log(0.3125), rel=1e-13)
+        assert _log_binom(0.5, np.asarray(3)) == pytest.approx(math.log(0.3125),
+                                                               rel=1e-13)
 
     @pytest.mark.parametrize("r", [0.2, 1.0 / 3.0, 0.5, 1.0, 1.7])
     @pytest.mark.parametrize("n", range(0, 21))
     def test_matches_naive_product(self, r, n):
-        assert math.exp(log_binom(r, n)) == pytest.approx(naive_binom(r, n), rel=1e-12)
+        assert math.exp(_log_binom(r, np.asarray(n))) == pytest.approx(
+            naive_binom(r, n), rel=1e-12)
 
     def test_array_argument(self):
-        out = log_binom(0.5, np.arange(4))
+        out = _log_binom(0.5, np.arange(4))
         assert_allclose(np.exp(out), [naive_binom(0.5, n) for n in range(4)], rtol=1e-12)
 
+    # _log_binom takes checked arguments; nb_pmf is the checked entry to it
     @pytest.mark.parametrize("r", [0.0, -0.5])
     def test_nonpositive_index_rejected(self, r):
         with pytest.raises(ValueError):
-            log_binom(r, 3)
+            nb_pmf(r, 0.5, 3)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            log_binom(0.5, -1)
+            nb_pmf(0.5, 0.5, -1)
 
     @pytest.mark.parametrize("r", [0.1, 1.0 / 3.0, 0.5, 1.7])
     def test_deep_terms_match_mpmath(self, r):
@@ -107,12 +111,13 @@ class TestLogBinom:
         with mpmath.workdps(50):
             expected = [float(mpmath.log(mpmath.binomial(mpmath.mpf(r) + n - 1, n)))
                         for n in ns]
-        assert_allclose(log_binom(r, ns), expected, rtol=1e-11)
+        assert_allclose(_log_binom(r, np.asarray(ns)), expected, rtol=1e-11)
 
     def test_large_index_stays_finite(self):
         # (n+1)_(r-1) overflows a double for r = 500; C(502, 3) does not
-        assert log_binom(500.0, 3) == pytest.approx(math.log(20958500), rel=1e-14)
-        assert log_binom(500.0, 0) == 0.0
+        assert _log_binom(500.0, np.asarray(3)) == pytest.approx(
+            math.log(20958500), rel=1e-14)
+        assert _log_binom(500.0, np.asarray(0)) == 0.0
 
     @pytest.mark.parametrize("r, n", [(60.0, 10**6), (60.0, 10**7), (500.0, 10**5)])
     def test_overflowing_symbol_falls_back_to_log_gamma(self, r, n):
@@ -124,7 +129,8 @@ class TestLogBinom:
         with mpmath.workdps(50):
             expected = float(mpmath.log(mpmath.binomial(mpmath.mpf(r) + n - 1, n)))
         ulp = np.spacing(gammaln(r + n))
-        assert log_binom(r, n) == pytest.approx(expected, rel=0, abs=4 * ulp)
+        assert _log_binom(r, np.asarray(n)) == pytest.approx(expected, rel=0,
+                                                             abs=4 * ulp)
 
 
 class TestParams:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harrisproc import reporting
 from harrisproc.acceptance import run_scenario
+from harrisproc.cli import main
 from harrisproc.reporting import envelope, fmt_value, simulate_text
 
 
@@ -53,14 +55,15 @@ TABLES = st.integers(0, 8).flatmap(
 def test_columns_render_as_the_per_cell_reference(table):
     header = [f"c{i}" for i in range(len(table))]
     columns = dict(zip(header, table))
+    # envelope converts each array column to built-in cells before rendering
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([fmt_value(cell) for cell in row] for row in zip(*table))
+    writer.writerows([fmt_value(cell) for cell in row] for row in zip(*values))
     assert envelope("t", "csv", {}, columns) == (
         "# command=t\n# schema_version=1\n" + buffer.getvalue())
 
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
     expected = [dict(zip(header, row)) for row in zip(*values)]
     if not all(math.isfinite(v) for column in values for v in column
                if isinstance(v, float)):
@@ -147,3 +150,55 @@ def test_simulate_metadata_keys(model, law):
         "coupling_violations", "overall"]
     assert meta["alpha"] == run.report.gof.alpha
     assert meta["var_rel_tol"] == run.report.var_check.rel_tol
+
+
+# one run of each subcommand, simulate once per model
+SUBCOMMANDS = [
+    ["pmf", "--m", "3", "--k", "2"],
+    ["pgf", "--lambda", "0.5", "--k", "2", "--t", "1"],
+    ["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2", "--t", "1",
+     "--replicas", "2000"],
+    ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+     "--replicas", "2000"],
+    ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
+    ["mixture-check", "--a", "1", "--k", "2", "--t", "1"],
+    ["validate", "--replicas", "2000", "--mixture-draws", "20000",
+     "--calibration-seeds", "25"],
+]
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_only_builtin_scalars_reach_the_renderers(argv, fmt, monkeypatch, capsys):
+    # fmt_value has no numpy branch: an np.bool_ would render as True, not true
+    seen = []
+    real_fmt, real_csv, real_json = (reporting.fmt_value, reporting.render_csv,
+                                     reporting.render_json)
+
+    def fmt_spy(value):
+        seen.append(value)
+        return real_fmt(value)
+
+    def csv_spy(metadata, header, columns):
+        seen.extend(_leaves(metadata))
+        return real_csv(metadata, header, columns)
+
+    def json_spy(head, rows_key, header, columns):
+        seen.extend(_leaves(head))
+        return real_json(head, rows_key, header, columns)
+
+    monkeypatch.setattr(reporting, "fmt_value", fmt_spy)
+    monkeypatch.setattr(reporting, "render_csv", csv_spy)
+    monkeypatch.setattr(reporting, "render_json", json_spy)
+    assert main(argv + ["--format", fmt]) in (0, 1)
+    capsys.readouterr()
+    assert seen
+    assert {type(value) for value in seen} <= {bool, int, float, str}

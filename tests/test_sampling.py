@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from harrisproc import birth
 from harrisproc.distribution import HarrisParams, nb_pmf
 from harrisproc.sampling import (
     RngStream,
-    sample_exponential,
     sample_gamma,
     sample_harris,
     sample_nb,
@@ -114,23 +114,24 @@ class TestUniformContract:
 
 
 class TestExponential:
+    """The birth sampler's unit exponentials, birth._Exponentials(stream).take(n)."""
+
     def test_mean_unit_rate(self):
-        draws = sample_exponential(RngStream(42), 1.0, size=N_BIG)
+        draws = birth._Exponentials(RngStream(42)).take(N_BIG)
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_strictly_positive(self):
-        draws = sample_exponential(RngStream(3), 7.5, size=100_000)
+        draws = birth._Exponentials(RngStream(3)).take(100_000)
         assert draws.min() > 0.0
 
-    def test_exact_rate_scaling_on_same_stream(self):
-        base = sample_exponential(RngStream(7, 3), 1.0, size=1000)
-        halved = sample_exponential(RngStream(7, 3), 2.0, size=1000)
-        assert np.array_equal(halved, base * 0.5)
-
-    @pytest.mark.parametrize("rate", [0.0, -1.0])
-    def test_rate_validation(self, rate):
-        with pytest.raises(ValueError):
-            sample_exponential(RngStream(0), rate)
+    @pytest.mark.parametrize("stream", [partial(RngStream, 6),
+                                        partial(zeroing_stream, 6, 3)])
+    def test_calls_across_a_refill_equal_one_uniform_call(self, stream):
+        # the first take leaves 10 drawn values, so the second one refills
+        a, b = birth.DRAW_CHUNK - 10, 25
+        draws = birth._Exponentials(stream())
+        split = np.concatenate((draws.take(a), draws.take(b)))
+        assert np.array_equal(split, -np.log(stream().uniform(a + b)))
 
 
 class TestGamma:
@@ -271,7 +272,7 @@ class TestDistributionalConformance:
         w = self.WIDTH
 
         def run(rng):
-            draws = sample_exponential(rng, 1.0, size=self.N_PER_SEED)
+            draws = birth._Exponentials(rng).take(self.N_PER_SEED)
             cells = np.floor(draws / w).astype(int)
             pmf = lambda j: np.exp(-j * w) - np.exp(-(j + 1) * w)
             return cells, pmf
