@@ -20,6 +20,6 @@ from .sampling import (RngStream, sample_gamma, sample_harris, sample_nb,
                        sample_poisson)
 from .validation import (GofResult, MeanCheck, Scenario, ValidationReport,
                          VarCheck, chi_square_gof, chi_square_quantile,
-                         make_report, moment_check)
+                         moment_check)
 
 __version__ = "0.1.0"

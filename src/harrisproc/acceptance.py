@@ -26,7 +26,7 @@ from .mixture import (DRAW_BLOCK, MixtureParams, _mixture_quadrature,
 from .reporting import simulate_text
 from .sampling import RngStream, sample_harris
 from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
-                         add_tallies, chi_square_gof, gof_support, make_report,
+                         add_tallies, chi_square_gof, gof_support, moment_check,
                          tally, tally_moments)
 
 __all__ = [
@@ -169,11 +169,13 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    empirical_mean, empirical_var = tally_moments(observed)
     support, probs = gof_support(marginal, observed, replicas)
-    report = make_report(scenario, observed, support, probs, empirical_mean,
-                         empirical_var, analytic_mean, analytic_var, alpha=alpha,
-                         var_rel_tol=_variance_band(marginal, replicas))
+    gof = chi_square_gof(observed, support, probs, replicas, alpha)
+    mean_check, var_check = moment_check(
+        *tally_moments(observed), replicas, analytic_mean, analytic_var,
+        _variance_band(marginal, replicas))
+    report = ValidationReport(scenario, gof, mean_check, var_check,
+                              gof.passed and mean_check.passed and var_check.passed)
     # the expected count of every lattice point up to the largest observation
     shown = support <= max(observed)
     expected = dict(zip(support[shown].tolist(), (replicas * probs[shown]).tolist()))
@@ -368,4 +370,4 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
     results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
     _, rerun = _check_birth_mc(birth_replicas, seed)
     results.append(_check_determinism(birth_run, rerun))
-    return sorted(results, key=lambda r: r.number)
+    return results

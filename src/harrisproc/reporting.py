@@ -39,17 +39,19 @@ def fmt_value(value) -> str:
 _NUMERIC = {bool, int, float}
 
 
-def _cells(column: list, kinds: set):
-    """The column's cells as text, lazily, with one formatter per column.
+def _cells(column: list, kinds: set, fmt: str):
+    """The column's cells as CSV or JSON text, lazily, one formatter per column.
 
-    kinds is the set of the cells' types.  A column of one built-in type
-    skips fmt_value's type dispatch per cell; the text is the same.
+    kinds is the set of the cells' types.  A column of ints, or of floats
+    (all finite, for JSON), maps its type's repr and skips the dispatch per
+    cell; the text is the same.  Other cells go through fmt_value for CSV
+    and json.dumps for JSON, which raises ValueError on a non-finite float.
     """
-    if kinds == {float}:
-        return map(float.__repr__, column)
-    if kinds == {int}:
-        return map(int.__repr__, column)
-    return map(fmt_value, column)
+    if kinds == {int} or kinds == {float} and (fmt == "csv"
+                                               or all(map(math.isfinite, column))):
+        return map(next(iter(kinds)).__repr__, column)
+    return map(fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False),
+               column)
 
 
 def render_csv(metadata: dict, header, columns) -> str:
@@ -64,7 +66,7 @@ def render_csv(metadata: dict, header, columns) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     kinds = [set(map(type, column)) for column in columns]
-    rows = zip(*map(_cells, columns, kinds))
+    rows = zip(*(_cells(column, kind, "csv") for column, kind in zip(columns, kinds)))
     if all(kind <= _NUMERIC for kind in kinds):
         # no cell can need quoting; skipping csv.writer's per-field scan
         # halves the time of a 25k-row table
@@ -73,20 +75,6 @@ def render_csv(metadata: dict, header, columns) -> str:
     else:
         writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _json_cells(column: list):
-    """The column's cells as JSON text, lazily, with one formatter per column.
-
-    The text is what json.dumps writes for each cell.  A column holding a
-    non-finite float goes through json.dumps, which raises ValueError.
-    """
-    kinds = set(map(type, column))
-    if kinds == {float} and all(map(math.isfinite, column)):
-        return map(float.__repr__, column)
-    if kinds == {int}:
-        return map(int.__repr__, column)
-    return map(partial(json.dumps, allow_nan=False), column)
 
 
 def render_json(head: dict, rows_key: str, header, columns) -> str:
@@ -99,7 +87,7 @@ def render_json(head: dict, rows_key: str, header, columns) -> str:
     encoder; each row fills one %-template built from the header.
     """
     text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False)
-    rows = zip(*map(_json_cells, columns))
+    rows = zip(*(_cells(column, set(map(type, column)), "json") for column in columns))
     keys = (json.dumps(name).replace("%", "%%") for name in header)
     template = "    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     body = ",\n".join(map(template.__mod__, rows))

@@ -34,7 +34,6 @@ __all__ = [
     "chi_square_gof",
     "gof_support",
     "moment_check",
-    "make_report",
     "tally",
     "add_tallies",
     "tally_moments",
@@ -114,14 +113,6 @@ class GofResult:
     bins: tuple = field(repr=False)
 
 
-def _bin_label(lo: int, hi: int, open_tail: bool) -> str:
-    if open_tail:
-        return f">={lo}"
-    if lo == hi:
-        return str(lo)
-    return f"{lo}-{hi}"
-
-
 def gof_support(params: HarrisParams, observed, total: int) -> tuple:
     """(support, probs) arrays of a Harris law, long enough for chi_square_gof.
 
@@ -191,30 +182,29 @@ def chi_square_gof(observed, support, probs, total: int,
     # Observations past the read range belong to the open tail bin.
     tail_observed = observed_sum - sum(counts)
 
-    bins = []
-    acc_obs, acc_exp = 0, 0.0
-    acc_lo = None
+    # cells (lo, hi, observed, expected); hi is None for the open tail
+    cells = []
+    acc_lo, acc_obs, acc_exp = None, 0, 0.0
     for value, obs, exp in zip(values, counts, (total * probs[:end]).tolist()):
         if acc_lo is None:
             acc_lo = value
         acc_obs += obs
         acc_exp += exp
         if acc_exp >= MIN_EXPECTED_PER_BIN:
-            bins.append(Bin(_bin_label(acc_lo, value, False), acc_obs, acc_exp))
-            acc_obs, acc_exp, acc_lo = 0, 0.0, None
-    # Open tail (plus any residual accumulation) becomes the last bin.
+            cells.append((acc_lo, value, acc_obs, acc_exp))
+            acc_lo, acc_obs, acc_exp = None, 0, 0.0
+    # Open tail (plus any residual accumulation) becomes the last cell, or
+    # merges into the one before it if too few samples are expected there.
     acc_obs += tail_observed
     acc_exp += tail_expected
     if acc_lo is not None or acc_exp > 0.0 or acc_obs > 0:
-        tail_lo = acc_lo if acc_lo is not None else values[-1] + 1
-        tail_bin = Bin(_bin_label(tail_lo, tail_lo, True), acc_obs, acc_exp)
-        if tail_bin.expected >= MIN_EXPECTED_PER_BIN or not bins:
-            bins.append(tail_bin)
-        else:
-            last = bins.pop()
-            merged_lo = last.label.split("-")[0]
-            bins.append(Bin(f">={merged_lo}", last.observed + tail_bin.observed,
-                            last.expected + tail_bin.expected))
+        if cells and not acc_exp >= MIN_EXPECTED_PER_BIN:
+            lo, _, obs, exp = cells.pop()
+            acc_lo, acc_obs, acc_exp = lo, obs + acc_obs, exp + acc_exp
+        cells.append((values[-1] + 1 if acc_lo is None else acc_lo, None,
+                      acc_obs, acc_exp))
+    bins = [Bin(f">={lo}" if hi is None else f"{lo}" if lo == hi else f"{lo}-{hi}",
+                obs, exp) for lo, hi, obs, exp in cells]
     if len(bins) < 2:
         raise ValueError("fewer than two bins remain after merging")
 
@@ -244,14 +234,15 @@ class VarCheck:
 def moment_check(samples_mean: float, samples_var: float, n: int,
                  analytic_mean: float, analytic_var: float,
                  var_rel_tol: float = 0.05) -> tuple:
-    """(mean_pass, var_pass): 3-standard-error band and relative variance band."""
+    """(MeanCheck, VarCheck): 3-standard-error band and relative variance band."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
                          f"bands, got {n!r}")
     std_error = (analytic_var / n) ** 0.5
-    mean_pass = abs(samples_mean - analytic_mean) <= 3.0 * std_error
-    var_pass = abs(samples_var - analytic_var) <= var_rel_tol * analytic_var
-    return mean_pass, var_pass
+    return (MeanCheck(float(samples_mean), float(analytic_mean), float(std_error),
+                      abs(samples_mean - analytic_mean) <= 3.0 * std_error),
+            VarCheck(float(samples_var), float(analytic_var), float(var_rel_tol),
+                     abs(samples_var - analytic_var) <= var_rel_tol * analytic_var))
 
 
 @dataclass(frozen=True)
@@ -284,20 +275,3 @@ class ValidationReport:
                    MeanCheck(**payload["mean_check"]),
                    VarCheck(**payload["var_check"]), payload["overall"])
 
-
-def make_report(scenario: Scenario, observed, support, probs,
-                empirical_mean: float, empirical_var: float,
-                analytic_mean: float, analytic_var: float,
-                alpha: float = 0.01, var_rel_tol: float = 0.05) -> ValidationReport:
-    """Assemble the full verdict: GoF plus mean and variance bands."""
-    gof = chi_square_gof(observed, support, probs, scenario.replicas, alpha)
-    mean_pass, var_pass = moment_check(empirical_mean, empirical_var,
-                                       scenario.replicas, analytic_mean,
-                                       analytic_var, var_rel_tol=var_rel_tol)
-    std_error = (analytic_var / scenario.replicas) ** 0.5
-    mean_check = MeanCheck(float(empirical_mean), float(analytic_mean),
-                           float(std_error), mean_pass)
-    var_check = VarCheck(float(empirical_var), float(analytic_var),
-                         float(var_rel_tol), var_pass)
-    overall = gof.passed and mean_pass and var_pass
-    return ValidationReport(scenario, gof, mean_check, var_check, overall)

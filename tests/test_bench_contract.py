@@ -1,9 +1,10 @@
 """What the benchmark's traced pass reads of harrisproc.
 
 bench/layers.py rebinds every (module, attribute) of its TARGETS with
-getattr and counts birth paths through the batch's Trajectory views, so
-deleting one of these names breaks ``bench/run.py --trace 1``.  The file
-is loaded by path and only read.
+getattr, counts birth paths through the batch's Trajectory views and
+goodness-of-fit bins through ``gof.bins[*].expected``, so deleting one of
+these names breaks ``bench/run.py --trace 1``.  The file is loaded by path
+and only read.
 """
 
 import importlib
@@ -11,9 +12,11 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harrisproc.birth import ProcessParams, simulate_many
+from harrisproc.validation import chi_square_gof
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -41,3 +44,16 @@ def test_path_counts_read_the_batch():
     counts = Counter()
     layers._count_paths(counts, batch)
     assert counts == {"birth.replicas": 300, "birth.events": batch.n_events.sum()}
+
+
+def test_bin_counts_read_the_gof_result():
+    # geometric expected counts 600, 240, 96, 38.4, 15.36, then a thin tail
+    observed = {0: 600, 1: 240, 2: 96, 3: 38, 4: 16, 5: 6, 6: 4}
+    support = np.arange(50)
+    gof = chi_square_gof(observed, support, 0.6 * 0.4**support, 1000, 0.05)
+    counts = Counter()
+    layers._count_bins(counts, gof)
+    assert [b.label for b in gof.bins] == ["0", "1", "2", "3", "4", ">=5"]
+    assert counts == {"validation.gof.bins": 6,
+                      "validation.gof.min_expected": gof.bins[-1].expected}
+    assert counts["validation.gof.min_expected"] == pytest.approx(10.24)

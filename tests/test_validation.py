@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from harrisproc.acceptance import run_scenario
 from harrisproc.distribution import HarrisParams, harris_pmf
 from harrisproc.errors import ResourceLimitError
 from harrisproc.sampling import RngStream, sample_harris
 from harrisproc.validation import (
+    MIN_EXPECTED_PER_BIN,
+    Bin,
     Scenario,
     ValidationReport,
     chi_square_gof,
     chi_square_quantile,
     add_tallies,
     gof_support,
-    make_report,
     moment_check,
     tally,
     tally_moments,
@@ -119,6 +121,12 @@ class TestChiSquareGof:
         assert result.bins[-1].expected == pytest.approx(8.0, rel=1e-12)
         assert result.statistic < 1e-12
 
+    def test_a_negative_lower_bound_keeps_its_sign(self):
+        # the thin tail merges into the last cell, whose lower bound is -2
+        result = chi_square_gof({-3: 50, -2: 50}, np.array([-3, -2]),
+                                np.array([0.5, 0.47]), 100, 0.05)
+        assert [b.label for b in result.bins] == ["-3", ">=-2"]
+
     @pytest.mark.parametrize("support,probs", [
         (np.arange(4), np.full(3, 0.25)),
         (np.arange(4), np.full((4, 1), 0.25)),
@@ -129,6 +137,91 @@ class TestChiSquareGof:
     def test_malformed_arrays_raise(self, support, probs):
         with pytest.raises(ValueError, match="arrays of one length|must increase"):
             chi_square_gof({0: 4}, support, probs, 4, 0.05)
+
+
+def _reference_label(lo, hi, open_tail):
+    if open_tail:
+        return f">={lo}"
+    if lo == hi:
+        return str(lo)
+    return f"{lo}-{hi}"
+
+
+def _reference_gof(observed, support, probs, total, alpha):
+    """chi_square_gof as it was when each bin was labelled as it closed and
+    the merged tail read its lower bound back from the last label (which
+    mislabels a negative bound, so it is a reference on positive supports)."""
+    observed_sum = sum(observed.values())
+    cumulative = np.cumsum(probs)
+    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
+                           & (support >= max(observed)))
+    end = int(stops[0]) + 1 if stops.size else len(support)
+    values = support[:end].tolist()
+    counts = [observed.get(value, 0) for value in values]
+    tail_expected = max(total * (1.0 - float(cumulative[end - 1])), 0.0)
+    tail_observed = observed_sum - sum(counts)
+
+    bins = []
+    acc_obs, acc_exp = 0, 0.0
+    acc_lo = None
+    for value, obs, exp in zip(values, counts, (total * probs[:end]).tolist()):
+        if acc_lo is None:
+            acc_lo = value
+        acc_obs += obs
+        acc_exp += exp
+        if acc_exp >= MIN_EXPECTED_PER_BIN:
+            bins.append(Bin(_reference_label(acc_lo, value, False), acc_obs, acc_exp))
+            acc_obs, acc_exp, acc_lo = 0, 0.0, None
+    acc_obs += tail_observed
+    acc_exp += tail_expected
+    if acc_lo is not None or acc_exp > 0.0 or acc_obs > 0:
+        tail_lo = acc_lo if acc_lo is not None else values[-1] + 1
+        tail_bin = Bin(_reference_label(tail_lo, tail_lo, True), acc_obs, acc_exp)
+        if tail_bin.expected >= MIN_EXPECTED_PER_BIN or not bins:
+            bins.append(tail_bin)
+        else:
+            last = bins.pop()
+            merged_lo = last.label.split("-")[0]
+            bins.append(Bin(f">={merged_lo}", last.observed + tail_bin.observed,
+                            last.expected + tail_bin.expected))
+    if len(bins) < 2:
+        raise ValueError("fewer than two bins remain after merging")
+
+    statistic = sum((b.observed - b.expected) ** 2 / b.expected for b in bins)
+    df = len(bins) - 1
+    return (tuple(bins), float(statistic), df,
+            statistic <= chi_square_quantile(df, alpha))
+
+
+@st.composite
+def positive_gof_inputs(draw):
+    """A positive increasing support, probabilities summing to at most 1,
+    and an observed map that may reach past the support or between its points."""
+    support = sorted(draw(st.sets(st.integers(1, 400), min_size=1, max_size=30)))
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                     min_size=len(support), max_size=len(support))))
+    mass = draw(st.floats(0.5, 1.0))
+    probs = weights * (mass / weights.sum()) if weights.sum() > 0 else weights
+    observed = draw(st.dictionaries(
+        st.one_of(st.sampled_from(support), st.integers(1, 500)),
+        st.integers(1, 300), min_size=1, max_size=30))
+    return observed, np.array(support), probs, sum(observed.values())
+
+
+class TestGofMergeReference:
+    @settings(deadline=None, max_examples=300)
+    @given(positive_gof_inputs(), st.sampled_from([0.01, 0.05, 0.5]))
+    def test_bins_and_verdict_equal_the_label_parsing_loop(self, inputs, alpha):
+        observed, support, probs, total = inputs
+        try:
+            expected = _reference_gof(observed, support, probs, total, alpha)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=str(error)):
+                chi_square_gof(observed, support, probs, total, alpha)
+            return
+        result = chi_square_gof(observed, support, probs, total, alpha)
+        assert (result.bins, result.statistic, result.degrees_of_freedom,
+                result.passed) == expected
 
 
 def doubling_table(params, observed, total):
@@ -224,7 +317,10 @@ class TestGofSupport:
 
 class TestMomentCheck:
     def test_exact_match_passes(self):
-        assert moment_check(2.0, 4.0, 10_000, 2.0, 4.0) == (True, True)
+        mean, var = moment_check(2.0, 4.0, 10_000, 2.0, 4.0)
+        assert mean.passed and var.passed
+        assert mean.std_error == math.sqrt(4.0 / 10_000)
+        assert (var.empirical, var.analytic, var.rel_tol) == (4.0, 4.0, 0.05)
 
     def test_band_width_matches_corollary_variance(self):
         # 3 * sqrt(2e(e-1)/1e5) = 0.02899...; the law mean is e
@@ -232,16 +328,17 @@ class TestMomentCheck:
         band = 3 * math.sqrt(var / 100_000)
         assert band == pytest.approx(0.028995506008429803, rel=1e-12)
         ok, _ = moment_check(math.e + 0.9 * band, var, 100_000, math.e, var)
-        assert ok
+        assert ok.passed
+        assert ok.std_error == math.sqrt(var / 100_000)
         bad, _ = moment_check(math.e + 10 * math.sqrt(var / 100_000), var,
                               100_000, math.e, var)
-        assert not bad
+        assert not bad.passed
 
     def test_variance_relative_band(self):
         _, ok = moment_check(2.0, 4.1, 10_000, 2.0, 4.0)
-        assert ok
+        assert ok.passed
         _, bad = moment_check(2.0, 4.5, 10_000, 2.0, 4.0)
-        assert not bad
+        assert not bad.passed
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -310,24 +407,20 @@ def _example_report():
     params = HarrisParams(math.e, 2)
     draws = sample_harris(RngStream(42), params, size=10_000)
     scenario = Scenario("birth", {"lambda": 0.5, "k": 2}, 1.0, len(draws), 42)
-    mean, var = math.e, 2 * math.e * (math.e - 1)
     observed = Counter(draws.tolist())
     support, probs = gof_support(params, observed, len(draws))
-    return make_report(
-        scenario,
-        observed,
-        support,
-        probs,
-        float(draws.mean()),
-        float(draws.var(ddof=1)),
-        mean,
-        var,
-    )
+    gof = chi_square_gof(observed, support, probs, len(draws), 0.01)
+    mean_check, var_check = moment_check(
+        float(draws.mean()), float(draws.var(ddof=1)), len(draws), math.e,
+        2 * math.e * (math.e - 1))
+    return ValidationReport(scenario, gof, mean_check, var_check,
+                            gof.passed and mean_check.passed and var_check.passed)
 
 
 class TestReport:
     def test_overall_is_conjunction(self):
-        report = _example_report()
+        report = run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=2000,
+                              seed=3).report
         assert report.overall == (
             report.gof.passed and report.mean_check.passed and report.var_check.passed
         )
