@@ -64,8 +64,8 @@ def main():
         for value in draws.tolist():
             observed[value] = observed.get(value, 0) + 1
         # the law as two arrays: support values and their probabilities
-        support, probs = gof_support(params, observed, len(draws))
-        gof = chi_square_gof(observed, support, probs, len(draws), 0.05)
+        support, probs = gof_support(params, max(observed), len(draws))
+        gof = chi_square_gof(observed, support, probs, 0.05)
         rejections += not gof.passed
     print(f"calibration under the null: {rejections}/{seeds} rejections "
           f"at alpha=0.05 (rate {rejections / seeds:.3f})")

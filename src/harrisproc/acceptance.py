@@ -62,16 +62,12 @@ IDENTITY_GRID_K = (1, 2, 3, 5)
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """One simulated scenario with its verdict and empirical table.
-
-    horizon is the birth model's simulation horizon; None for the mixture.
-    """
+    """One simulated scenario with its verdict and empirical table."""
 
     report: ValidationReport
     observed: dict
     expected_counts: dict
     coupling_violations: int
-    horizon: float
 
 
 def _variance_band(marginal: HarrisParams, n: int) -> float:
@@ -123,18 +119,18 @@ def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> di
 
 
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
-                 lam: float = None, a: float = None, alpha: float = 0.01,
-                 horizon: float = None) -> ScenarioRun:
+                 lam: float = None, a: float = None,
+                 alpha: float = 0.01) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
     Model "birth" requires lam, takes no a, and simulates replica
-    trajectories to horizon (default t; replica block b on stream b); model
-    "mixture" requires a, takes no lam and no horizon, and draws replicas
-    samples (draw block b of DRAW_BLOCK on stream b).  Either way the
-    samples are tallied once; the goodness of fit, the exact sample mean
-    and variance and, for the mixture, the draws off the lattice
-    {1, 1+k, ...} are read from that tally.  The variance band widens with
-    the law's excess kurtosis at small replica counts (see _variance_band).
+    trajectories to t (replica block b on stream b); model "mixture"
+    requires a, takes no lam, and draws replicas samples (draw block b of
+    DRAW_BLOCK on stream b).  Either way the samples are tallied once; the
+    goodness of fit, the exact sample mean and variance and, for the
+    mixture, the draws off the lattice {1, 1+k, ...} are read from that
+    tally.  The variance band widens with the law's excess kurtosis at
+    small replica counts (see _variance_band).
     """
     # the moment bands need this many replicas; refuse before simulating
     if replicas < MIN_MOMENT_SAMPLES:
@@ -144,10 +140,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         if lam is None or a is not None:
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
-        horizon = t if horizon is None else float(horizon)
-        if horizon < t:
-            raise ValueError(f"horizon {horizon!r} shorter than query time {t!r}")
-        batch = simulate_many(params, horizon, replicas, seed)
+        batch = simulate_many(params, t, replicas, seed)
         violations = batch.coupling_violations()
         observed = empirical_distribution(batch, t)
         marginal = params.harris_at(t)
@@ -155,9 +148,8 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
                             t, replicas, seed)
     elif model == "mixture":
-        if a is None or lam is not None or horizon is not None:
-            raise ValueError("model 'mixture' takes the mixing rate a and "
-                             "no rate lam or horizon")
+        if a is None or lam is not None:
+            raise ValueError("model 'mixture' takes the mixing rate a and no rate lam")
         params = MixtureParams(a, k)
         observed = _tally_mixture(params, t, replicas, seed)
         violations = sum(count for value, count in observed.items()
@@ -169,8 +161,8 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    support, probs = gof_support(marginal, observed, replicas)
-    gof = chi_square_gof(observed, support, probs, replicas, alpha)
+    support, probs = gof_support(marginal, max(observed), replicas)
+    gof = chi_square_gof(observed, support, probs, alpha)
     mean_check, var_check = moment_check(
         *tally_moments(observed), replicas, analytic_mean, analytic_var,
         _variance_band(marginal, replicas))
@@ -179,8 +171,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     # the expected count of every lattice point up to the largest observation
     shown = support <= max(observed)
     expected = dict(zip(support[shown].tolist(), (replicas * probs[shown]).tolist()))
-    return ScenarioRun(report, observed, expected, violations,
-                       horizon if model == "birth" else None)
+    return ScenarioRun(report, observed, expected, violations)
 
 
 @dataclass(frozen=True)
@@ -269,9 +260,9 @@ def _check_yule_furry(replicas: int, seed: int):
     violations = batch.coupling_violations()
     observed = empirical_distribution(batch, t)
     # the decapitated geometric, not harris_pmf, so the check stays independent
-    support, _ = gof_support(params.harris_at(t), observed, replicas)
+    support, _ = gof_support(params.harris_at(t), max(observed), replicas)
     probs = decap_geometric_pmf(q, support)
-    gof = chi_square_gof(observed, support, probs, replicas, 0.01)
+    gof = chi_square_gof(observed, support, probs, 0.01)
     passed = ode_gap < 1e-8 and gof.passed
     detail = (
         f"ode gap {ode_gap:.3e} (budget 1e-08); gof stat {gof.statistic:.3f} "
@@ -316,9 +307,9 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     params = HarrisParams(2.0, 2)
     tallies = _map_streams(lambda seed: tally(sample_harris(
         RngStream(seed), params, size=draws_per_seed)), n_seeds)
-    support, probs = gof_support(params, [max(map(max, tallies))], draws_per_seed)
-    rejections = sum(not chi_square_gof(observed, support, probs, draws_per_seed,
-                                        0.05).passed for observed in tallies)
+    support, probs = gof_support(params, max(map(max, tallies)), draws_per_seed)
+    rejections = sum(not chi_square_gof(observed, support, probs, 0.05).passed
+                     for observed in tallies)
     rate = rejections / n_seeds
     return CriterionResult(
         8, "null-calibration", 0.01 <= rate <= 0.11,

@@ -69,8 +69,8 @@ class ProcessParams:
             raise ValueError(f"rate lam must be > 0, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
 
-    def rate_after(self, n_events: int) -> float:
-        """Jump rate (n*k + 1)*lam while n events have occurred."""
+    def rate_after(self, n_events):
+        """Jump rate (n*k + 1)*lam while n events have occurred; n may be an array."""
         return (n_events * self.k + 1) * self.lam
 
     def scale_at(self, t: float) -> float:
@@ -218,8 +218,7 @@ def _block_groups(params: ProcessParams, horizon: float, stream: RngStream,
     clock = np.zeros(size)
     groups, ids, clocks, pending = [], [], [], 0
     for j in itertools.count():
-        rate = (j * params.k + 1) * params.lam
-        clock = clock + draws.take(alive.size) / rate
+        clock = clock + draws.take(alive.size) / params.rate_after(j)
         inside = clock <= horizon
         alive, clock = alive[inside], clock[inside]
         if ids and (pending >= DRAW_CHUNK or alive.size == 0):
@@ -300,8 +299,6 @@ def empirical_distribution(batch: TrajectoryBatch, t: float) -> dict:
 class TransientSolution:
     """Forward-equation probabilities P(N(t) = 1 + n*k) for n = 0..n_max."""
 
-    params: ProcessParams
-    t: float
     probs: np.ndarray = field(repr=False)
     truncation_tail: float
 
@@ -321,7 +318,7 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
     itself: band[0] holds its diagonal -rates and band[1, j] = rates[j]
     the entry A[j+1, j] below it (LAPACK band storage, ml=1, mu=0).
     """
-    rates = (np.arange(n_max + 1) * params.k + 1) * params.lam
+    rates = params.rate_after(np.arange(n_max + 1))
 
     def rhs(p, _t):
         out = -rates * p
@@ -355,7 +352,7 @@ def solve_forward_odes(params: ProcessParams, t: float,
     if not 0.0 < tail_bound <= 1e-6:
         raise ValueError(f"tail bound must lie in (0, 1e-6], got {tail_bound!r}")
     if t == 0.0:
-        return TransientSolution(params, 0.0, np.array([1.0]), 0.0)
+        return TransientSolution(np.array([1.0]), 0.0)
 
     marginal = params.harris_at(t)
     n_max = max(truncation_index(marginal, tail_bound, max_terms=STATE_CAP), 2)
@@ -377,7 +374,7 @@ def solve_forward_odes(params: ProcessParams, t: float,
             f"forward integration produced probability {probs.min()!r}"
         )
     probs = np.clip(probs, 0.0, None)
-    return TransientSolution(params, t, probs, tail_bound_after(marginal, n_max))
+    return TransientSolution(probs, tail_bound_after(marginal, n_max))
 
 
 def process_moments(params: ProcessParams, t: float) -> tuple:

@@ -112,10 +112,9 @@ def cmd_pgf(args) -> tuple:
 
 
 def cmd_simulate(args) -> tuple:
-    # run_scenario refuses a route or a --horizon the model does not use
+    # run_scenario refuses a route the model does not use
     run = run_scenario(args.model, lam=args.lam, a=args.a, k=args.k, t=args.t,
-                       replicas=args.replicas, seed=args.seed, alpha=args.alpha,
-                       horizon=args.horizon)
+                       replicas=args.replicas, seed=args.seed, alpha=args.alpha)
     return simulate_text(run, args.format), run.report.overall
 
 
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "analytic law")
     p.add_argument("--model", choices=("birth", "mixture"), required=True)
     _add_law_options(p, ("--lambda", "--a"))
-    p.add_argument("--horizon", type=float, default=None,
-                   help="simulation horizon for the birth model (default: t)")
     p.add_argument("--replicas", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,

@@ -128,8 +128,8 @@ def simulate_text(run, fmt: str) -> str:
     report = run.report
     scenario = report.scenario
     meta = {"model": scenario.model, **scenario.params, "t": scenario.t}
-    if run.horizon is not None:
-        meta["horizon"] = run.horizon
+    if scenario.model == "birth":  # the paths are simulated to t
+        meta["horizon"] = scenario.t
     meta.update(replicas=scenario.replicas, seed=scenario.seed,
                 alpha=report.gof.alpha, rng=GENERATOR_ALGORITHM,
                 **_verdict_fields("gof", report.gof),

@@ -113,37 +113,34 @@ class GofResult:
     bins: tuple = field(repr=False)
 
 
-def gof_support(params: HarrisParams, observed, total: int) -> tuple:
+def gof_support(params: HarrisParams, largest: int, total: int) -> tuple:
     """(support, probs) arrays of a Harris law, long enough for chi_square_gof.
 
-    The table runs to the largest observed value or to the truncation index
-    certified for half the tail at which the test may stop, so it stops
-    inside: at k = 1 the bound is the true tail, and the half keeps 1 - cumsum
-    rounding from moving the stop past the end.  Past MAX_TERMS points the law
-    is refused with ResourceLimitError.
+    The table runs to largest, the largest of total observations, or to the
+    truncation index certified for half the tail at which the test may stop,
+    so it stops inside: at k = 1 the bound is the true tail, and the half
+    keeps 1 - cumsum rounding from moving the stop past the end.  Past
+    MAX_TERMS points the law is refused with ResourceLimitError.
     """
     n = max(truncation_index(params, min(MIN_EXPECTED_PER_BIN / (2 * total), 0.5)),
-            (max(observed) - 1) // params.k)
+            (largest - 1) // params.k)
     if n > MAX_TERMS:
         raise ResourceLimitError(f"goodness-of-fit support exceeded {MAX_TERMS} points")
     ns = np.arange(n + 1)
     return params.support_value(ns), harris_pmf(params, ns)
 
 
-def chi_square_gof(observed, support, probs, total: int,
-                   alpha: float) -> GofResult:
+def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     """Pearson chi-square test of observed frequencies against a p.m.f.
 
     Parameters
     ----------
     observed : mapping
-        Frequency map support value -> count; counts must sum to total.
+        Frequency map support value -> count, with a positive total.
     support : array of int
         Support values in increasing order, e.g. from gof_support.
     probs : array of float
         Probability of each support value.
-    total : int
-        Number of samples behind the observed map.
     alpha : float
         Significance level for the pass/fail threshold.
 
@@ -154,22 +151,18 @@ def chi_square_gof(observed, support, probs, total: int,
     past the support included.  Raises ValueError if fewer than two bins
     survive merging.
     """
-    if total <= 0:
-        raise ValueError(f"total must be positive, got {total!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
     if not observed:
         raise ValueError("observed frequency map is empty")
+    total = sum(observed.values())
+    if total <= 0:
+        raise ValueError(f"observed counts must sum to a positive total, got {total!r}")
     support, probs = np.asarray(support), np.asarray(probs, dtype=float)
     if support.ndim != 1 or support.shape != probs.shape or not support.size:
         raise ValueError("support and probs must be non-empty 1-d arrays of one length")
     if np.any(np.diff(support) <= 0):
         raise ValueError("support values must increase")
-    observed_sum = sum(observed.values())
-    if abs(observed_sum - total) > 1e-9 * max(total, 1):
-        raise ValueError(
-            f"observed counts sum to {observed_sum!r}, not the stated total {total!r}"
-        )
 
     # np.cumsum adds in support order, as a running sum does
     cumulative = np.cumsum(probs)
@@ -180,7 +173,7 @@ def chi_square_gof(observed, support, probs, total: int,
     counts = [observed.get(value, 0) for value in values]
     tail_expected = max(total * (1.0 - float(cumulative[end - 1])), 0.0)
     # Observations past the read range belong to the open tail bin.
-    tail_observed = observed_sum - sum(counts)
+    tail_observed = total - sum(counts)
 
     # cells (lo, hi, observed, expected); hi is None for the open tail
     cells = []

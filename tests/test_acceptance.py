@@ -104,8 +104,8 @@ def test_criterion_3_model1_monte_carlo(birth_run):
     _, states = birth_run
     marginal = HarrisParams(E, 2)
     observed = Counter(states.tolist())
-    support, probs = gof_support(marginal, observed, len(states))
-    gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
+    support, probs = gof_support(marginal, max(observed), len(states))
+    gof = chi_square_gof(observed, support, probs, alpha=0.01)
     mean_gap = abs(float(states.mean()) - E)
     analytic_var = 2 * E * (E - 1)  # = 9.34155 per the closed form
     var_rel = abs(float(states.var(ddof=1)) - analytic_var) / analytic_var
@@ -120,8 +120,8 @@ def test_criterion_4_model2_monte_carlo(mixture_draws):
     marginal = HarrisParams(2.0, 2)
     values, counts = np.unique(draws, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, counts)}
-    support, probs = gof_support(marginal, observed, len(draws))
-    gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.01)
+    support, probs = gof_support(marginal, max(observed), len(draws))
+    gof = chi_square_gof(observed, support, probs, alpha=0.01)
     mean_gap = abs(float(draws.mean()) - 2.0)
     var_rel = abs(float(draws.var(ddof=1)) - 4.0) / 4.0
     record(4, "model2-monte-carlo",
@@ -138,9 +138,9 @@ def test_criterion_5_yule_furry_triple_agreement(yule_run):
     decap = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - decap).max())
     observed = empirical_distribution(batch, 0.7)
-    support, _ = gof_support(params.harris_at(0.7), observed, len(states))
+    support, _ = gof_support(params.harris_at(0.7), max(observed), len(states))
     probs = decap_geometric_pmf(q, support)
-    gof = chi_square_gof(observed, support, probs, len(states), alpha=0.01)
+    gof = chi_square_gof(observed, support, probs, alpha=0.01)
     record(5, "yule-furry-reduction", ode_gap < 1e-8 and gof.passed,
            f"ode vs decapitated geometric {ode_gap:.3e} < 1e-8; "
            f"monte carlo gof {gof.statistic:.2f} <= {gof.threshold:.2f}")
@@ -278,8 +278,8 @@ def test_criterion_8_null_calibration():
         draws = sample_harris(RngStream(seed), params, size=10_000)
         values, counts = np.unique(draws, return_counts=True)
         observed = {int(v): int(c) for v, c in zip(values, counts)}
-        support, probs = gof_support(params, observed, len(draws))
-        gof = chi_square_gof(observed, support, probs, len(draws), alpha=0.05)
+        support, probs = gof_support(params, max(observed), len(draws))
+        gof = chi_square_gof(observed, support, probs, alpha=0.05)
         rejections += not gof.passed
     rate = rejections / 200
     record(8, "null-calibration", 0.01 <= rate <= 0.11,
@@ -309,8 +309,8 @@ def test_calibration_does_not_depend_on_the_worker_count(monkeypatch, capsys):
     alone = []
     for seed in range(25):
         observed = tally(sample_harris(RngStream(seed), params, size=2000))
-        own = gof_support(params, observed, 2000)
-        alone.append(chi_square_gof(observed, *own, 2000, 0.05).statistic)
+        own = gof_support(params, max(observed), 2000)
+        alone.append(chi_square_gof(observed, *own, 0.05).statistic)
     assert per_seed[0] == per_seed[1] == alone
     assert results[0] == results[1]
     assert texts[0] == texts[1]
@@ -356,14 +356,14 @@ def test_one_shared_table_gives_every_seed_its_own_gof(m, k):
     params = HarrisParams(m, k)
     tallies = [tally(sample_harris(RngStream(seed), params, size=10_000))
                for seed in range(50)]
-    shared = gof_support(params, [max(map(max, tallies))], 10_000)
+    shared = gof_support(params, max(map(max, tallies)), 10_000)
     own_lengths = set()
     for observed in tallies:
-        own = gof_support(params, observed, 10_000)
+        own = gof_support(params, max(observed), 10_000)
         own_lengths.add(len(own[0]))
         assert np.array_equal(own[1], shared[1][:len(own[1])])
-        assert (chi_square_gof(observed, *own, 10_000, 0.05)
-                == chi_square_gof(observed, *shared, 10_000, 0.05))
+        assert (chi_square_gof(observed, *own, 0.05)
+                == chi_square_gof(observed, *shared, 0.05))
     assert m == 2.0 or min(own_lengths) < len(shared[0])
 
 

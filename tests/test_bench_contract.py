@@ -1,13 +1,15 @@
-"""What the benchmark's traced pass reads of harrisproc.
+"""What the benchmark reads of harrisproc.
 
 bench/layers.py rebinds every (module, attribute) of its TARGETS with
 getattr, counts birth paths through the batch's Trajectory views and
 goodness-of-fit bins through ``gof.bins[*].expected``, so deleting one of
-these names breaks ``bench/run.py --trace 1``.  The file is loaded by path
-and only read.
+these names breaks ``bench/run.py --trace 1``.  bench/workloads.py gives
+the command lines the benchmark runs, so removing an option one of them
+uses breaks every pass.  The files are loaded by path and only read.
 """
 
 import importlib
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -16,19 +18,26 @@ import numpy as np
 import pytest
 
 from harrisproc.birth import ProcessParams, simulate_many
+from harrisproc.cli import build_parser
 from harrisproc.validation import chi_square_gof
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_layers():
-    # compiled from its text, so no bytecode cache is written next to it
-    module = types.ModuleType("bench_layers")
-    exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), module.__dict__)
+def _load(name):
+    # compiled from its text, so no bytecode cache is written next to it;
+    # registered while it runs, as dataclasses look up their module
+    path = BENCH / f"{name}.py"
+    module = sys.modules[f"bench_{name}"] = types.ModuleType(f"bench_{name}")
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[f"bench_{name}"]
     return module
 
 
-layers = _load_layers()
+layers = _load("layers")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("module, attribute",
@@ -50,10 +59,17 @@ def test_bin_counts_read_the_gof_result():
     # geometric expected counts 600, 240, 96, 38.4, 15.36, then a thin tail
     observed = {0: 600, 1: 240, 2: 96, 3: 38, 4: 16, 5: 6, 6: 4}
     support = np.arange(50)
-    gof = chi_square_gof(observed, support, 0.6 * 0.4**support, 1000, 0.05)
+    gof = chi_square_gof(observed, support, 0.6 * 0.4**support, 0.05)
     counts = Counter()
     layers._count_bins(counts, gof)
     assert [b.label for b in gof.bins] == ["0", "1", "2", "3", "4", ">=5"]
     assert counts == {"validation.gof.bins": 6,
                       "validation.gof.min_expected": gof.bins[-1].expected}
     assert counts["validation.gof.min_expected"] == pytest.approx(10.24)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_bench_op_parses(workload, seed):
+    for op in workloads.WORKLOADS[workload](seed).ops:
+        build_parser().parse_args(op.argv)

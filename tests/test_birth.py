@@ -156,8 +156,8 @@ class TestMonteCarloLaw:
         assert abs(states.mean() - mean) < 3 * math.sqrt(var / len(states))
         marginal = params.harris_at(1.0)
         observed = Counter(states.tolist())
-        support, probs = gof_support(marginal, observed, len(states))
-        result = chi_square_gof(observed, support, probs, len(states), 0.001)
+        support, probs = gof_support(marginal, max(observed), len(states))
+        result = chi_square_gof(observed, support, probs, 0.001)
         assert result.passed
 
     def test_yule_furry_reduction(self):
@@ -166,9 +166,9 @@ class TestMonteCarloLaw:
         states = simulate_many(params, 0.7, 20_000, seed=7).states_at(0.7)
         q = math.exp(-0.7)
         observed = Counter(states.tolist())
-        support, _ = gof_support(params.harris_at(0.7), observed, len(states))
+        support, _ = gof_support(params.harris_at(0.7), max(observed), len(states))
         probs = decap_geometric_pmf(q, support)
-        result = chi_square_gof(observed, support, probs, len(states), 0.001)
+        result = chi_square_gof(observed, support, probs, 0.001)
         assert result.passed
 
     def test_law_before_the_horizon(self):
@@ -177,8 +177,8 @@ class TestMonteCarloLaw:
         batch = simulate_many(params, 2.0, 20_000, seed=13)
         marginal = params.harris_at(0.5)
         observed = empirical_distribution(batch, 0.5)
-        support, probs = gof_support(marginal, observed, len(batch))
-        result = chi_square_gof(observed, support, probs, len(batch), 0.001)
+        support, probs = gof_support(marginal, max(observed), len(batch))
+        result = chi_square_gof(observed, support, probs, 0.001)
         assert result.passed
 
     def test_block_prefix_does_not_change_results(self):
@@ -212,8 +212,8 @@ class TestMonteCarloLaw:
 
         trajectories = simulate_many(params, t, 100_000, seed=11)
         observed = empirical_distribution(trajectories, t)
-        support, probs = gof_support(marginal, observed, 100_000)
-        gof = chi_square_gof(observed, support, probs, 100_000, 0.001)
+        support, probs = gof_support(marginal, max(observed), 100_000)
+        gof = chi_square_gof(observed, support, probs, 0.001)
         assert gof.passed
 
 

@@ -204,11 +204,11 @@ class TestSimulate:
 
     def test_horizon_past_the_event_cap_exits_2_before_any_draw(self, capsys,
                                                                 monkeypatch):
-        # the mean path to horizon 14 has e**14 - 1 > MAX_EVENTS events
+        # the mean path to t = 14 has e**14 - 1 > MAX_EVENTS events
         monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
-             "--t", "1", "--horizon", "14", "--replicas", "100"],
+             "--t", "14", "--replicas", "100"],
             capsys,
         )
         assert (code, out) == (2, "")
@@ -357,6 +357,8 @@ class TestParameterGuards:
         ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
          "--replicas", "1000", "--lambda", "5"],
         ["simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+         "--replicas", "1000", "--horizon", "9"],
+        ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
          "--replicas", "1000", "--horizon", "9"],
         ["pmf", "--m", "3", "--k", "1", "--t", "1"],
     ])

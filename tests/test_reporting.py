@@ -150,6 +150,7 @@ def test_simulate_metadata_keys(model, law):
         "coupling_violations", "overall"]
     assert meta["alpha"] == run.report.gof.alpha
     assert meta["var_rel_tol"] == run.report.var_check.rel_tol
+    assert meta.get("horizon", meta["t"]) == meta["t"]
 
 
 # one run of each subcommand, simulate once per model

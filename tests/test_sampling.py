@@ -30,11 +30,11 @@ def gof_passes(draws, law, alpha):
     """law is a HarrisParams, or a pmf of index arrays on 0, 1, 2, ..."""
     observed = Counter(np.asarray(draws).tolist())
     if isinstance(law, HarrisParams):
-        support, probs = gof_support(law, observed, len(draws))
+        support, probs = gof_support(law, max(observed), len(draws))
     else:
         support = np.arange(FIXED_TABLE)
         probs = law(support)
-    result = chi_square_gof(observed, support, probs, len(draws), alpha)
+    result = chi_square_gof(observed, support, probs, alpha)
     return result.passed
 
 

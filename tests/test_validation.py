@@ -63,7 +63,7 @@ class TestChiSquareGof:
     def test_self_consistency_statistic_zero(self):
         # ten equiprobable cells; expected counts fed back as observations
         observed = {v: 100 for v in range(10)}
-        result = chi_square_gof(observed, np.arange(10), np.full(10, 0.1), 1000, 0.05)
+        result = chi_square_gof(observed, np.arange(10), np.full(10, 0.1), 0.05)
         assert result.statistic < 1e-12
         assert result.passed
 
@@ -73,16 +73,16 @@ class TestChiSquareGof:
         draws = sample_harris(RngStream(0), HarrisParams(math.e, 1), size=100_000)
         wrong = HarrisParams(math.e, 2)
         observed = Counter(draws.tolist())
-        support, probs = gof_support(wrong, observed, len(draws))
-        result = chi_square_gof(observed, support, probs, len(draws), 0.01)
+        support, probs = gof_support(wrong, max(observed), len(draws))
+        result = chi_square_gof(observed, support, probs, 0.01)
         assert not result.passed
 
     def test_every_bin_reaches_minimum_expected(self):
         params = HarrisParams(2.0, 1)
         draws = sample_harris(RngStream(3), params, size=2000)
         observed = Counter(draws.tolist())
-        support, probs = gof_support(params, observed, len(draws))
-        result = chi_square_gof(observed, support, probs, len(draws), 0.05)
+        support, probs = gof_support(params, max(observed), len(draws))
+        result = chi_square_gof(observed, support, probs, 0.05)
         assert all(b.expected >= 5.0 for b in result.bins)
         assert result.bins[-1].label.startswith(">=")
         assert result.degrees_of_freedom == len(result.bins) - 1
@@ -92,22 +92,23 @@ class TestChiSquareGof:
         # spread mass too thinly past v=5 to stand alone
         observed = {0: 600, 1: 240, 2: 96, 3: 38, 4: 16, 5: 6, 6: 4}
         support = np.arange(50)
-        result = chi_square_gof(observed, support, 0.6 * 0.4**support, 1000, 0.05)
+        result = chi_square_gof(observed, support, 0.6 * 0.4**support, 0.05)
         assert result.bins[-1].label == ">=5"
         assert all(b.expected >= 5.0 for b in result.bins)
 
     def test_too_few_bins_raises(self):
         with pytest.raises(ValueError, match="fewer than two bins"):
-            chi_square_gof({0: 6}, np.arange(2), np.array([1.0, 0.0]), 6, 0.05)
+            chi_square_gof({0: 6}, np.arange(2), np.array([1.0, 0.0]), 0.05)
 
-    def test_total_mismatch_raises(self):
-        with pytest.raises(ValueError, match="not the stated total"):
-            chi_square_gof({0: 5, 1: 4}, np.arange(2), np.full(2, 0.5), 100, 0.05)
+    @pytest.mark.parametrize("observed", [{}, {1: 0, 2: 0}])
+    def test_no_observations_raise(self, observed):
+        with pytest.raises(ValueError, match="empty|positive total"):
+            chi_square_gof(observed, np.arange(1, 3), np.full(2, 0.5), 0.05)
 
     def test_observations_beyond_finite_support_count_in_tail(self):
         observed = {0: 50, 1: 30, 2: 12, 9: 8}
         result = chi_square_gof(observed, np.arange(4),
-                                np.array([0.5, 0.3, 0.12, 0.08]), 100, 0.05)
+                                np.array([0.5, 0.3, 0.12, 0.08]), 0.05)
         assert sum(b.observed for b in result.bins) == 100
 
     def test_support_ending_before_the_stop_rule_leaves_the_rest_to_the_tail(self):
@@ -115,7 +116,7 @@ class TestChiSquareGof:
         # reads all three points and the observations at 7 join the open tail
         observed = {0: 50, 1: 30, 2: 12, 7: 8}
         result = chi_square_gof(observed, np.arange(3), np.array([0.5, 0.3, 0.12]),
-                                100, 0.05)
+                                0.05)
         assert [b.label for b in result.bins] == ["0", "1", "2", ">=3"]
         assert result.bins[-1].observed == 8
         assert result.bins[-1].expected == pytest.approx(8.0, rel=1e-12)
@@ -124,7 +125,7 @@ class TestChiSquareGof:
     def test_a_negative_lower_bound_keeps_its_sign(self):
         # the thin tail merges into the last cell, whose lower bound is -2
         result = chi_square_gof({-3: 50, -2: 50}, np.array([-3, -2]),
-                                np.array([0.5, 0.47]), 100, 0.05)
+                                np.array([0.5, 0.47]), 0.05)
         assert [b.label for b in result.bins] == ["-3", ">=-2"]
 
     @pytest.mark.parametrize("support,probs", [
@@ -136,7 +137,7 @@ class TestChiSquareGof:
     ])
     def test_malformed_arrays_raise(self, support, probs):
         with pytest.raises(ValueError, match="arrays of one length|must increase"):
-            chi_square_gof({0: 4}, support, probs, 4, 0.05)
+            chi_square_gof({0: 4}, support, probs, 0.05)
 
 
 def _reference_label(lo, hi, open_tail):
@@ -217,9 +218,9 @@ class TestGofMergeReference:
             expected = _reference_gof(observed, support, probs, total, alpha)
         except ValueError as error:
             with pytest.raises(ValueError, match=str(error)):
-                chi_square_gof(observed, support, probs, total, alpha)
+                chi_square_gof(observed, support, probs, alpha)
             return
-        result = chi_square_gof(observed, support, probs, total, alpha)
+        result = chi_square_gof(observed, support, probs, alpha)
         assert (result.bins, result.statistic, result.degrees_of_freedom,
                 result.passed) == expected
 
@@ -239,9 +240,9 @@ def doubling_table(params, observed, total):
     return support, probs
 
 
-def gof_or_refusal(observed, table, total):
+def gof_or_refusal(observed, table):
     try:
-        return chi_square_gof(observed, *table, total, 0.01)
+        return chi_square_gof(observed, *table, 0.01)
     except ValueError as exc:
         return str(exc)
 
@@ -253,14 +254,14 @@ class TestGofSupport:
         params = HarrisParams(1000.0, 1)
         total = 100_000
         observed = tally(sample_harris(RngStream(5), params, size=total))
-        support, probs = gof_support(params, observed, total)
+        support, probs = gof_support(params, max(observed), total)
         assert len(support) > 9_900
         assert np.array_equal(support, np.arange(1, len(support) + 1))
         assert np.array_equal(probs, harris_pmf(params, np.arange(len(support))))
         # the arrays reach the point where the test stops reading
         stops = (total * (1.0 - np.cumsum(probs)) < 5.0) & (support >= max(observed))
         assert stops.any() and not stops[:len(support) // 2].any()
-        result = chi_square_gof(observed, support, probs, total, 0.01)
+        result = chi_square_gof(observed, support, probs, 0.01)
         assert sum(b.observed for b in result.bins) == total
         assert result.passed
 
@@ -277,22 +278,22 @@ class TestGofSupport:
         observed = tally(sample_harris(RngStream(seed), drawn, size=total))
         reference = doubling_table(params, observed, total)
         try:
-            support, probs = gof_support(params, observed, total)
+            support, probs = gof_support(params, max(observed), total)
         except ResourceLimitError:
             assert reference is None
             return
         assert total * (1.0 - np.cumsum(probs)[-1]) < 5.0
         assert support[-1] >= max(observed)
         assert reference is not None
-        assert (gof_or_refusal(observed, (support, probs), total)
-                == gof_or_refusal(observed, reference, total))
+        assert (gof_or_refusal(observed, (support, probs))
+                == gof_or_refusal(observed, reference))
 
     def test_arrays_agree_with_a_scalar_walk(self):
         # the walk chi_square_gof once made: one scalar pmf call per point
         # and a running sum, stopped by the same rule
         params = HarrisParams(3.0, 2)
         observed = tally(sample_harris(RngStream(1), params, size=20_000))
-        support, probs = gof_support(params, observed, 20_000)
+        support, probs = gof_support(params, max(observed), 20_000)
         cumulative = 0.0
         for n, (value, prob) in enumerate(zip(support.tolist(), probs.tolist())):
             assert value == 1 + 2 * n and prob == harris_pmf(params, n)
@@ -307,12 +308,12 @@ class TestGofSupport:
         # m = 1e7 would need about 1e8 points before the tail drops below 5
         params = HarrisParams(1e7, 1)
         with pytest.raises(ResourceLimitError, match="exceeded 1000000"):
-            gof_support(params, {1: 100_000}, 100_000)
+            gof_support(params, 1, 100_000)
 
     def test_observations_past_the_point_cap_are_refused(self):
         params = HarrisParams(2.0, 1)
         with pytest.raises(ResourceLimitError, match="exceeded 1000000 points"):
-            gof_support(params, {1: 99, 2_000_000: 1}, 100)
+            gof_support(params, 2_000_000, 100)
 
 
 class TestMomentCheck:
@@ -397,8 +398,8 @@ class TestCalibration:
         for seed in range(200):
             draws = sample_harris(RngStream(seed), params, size=10_000)
             observed = Counter(draws.tolist())
-            support, probs = gof_support(params, observed, len(draws))
-            result = chi_square_gof(observed, support, probs, len(draws), 0.05)
+            support, probs = gof_support(params, max(observed), len(draws))
+            result = chi_square_gof(observed, support, probs, 0.05)
             rejections += not result.passed
         assert 0.01 <= rejections / 200 <= 0.11
 
@@ -408,8 +409,8 @@ def _example_report():
     draws = sample_harris(RngStream(42), params, size=10_000)
     scenario = Scenario("birth", {"lambda": 0.5, "k": 2}, 1.0, len(draws), 42)
     observed = Counter(draws.tolist())
-    support, probs = gof_support(params, observed, len(draws))
-    gof = chi_square_gof(observed, support, probs, len(draws), 0.01)
+    support, probs = gof_support(params, max(observed), len(draws))
+    gof = chi_square_gof(observed, support, probs, 0.01)
     mean_check, var_check = moment_check(
         float(draws.mean()), float(draws.var(ddof=1)), len(draws), math.e,
         2 * math.e * (math.e - 1))
