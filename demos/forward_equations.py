@@ -23,7 +23,7 @@ from harrisproc import (
 def main():
     params = ProcessParams(lam=0.5, k=2)
     t = 1.0
-    solution = solve_forward_odes(params, t, tail_bound=1e-12)
+    solution = solve_forward_odes(params, t)
     closed = harris_pmf(params.harris_at(t), np.arange(solution.n_max + 1))
     gaps = np.abs(solution.probs - closed)
 

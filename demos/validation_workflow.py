@@ -26,7 +26,7 @@ def main():
 
     # a full scenario: simulate the birth model, test against its law
     run = run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=20_000,
-                       seed=42, alpha=0.01)
+                       seed=42)
     report = run.report
     print("birth-model validation run (20000 replicas, seed 42):")
     print(f"  gof statistic {report.gof.statistic:.3f} vs threshold "

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,13 +43,20 @@ DEFAULT_MIXTURE_DRAWS = 1_000_000
 DEFAULT_CALIBRATION_SEEDS = 200
 DEFAULT_ACCEPTANCE_SEED = 42
 CALIBRATION_DRAWS = 10_000
-# Criterion 8's band [0.01, 0.11] holds no rejection rate j/n for n < 10.
+# Criterion 8's band for the 5% test's rejection rate; it holds no rate j/n
+# for n < 10.
+CALIBRATION_BAND = (0.01, 0.11)
 MIN_CALIBRATION_SEEDS = 10
 # Streams _map_streams submits at once.  The pool makes a future (~1.6 KiB)
 # for each stream of a batch before the first result is read, so a fixed
 # batch bounds that memory for any stream count; 1024 holds the 200
 # calibration seeds or the 153 blocks of 1e7 mixture draws in one batch.
 STREAM_BATCH = 1024
+# Verdict thresholds, each shared by the commands and criteria it lists.
+ODE_GAP = 1e-8  # largest absolute ODE gap: ode, criteria 1 and 5
+QUAD_GAP = 1e-8  # quadrature gap, relative below: mixture-check, criterion 2
+GOF_ALPHA = 0.01  # goodness-of-fit level: simulate, criteria 3 to 5
+ODE_SOLVE_BUDGET = 1.0  # seconds per forward-equation solve: criterion 1
 
 ODE_GRID = tuple(
     (lam, k, t) for lam in (0.25, 0.5, 1.0) for k in (1, 2, 3) for t in (0.5, 1.0)
@@ -119,18 +127,18 @@ def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> di
 
 
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
-                 lam: float = None, a: float = None,
-                 alpha: float = 0.01) -> ScenarioRun:
+                 lam: float = None, a: float = None) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
     Model "birth" requires lam, takes no a, and simulates replica
     trajectories to t (replica block b on stream b); model "mixture"
     requires a, takes no lam, and draws replicas samples (draw block b of
-    DRAW_BLOCK on stream b).  Either way the samples are tallied once; the
-    goodness of fit, the exact sample mean and variance and, for the
-    mixture, the draws off the lattice {1, 1+k, ...} are read from that
-    tally.  The variance band widens with the law's excess kurtosis at
-    small replica counts (see _variance_band).
+    DRAW_BLOCK on stream b).  The law at t is checked before any draw.
+    The samples are tallied once; the goodness of fit at GOF_ALPHA, the
+    exact sample mean and variance and, for the mixture, the draws off the
+    lattice {1, 1+k, ...} are read from that tally.  The variance band
+    widens with the law's excess kurtosis at small replica counts (see
+    _variance_band).
     """
     # the moment bands need this many replicas; refuse before simulating
     if replicas < MIN_MOMENT_SAMPLES:
@@ -140,10 +148,10 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         if lam is None or a is not None:
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
+        marginal = params.harris_at(t)
         batch = simulate_many(params, t, replicas, seed)
         violations = batch.coupling_violations()
         observed = empirical_distribution(batch, t)
-        marginal = params.harris_at(t)
         analytic_mean, analytic_var = process_moments(params, t)
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
                             t, replicas, seed)
@@ -151,10 +159,10 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         if a is None or lam is not None:
             raise ValueError("model 'mixture' takes the mixing rate a and no rate lam")
         params = MixtureParams(a, k)
+        marginal = params.harris_at(t)
         observed = _tally_mixture(params, t, replicas, seed)
         violations = sum(count for value, count in observed.items()
                          if (value - 1) % params.k)
-        marginal = params.harris_at(t)
         analytic_mean, analytic_var = mixture_moments(params, t)
         scenario = Scenario("mixture", {"a": params.a, "k": params.k},
                             t, replicas, seed)
@@ -162,7 +170,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         raise ValueError(f"unknown model {model!r}")
 
     support, probs = gof_support(marginal, max(observed), replicas)
-    gof = chi_square_gof(observed, support, probs, alpha)
+    gof = chi_square_gof(observed, support, probs, GOF_ALPHA)
     mean_check, var_check = moment_check(
         *tally_moments(observed), replicas, analytic_mean, analytic_var,
         _variance_band(marginal, replicas))
@@ -195,12 +203,12 @@ def _check_ode_grid() -> CriterionResult:
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
         closed = harris_pmf(params.harris_at(t), np.arange(solution.n_max + 1))
         worst_gap = max(worst_gap, float(np.abs(solution.probs - closed).max()))
-    in_budget = worst_elapsed < 1.0
+    in_budget = worst_elapsed < ODE_SOLVE_BUDGET
     # the measured time stays out of the detail, so reruns print the same bytes
     return CriterionResult(
-        1, "forward-equations-vs-closed-form", worst_gap < 1e-8 and in_budget,
-        f"max-abs gap {worst_gap:.3e} (budget 1e-08); slowest solve "
-        f"{'within' if in_budget else 'over'} the 1s budget",
+        1, "forward-equations-vs-closed-form", worst_gap < ODE_GAP and in_budget,
+        f"max-abs gap {worst_gap:.3e} (budget {ODE_GAP:.0e}); slowest solve "
+        f"{'within' if in_budget else 'over'} the {ODE_SOLVE_BUDGET:g}s budget",
     )
 
 
@@ -213,39 +221,24 @@ def _check_quadrature_grid() -> CriterionResult:
     quad = _mixture_quadrature(a, k, t, ns)
     return CriterionResult(
         2, "mixture-quadrature-vs-closed-form",
-        quadrature_agrees(closed, quad, 1e-8),
-        f"max-abs gap {np.abs(closed - quad).max():.3e} (budget 1e-08)",
+        quadrature_agrees(closed, quad, QUAD_GAP),
+        f"max-abs gap {np.abs(closed - quad).max():.3e} (budget {QUAD_GAP:.0e})",
     )
 
 
-def _check_birth_mc(replicas: int, seed: int):
-    run = run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=replicas,
-                       seed=seed, alpha=0.01)
-    report = run.report
-    passed = report.overall
+def _check_monte_carlo(number: int, name: str, model: str, replicas: int,
+                       seed: int, **law):
+    """Criteria 3 and 4: one model's law, mean and variance at t; returns
+    the verdict and the run."""
+    run = run_scenario(model, replicas=replicas, seed=seed, **law)
+    gof, mean, var = run.report.gof, run.report.mean_check, run.report.var_check
     detail = (
-        f"gof stat {report.gof.statistic:.3f} vs threshold "
-        f"{report.gof.threshold:.3f}; mean {report.mean_check.empirical:.4f} "
-        f"in {report.mean_check.analytic:.4f}+/-{3 * report.mean_check.std_error:.4f}; "
-        f"var {report.var_check.empirical:.4f} within "
-        f"{100 * report.var_check.rel_tol:.3g}% of {report.var_check.analytic:.4f}"
+        f"gof stat {gof.statistic:.3f} vs threshold {gof.threshold:.3f}; "
+        f"mean {mean.empirical:.4f} in {mean.analytic:.5g}+/-"
+        f"{3 * mean.std_error:.4f}; var {var.empirical:.4f} within "
+        f"{100 * var.rel_tol:.3g}% of {var.analytic:.5g}"
     )
-    return CriterionResult(3, "model1-monte-carlo-law", passed, detail), run
-
-
-def _check_mixture_mc(draws: int, seed: int):
-    run = run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=draws,
-                       seed=seed, alpha=0.01)
-    report = run.report
-    detail = (
-        f"gof stat {report.gof.statistic:.3f} vs threshold "
-        f"{report.gof.threshold:.3f}; mean {report.mean_check.empirical:.4f} "
-        f"in 2+/-{3 * report.mean_check.std_error:.4f}; var "
-        f"{report.var_check.empirical:.4f} within "
-        f"{100 * report.var_check.rel_tol:.3g}% of 4"
-    )
-    result = CriterionResult(4, "model2-monte-carlo-law", report.overall, detail)
-    return result, run
+    return CriterionResult(number, name, run.report.overall, detail), run
 
 
 def _check_yule_furry(replicas: int, seed: int):
@@ -262,10 +255,10 @@ def _check_yule_furry(replicas: int, seed: int):
     # the decapitated geometric, not harris_pmf, so the check stays independent
     support, _ = gof_support(params.harris_at(t), max(observed), replicas)
     probs = decap_geometric_pmf(q, support)
-    gof = chi_square_gof(observed, support, probs, 0.01)
-    passed = ode_gap < 1e-8 and gof.passed
+    gof = chi_square_gof(observed, support, probs, GOF_ALPHA)
+    passed = ode_gap < ODE_GAP and gof.passed
     detail = (
-        f"ode gap {ode_gap:.3e} (budget 1e-08); gof stat {gof.statistic:.3f} "
+        f"ode gap {ode_gap:.3e} (budget {ODE_GAP:.0e}); gof stat {gof.statistic:.3f} "
         f"vs threshold {gof.threshold:.3f}"
     )
     return CriterionResult(5, "yule-furry-reduction", passed, detail), violations
@@ -287,12 +280,14 @@ def _check_identities() -> CriterionResult:
             worst_pgf_one = max(worst_pgf_one, abs(harris_pgf(params, 1.0) - 1.0))
             deriv = (harris_pgf(params, 1.0 + h) - harris_pgf(params, 1.0 - h)) / (2 * h)
             worst_deriv = max(worst_deriv, abs(deriv - m) / m)
-    passed = worst_nb <= 1e-14 and worst_pgf_one <= 1e-12 and worst_deriv <= 1e-5
+    nb_budget, one_budget, deriv_budget = 1e-14, 1e-12, 1e-5
+    passed = (worst_nb <= nb_budget and worst_pgf_one <= one_budget
+              and worst_deriv <= deriv_budget)
     return CriterionResult(
         7, "identity-suite", passed,
-        f"nb identity gap {worst_nb:.1e} (budget 1e-14); pgf(1) gap "
-        f"{worst_pgf_one:.1e} (budget 1e-12); pgf'(1) rel err {worst_deriv:.3e} "
-        f"(budget 1e-05)",
+        f"nb identity gap {worst_nb:.1e} (budget {nb_budget:.0e}); pgf(1) gap "
+        f"{worst_pgf_one:.1e} (budget {one_budget:.0e}); pgf'(1) rel err "
+        f"{worst_deriv:.3e} (budget {deriv_budget:.0e})",
     )
 
 
@@ -310,10 +305,10 @@ def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
     support, probs = gof_support(params, max(map(max, tallies)), draws_per_seed)
     rejections = sum(not chi_square_gof(observed, support, probs, 0.05).passed
                      for observed in tallies)
-    rate = rejections / n_seeds
+    rate, (low, high) = rejections / n_seeds, CALIBRATION_BAND
     return CriterionResult(
-        8, "null-calibration", 0.01 <= rate <= 0.11,
-        f"rejection rate {rate:.3f} over {n_seeds} seeds (band [0.01, 0.11])",
+        8, "null-calibration", low <= rate <= high,
+        f"rejection rate {rate:.3f} over {n_seeds} seeds (band [{low}, {high}])",
     )
 
 
@@ -343,13 +338,15 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         if count < MIN_MOMENT_SAMPLES:
             raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} {name}, "
                              f"got {count!r}")
+    criterion_3 = partial(_check_monte_carlo, 3, "model1-monte-carlo-law",
+                          "birth", birth_replicas, seed, lam=0.5, k=2, t=1.0)
     results = [_check_ode_grid(), _check_quadrature_grid()]
-    birth_result, birth_run = _check_birth_mc(birth_replicas, seed)
-    results.append(birth_result)
-    mixture_result, mixture_run = _check_mixture_mc(mixture_draws, seed)
-    results.append(mixture_result)
+    birth_result, birth_run = criterion_3()
+    mixture_result, mixture_run = _check_monte_carlo(
+        4, "model2-monte-carlo-law", "mixture", mixture_draws, seed,
+        a=1.0, k=2, t=1.0)
     yule_result, yule_violations = _check_yule_furry(birth_replicas, seed)
-    results.append(yule_result)
+    results += [birth_result, mixture_result, yule_result]
     violations = (birth_run.coupling_violations + yule_violations
                   + mixture_run.coupling_violations)
     results.append(CriterionResult(
@@ -359,6 +356,6 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
     ))
     results.append(_check_identities())
     results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
-    _, rerun = _check_birth_mc(birth_replicas, seed)
+    _, rerun = criterion_3()
     results.append(_check_determinism(birth_run, rerun))
     return results

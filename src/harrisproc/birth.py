@@ -40,10 +40,12 @@ __all__ = [
     "process_moments",
 ]
 
-# Read on every call: caps for pathological parameters, LSODA's rtol and atol.
+# Read on every call: caps for pathological parameters, LSODA's rtol and
+# atol, and the certified tail beyond the forward equations' state grid.
 MAX_EVENTS = 1_000_000
 STATE_CAP = 20_000
 ODE_TOL = 1e-10
+ODE_TAIL = 1e-12
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
 # Uniforms a block draws ahead, and about the events per group when the
@@ -331,13 +333,12 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
     return rhs, band
 
 
-def solve_forward_odes(params: ProcessParams, t: float,
-                       tail_bound: float = 1e-12) -> TransientSolution:
+def solve_forward_odes(params: ProcessParams, t: float) -> TransientSolution:
     """Integrate the truncated forward equations from the unit start to t.
 
-    The grid stops at the certified truncation index of the closed-form
-    tail.  The system is lower triangular (state n is fed only by n-1), so
-    truncating it leaves every retained state exact: no margin is needed.
+    The grid stops where the certified closed-form tail falls below
+    ODE_TAIL.  The system is lower triangular (state n is fed only by n-1),
+    so truncating it leaves every retained state exact: no margin is needed.
     The rates run up to (n_max*k + 1)*lam, so the system is stiff; LSODA
     with the exact Jacobian sizes its steps by accuracy, not by stability.
     Raises ConvergenceError if the integration fails, and
@@ -349,13 +350,11 @@ def solve_forward_odes(params: ProcessParams, t: float,
     t = float(t)
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    if not 0.0 < tail_bound <= 1e-6:
-        raise ValueError(f"tail bound must lie in (0, 1e-6], got {tail_bound!r}")
     if t == 0.0:
         return TransientSolution(np.array([1.0]), 0.0)
 
     marginal = params.harris_at(t)
-    n_max = max(truncation_index(marginal, tail_bound, max_terms=STATE_CAP), 2)
+    n_max = max(truncation_index(marginal, ODE_TAIL, max_terms=STATE_CAP), 2)
     rhs, band = _forward_system(params, n_max)
     y0 = np.zeros(n_max + 1)
     y0[0] = 1.0

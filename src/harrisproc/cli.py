@@ -12,20 +12,21 @@ the birth process via --lambda and --t (m = exp(t*lambda*k)), or through
 the gamma mixture via --a and --t (m = (a+t)/a).  pmf and pgf take exactly
 one of the three (--m without --t); simulate takes the route of its
 --model; ode takes only --lambda and mixture-check only --a.  An option a
-subcommand does not read is refused with exit 2.
+subcommand does not read is refused with exit 2.  Every check is judged at
+a fixed threshold, the one its acceptance criterion reads (ODE_GAP,
+QUAD_GAP, GOF_ALPHA) or PGF_GAP; no option moves it.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from functools import cache, partial
 
 import numpy as np
 
-from .birth import ProcessParams, solve_forward_odes
+from .birth import ODE_TAIL, ProcessParams, solve_forward_odes
 from .distribution import (HarrisParams, harris_pgf, harris_pmf, pmf_table,
                            tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
@@ -34,22 +35,16 @@ from .mixture import (MixtureParams, mixture_pmf, mixture_pmf_quadrature,
 from .reporting import envelope, simulate_text
 from .acceptance import (DEFAULT_ACCEPTANCE_SEED, DEFAULT_BIRTH_REPLICAS,
                          DEFAULT_CALIBRATION_SEEDS, DEFAULT_MIXTURE_DRAWS,
-                         run_acceptance, run_scenario)
+                         GOF_ALPHA, ODE_GAP, QUAD_GAP, run_acceptance,
+                         run_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 DEFAULT_SEED = 0
-DEFAULT_ALPHA = 0.01
 DEFAULT_TAIL = 1e-12
-DEFAULT_TOL = 1e-8
-
-
-def _tolerance(tol: float) -> float:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be > 0 and finite, got {tol!r}")
-    return float(tol)
+PGF_GAP = 1e-10  # largest allowed gap between pgf and its power series
 
 
 def _resolve_params(args) -> tuple:
@@ -95,7 +90,6 @@ def cmd_pmf(args) -> tuple:
 
 
 def cmd_pgf(args) -> tuple:
-    tol = _tolerance(args.tol)
     params, meta = _resolve_params(args)
     xs, probs, _ = pmf_table(params, 1e-15)
     ss = [round(0.05 * i, 2) for i in range(21)]
@@ -106,52 +100,51 @@ def cmd_pgf(args) -> tuple:
         series = [float((probs * np.exp(xs * np.log(s))).sum()) for s in ss]
     gaps = [abs(v - w) for v, w in zip(values, series)]
     worst = max(gaps)
-    meta.update({"tol": tol, "max_abs_diff": worst, "passed": worst < tol})
+    passed = worst < PGF_GAP
+    meta.update({"tol": PGF_GAP, "max_abs_diff": worst, "passed": passed})
     columns = {"s": ss, "pgf": values, "series_sum": series, "abs_diff": gaps}
-    return envelope("pgf", args.format, meta, columns), worst < tol
+    return envelope("pgf", args.format, meta, columns), passed
 
 
 def cmd_simulate(args) -> tuple:
     # run_scenario refuses a route the model does not use
     run = run_scenario(args.model, lam=args.lam, a=args.a, k=args.k, t=args.t,
-                       replicas=args.replicas, seed=args.seed, alpha=args.alpha)
+                       replicas=args.replicas, seed=args.seed)
     return simulate_text(run, args.format), run.report.overall
 
 
 def cmd_ode(args) -> tuple:
-    tol = _tolerance(args.tol)
     params = ProcessParams(args.lam, args.k)
-    meta = {"lambda": float(args.lam), "k": args.k, "t": float(args.t),
-            "tail": float(args.tail), "tol": tol}
-    solution = solve_forward_odes(params, args.t, tail_bound=args.tail)
+    solution = solve_forward_odes(params, args.t)
+    ns = np.arange(solution.n_max + 1)
     if args.t == 0.0:
         closed = np.array([1.0])
     else:
-        closed = harris_pmf(params.harris_at(args.t),
-                            np.arange(solution.n_max + 1))
+        closed = harris_pmf(params.harris_at(args.t), ns)
     gaps = np.abs(solution.probs - closed)
     worst = float(gaps.max())
-    meta.update({"n_max": solution.n_max, "max_abs_diff": worst,
-                 "passed": worst < tol})
-    ns = np.arange(solution.n_max + 1)
+    passed = worst < ODE_GAP
+    meta = {"lambda": float(args.lam), "k": args.k, "t": float(args.t),
+            "tail": ODE_TAIL, "tol": ODE_GAP, "n_max": solution.n_max,
+            "max_abs_diff": worst, "passed": passed}
     columns = {"n": ns, "x": 1 + ns * params.k,
                "ode_probability": solution.probs,
                "closedform_probability": closed, "abs_diff": gaps}
-    return envelope("ode", args.format, meta, columns), worst < tol
+    return envelope("ode", args.format, meta, columns), passed
 
 
 def cmd_mixture_check(args) -> tuple:
     if args.nmax < 0:
         raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
-    tol = _tolerance(args.tol)
     params = MixtureParams(args.a, args.k)
     ns = np.arange(args.nmax + 1)
     closed = mixture_pmf(params, args.t, ns)
     quad = mixture_pmf_quadrature(params, args.t, ns)
-    gaps, passed = np.abs(closed - quad), quadrature_agrees(closed, quad, tol)
+    gaps = np.abs(closed - quad)
+    passed = quadrature_agrees(closed, quad, QUAD_GAP)
     meta = {"a": float(args.a), "k": args.k, "t": float(args.t),
-            "nmax": args.nmax, "tol": tol, "max_abs_diff": float(gaps.max()),
-            "passed": passed}
+            "nmax": args.nmax, "tol": QUAD_GAP,
+            "max_abs_diff": float(gaps.max()), "passed": passed}
     columns = {"n": ns, "x": 1 + ns * params.k, "closed_form": closed,
                "quadrature": quad, "abs_diff": gaps}
     return envelope("mixture-check", args.format, meta, columns), passed
@@ -226,42 +219,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pmf)
 
     p = command("pgf", help="evaluate the generating function against its "
-                            "own power series")
+                            f"own power series (gap below {PGF_GAP:g})")
     _add_law_options(p, ("--m", "--lambda", "--a"))
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="largest allowed pgf-vs-series gap")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_pgf)
 
     p = command("simulate", help="run a model and validate it against its "
-                                 "analytic law")
+                                 f"analytic law (fit at alpha {GOF_ALPHA:g})")
     p.add_argument("--model", choices=("birth", "mixture"), required=True)
     _add_law_options(p, ("--lambda", "--a"))
     p.add_argument("--replicas", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                   help="goodness-of-fit significance level")
     _add_output_options(p, "json")
     p.set_defaults(func=cmd_simulate)
 
     p = command("ode", help="integrate the forward equations and compare "
-                            "with the closed form")
+                            f"with the closed form (gap below {ODE_GAP:g})")
     _add_law_options(p, ("--lambda",))
-    p.add_argument("--tail", type=float, default=DEFAULT_TAIL,
-                   help="truncation tail bound for the state grid")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="largest allowed absolute ode-vs-closed-form gap; "
-                        "rows below about 1e-10 (the solver's atol) carry "
-                        "no relative precision")
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_ode)
 
     p = command("mixture-check", help="compare the mixture closed form "
-                                      "against adaptive quadrature")
+                                      "against adaptive quadrature (gap "
+                                      f"below {QUAD_GAP:g})")
     _add_law_options(p, ("--a",))
     p.add_argument("--nmax", type=int, default=20,
                    help="largest count index to check")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_options(p, "csv")
     p.set_defaults(func=cmd_mixture_check)
 

@@ -342,12 +342,13 @@ class TestForwardEquations:
 
     @pytest.mark.parametrize("lam,k,t", [(0.5, 2, 1.0), (1.0, 3, 1.0),
                                          (1.0, 1, 4.0)])
-    def test_tighter_tail_agrees_on_the_overlap(self, lam, k, t):
+    def test_tighter_tail_agrees_on_the_overlap(self, lam, k, t, monkeypatch):
         # the system is lower triangular, so a longer grid leaves the states
         # both grids hold unchanged up to the integration error
         params = ProcessParams(lam, k)
-        coarse = solve_forward_odes(params, t, tail_bound=1e-12)
-        fine = solve_forward_odes(params, t, tail_bound=1e-14)
+        coarse = solve_forward_odes(params, t)
+        monkeypatch.setattr(birth, "ODE_TAIL", 1e-14)
+        fine = solve_forward_odes(params, t)
         assert fine.n_max > coarse.n_max
         overlap = fine.probs[:coarse.n_max + 1]
         assert np.abs(overlap - coarse.probs).max() < 1e-9

@@ -214,6 +214,21 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "averages 1.203e+06 events, more than 1000000" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "birth", "--lambda", "1e-300", "--t", "1",
+          "--replicas", "3000000"], "m must be > 1 and finite, got 1.0"),
+        (["--model", "mixture", "--a", "1", "--t", "inf"],
+         "m must be > 1 and finite, got inf"),
+    ])
+    def test_invalid_law_exits_2_before_any_draw(self, argv, message, capsys,
+                                                 monkeypatch):
+        # a draw would raise TypeError
+        monkeypatch.setattr(birth, "RngStream", None)
+        monkeypatch.setattr(acceptance, "RngStream", None)
+        code, out, err = run_cli(["simulate", "--k", "2"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: scale parameter {message}\n"
+
     def test_threads_flag_is_rejected(self, capsys):
         for command in (["simulate", "--model", "birth", "--lambda", "0.5",
                          "--k", "2", "--t", "1", "--replicas", "500"],
@@ -299,11 +314,17 @@ class TestParameterGuards:
         (["pgf", "--m", "1e300", "--k", "2"], "exceeded 1000000 terms"),
         (["ode", "--lambda", "50", "--k", "3", "--t", "1"],
          "exceeded 20000 terms"),
-        *[(argv + ["--tol", tol], "tolerance must be > 0 and finite")
-          for argv in (["pgf", "--m", "2", "--k", "1"],
-                       ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
-                       ["mixture-check", "--a", "1", "--k", "2", "--t", "1"])
-          for tol in ("0", "-1", "nan", "inf")],
+        # a simulated law that is no Harris law, refused before any draw
+        *[(["simulate", "--model", model, route, value, "--k", "2", "--t", t,
+            "--replicas", "1000"], "m must be > 1 and finite")
+          for model, route, value, t in (
+              *[(model, route, "1", t)
+                for model, route in (("birth", "--lambda"), ("mixture", "--a"))
+                for t in ("0", "-1", "nan", "inf")],
+              ("birth", "--lambda", "1e-300", "1"),
+              ("birth", "--lambda", "inf", "1"),
+              ("mixture", "--a", "1e300", "1"),
+              ("mixture", "--a", "1e-320", "1"))],
         (["pgf", "--m", "1e300", "--k", "3"], "exceeded 1000000 terms"),
         (["pmf", "--m", "1e5", "--k", "1"], "exceeded 1000000 terms"),
         (["pmf", "--a", "1e-300", "--t", "1", "--k", "1"],
@@ -313,9 +334,9 @@ class TestParameterGuards:
          "tail bound must lie in"),
         (["pmf", "--m", "14.770960494304251", "--k", "1", "--tail", "1e-320"],
          "tail bound must lie in"),
-        (["ode", "--lambda", "1", "--k", "1", "--t", "1", "--tail", "1e-320"],
-         "tail bound must lie in"),
         # 8e16 bytes, past a 128 TiB address space: the allocation fails at once
+        (["validate", "--replicas", str(10**16), "--calibration-seeds", "10"],
+         "error: Unable to allocate"),
         (["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
           "--replicas", str(10**16)], "error: Unable to allocate"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
@@ -361,6 +382,13 @@ class TestParameterGuards:
         ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
          "--replicas", "1000", "--horizon", "9"],
         ["pmf", "--m", "3", "--k", "1", "--t", "1"],
+        # the verdict thresholds are fixed
+        ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
+         "--replicas", "1000", "--alpha", "0.5"],
+        ["pgf", "--m", "2", "--k", "1", "--tol", "1"],
+        ["ode", "--lambda", "1", "--k", "1", "--t", "0.5", "--tol", "1"],
+        ["ode", "--lambda", "1", "--k", "1", "--t", "0.5", "--tail", "1e-6"],
+        ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--tol", "1"],
     ])
     def test_an_option_the_command_does_not_read_exits_2(self, argv, capsys):
         try:
@@ -537,3 +565,48 @@ class TestParser:
         assert code == 0
         assert header == ["n", "x", "probability", "cumulative"]
         assert float(metadata["tail"]) == 1e-12
+
+
+def test_option_inventory():
+    # every settable value of every subcommand; a new one must name the two
+    # callers that need different values
+    law, output = {"--k", "--t"}, {"--format", "--out"}
+    routes = {"--m", "--lambda", "--a"}
+    expected = {
+        "pmf": law | routes | output | {"--tail"},
+        "pgf": law | routes | output,
+        "simulate": law | {"--lambda", "--a"} | output
+        | {"--model", "--replicas", "--seed"},
+        "ode": law | {"--lambda"} | output,
+        "mixture-check": law | {"--a"} | output | {"--nmax"},
+        "validate": output | {"--replicas", "--mixture-draws",
+                              "--calibration-seeds", "--seed"},
+    }
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if action.dest == "subcommand")
+    found = {name: {flag for action in parser._actions
+                    for flag in action.option_strings} - {"-h", "--help"}
+             for name, parser in subcommands.items()}
+    assert found == expected
+    assert sum(map(len, found.values())) == 41
+
+
+def test_command_and_criterion_share_each_threshold(capsys):
+    def metadata(argv):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        return json.loads(out)["metadata"]
+
+    assert metadata(["ode", "--lambda", "0.5", "--k", "2", "--t", "1"])[
+        "tol"] == acceptance.ODE_GAP
+    assert metadata(["mixture-check", "--a", "1", "--k", "2", "--t", "1"])[
+        "tol"] == acceptance.QUAD_GAP
+    assert metadata(["simulate", "--model", "mixture", "--a", "1", "--k", "2",
+                     "--t", "1", "--replicas", "1000"])[
+        "alpha"] == acceptance.GOF_ALPHA
+    yule, _ = acceptance._check_yule_furry(2000, 42)
+    for result, gap in ((acceptance._check_ode_grid(), acceptance.ODE_GAP),
+                        (acceptance._check_quadrature_grid(),
+                         acceptance.QUAD_GAP),
+                        (yule, acceptance.ODE_GAP)):
+        assert f"(budget {gap:.0e})" in result.detail
