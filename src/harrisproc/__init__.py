@@ -16,8 +16,7 @@ from .birth import (ProcessParams, Trajectory, TrajectoryBatch, TransientSolutio
 from .errors import ConvergenceError, ResourceLimitError
 from .mixture import (MixtureParams, mixture_moments, mixture_pmf,
                       mixture_pmf_quadrature, sample_model2)
-from .sampling import (RngStream, sample_gamma, sample_harris, sample_nb,
-                       sample_poisson)
+from .sampling import RngStream, sample_harris
 from .validation import (GofResult, MeanCheck, Scenario, ValidationReport,
                          VarCheck, chi_square_gof, chi_square_quantile,
                          moment_check)

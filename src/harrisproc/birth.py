@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (HarrisParams, _validate_step, tail_bound_after,
-                           truncation_index)
+from .distribution import (HarrisParams, _check_time, _validate_step,
+                           tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .sampling import RngStream
 from .validation import tally
@@ -87,7 +87,7 @@ class ProcessParams:
 
     def harris_at(self, t: float) -> HarrisParams:
         """Marginal law of N(t) for t > 0."""
-        return HarrisParams(self.scale_at(t), self.k)
+        return HarrisParams(self.scale_at(_check_time(t)), self.k)
 
 
 class Trajectory:

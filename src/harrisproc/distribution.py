@@ -56,6 +56,14 @@ def _validate_step(k) -> int:
     return k
 
 
+def _check_time(t) -> float:
+    """A query time of either process: t > 0 and finite."""
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"query time t must be > 0 and finite, got {t!r}")
+    return t
+
+
 def _as_counts(n):
     """Validate nonnegative integer count index; scalar or array."""
     arr = np.asarray(n)

@@ -19,9 +19,10 @@ from functools import cache
 import numpy as np
 from scipy.special import gammaln
 
-from .distribution import HarrisParams, _as_counts, _validate_step, harris_pmf
+from .distribution import (HarrisParams, _as_counts, _check_time, _validate_step,
+                           harris_pmf)
 from .errors import ConvergenceError
-from .sampling import RngStream, sample_gamma, sample_poisson
+from .sampling import RngStream, _standard_gamma
 
 __all__ = ["DRAW_BLOCK", "MixtureParams", "mixture_pmf", "mixture_pmf_quadrature",
            "quadrature_agrees", "sample_model2", "mixture_moments"]
@@ -72,19 +73,12 @@ class MixtureParams:
 
     def harris_at(self, t: float) -> HarrisParams:
         """Marginal law of Z(t) for t > 0."""
-        return HarrisParams(self.scale_at(t), self.k)
-
-
-def _check_time(t) -> float:
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"query time must be > 0, got {t!r}")
-    return t
+        return HarrisParams(self.scale_at(_check_time(t)), self.k)
 
 
 def mixture_pmf(params: MixtureParams, t: float, n) -> float:
     """P(Z(t) = 1 + n*k) in closed form: the Harris p.m.f. at m = (a+t)/a."""
-    return harris_pmf(params.harris_at(_check_time(t)), n)
+    return harris_pmf(params.harris_at(t), n)
 
 
 def _mixture_quadrature(a, k, t, n):
@@ -195,9 +189,8 @@ def sample_model2(rng: RngStream, params: MixtureParams, t: float, size=None):
     block's draws do not depend on how many blocks follow it.
     """
     t = _check_time(t)
-    lam = sample_gamma(rng, 1.0 / params.k, params.a, size)
-    counts = sample_poisson(rng, lam * t)
-    return 1 + params.k * counts
+    lam = _standard_gamma(rng, 1.0 / params.k, size) / params.a
+    return 1 + params.k * rng.generator.poisson(lam * t)
 
 
 def mixture_moments(params: MixtureParams, t: float) -> tuple:

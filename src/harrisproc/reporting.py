@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -81,12 +81,14 @@ def render_json(head: dict, rows_key: str, header, columns) -> str:
     """Indented JSON: head's keys in order, then the rows under rows_key.
 
     The text is ``json.dumps({**head, rows_key: rows}, indent=2,
-    allow_nan=False)`` and a newline, rows being one object per row, for
-    string column names, rows_key not in head and scalar cells.  Only the
-    head goes through json.dumps, whose indent mode runs the pure-Python
-    encoder; each row fills one %-template built from the header.
+    allow_nan=False, default=vars)`` and a newline, rows being one object
+    per row, for string column names, rows_key not in head and scalar cells;
+    a dataclass in head is written as its fields.  Only the head goes
+    through json.dumps, whose indent mode runs the pure-Python encoder;
+    each row fills one %-template built from the header.
     """
-    text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False)
+    text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False,
+                      default=vars)
     rows = zip(*(_cells(column, set(map(type, column)), "json") for column in columns))
     keys = (json.dumps(name).replace("%", "%%") for name in header)
     template = "    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
@@ -143,6 +145,6 @@ def simulate_text(run, fmt: str) -> str:
                "observed": [run.observed.get(x, 0) for x in xs],
                "expected": [run.expected_counts[x] for x in xs]}
     # only JSON carries the full report; CSV would drop it
-    sections = {"report": asdict(report)} if fmt == "json" else {}
+    sections = {"report": report} if fmt == "json" else {}
     return envelope("simulate", fmt, meta, columns, rows_key="empirical",
                     **sections)

@@ -7,11 +7,15 @@ distinct stream ids give statistically independent streams, so a block of
 Monte Carlo replicas can own one stream and aggregated results never depend
 on scheduling.
 
-Harris variates are produced by the gamma-Poisson route: a negative
-binomial count is a Poisson draw whose mean is itself gamma distributed,
-and the Harris value is the affine image 1 + k * count.  This makes the
-sampler an independent witness for the mixture identity rather than an
-inversion of the closed-form p.m.f.
+Only the paper's laws are sampled here.  Harris variates are produced by
+the gamma-Poisson route: a negative binomial count is a Poisson draw whose
+mean is itself gamma distributed, and the Harris value is the affine image
+1 + k * count.  This makes the sampler an independent witness for the
+mixture identity rather than an inversion of the closed-form p.m.f.  The
+gamma draw is ``_standard_gamma``, which model 2's sampler shares; the
+Poisson draw is numpy's ``Generator.poisson``, which refuses a negative,
+NaN or too large mean with ValueError.  Other gamma, Poisson or negative
+binomial draws come from ``RngStream(seed).generator`` directly.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ import numpy as np
 
 from .distribution import HarrisParams
 
-__all__ = [
-    "RngStream",
-    "sample_gamma",
-    "sample_poisson",
-    "sample_nb",
-    "sample_harris",
-]
+__all__ = ["RngStream", "sample_harris"]
 
 # Recorded in output metadata so runs are attributable to one algorithm.
 GENERATOR_ALGORITHM = "PCG64"
@@ -76,8 +74,8 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def sample_gamma(rng: RngStream, shape: float, rate: float, size=None):
-    """Gamma draws with the given shape and rate (mean shape/rate).
+def _standard_gamma(rng: RngStream, shape: float, size=None):
+    """Unit-rate gamma draws of the given shape; shape is not checked.
 
     shape >= 1 uses the Marsaglia-Tsang acceptance sampler; shape < 1 is
     boosted through it: draw gamma(shape + 1) and multiply by U**(1/shape).
@@ -86,50 +84,18 @@ def sample_gamma(rng: RngStream, shape: float, rate: float, size=None):
     against 1.02-1.06 s with the boost, 2-vCPU VM), and dropping the boost
     would change every mixture stream.
     """
-    shape = float(shape)
-    rate = float(rate)
-    if not shape > 0.0:
-        raise ValueError(f"shape must be > 0, got {shape!r}")
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate!r}")
     if shape >= 1.0:
-        g = rng.generator.standard_gamma(shape, size)
-    else:
-        g = rng.generator.standard_gamma(shape + 1.0, size)
-        g = g * rng.uniform(size) ** (1.0 / shape)
-    return g / rate
-
-
-def sample_poisson(rng: RngStream, mean, size=None):
-    """Poisson draws; mean may be a scalar or an array of per-draw means.
-
-    Inversion below mean 10, transformed-rejection acceptance above;
-    mean 0 deterministically yields 0.
-    """
-    mean_arr = np.asarray(mean, dtype=float)
-    if np.any(mean_arr < 0.0) or not np.all(np.isfinite(mean_arr)):
-        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
-    out = rng.generator.poisson(mean_arr, size)
-    return int(out) if np.ndim(out) == 0 else out
-
-
-def sample_nb(rng: RngStream, r: float, p: float, size=None):
-    """Negative binomial NB(r, p) failure counts on {0, 1, 2, ...}.
-
-    Drawn as Poisson(G) with G ~ gamma(shape=r, rate=p/(1-p)), the same
-    mixture construction that yields the Harris law from a Poisson process.
-    """
-    r = float(r)
-    p = float(p)
-    if not r > 0.0:
-        raise ValueError(f"index r must be > 0, got {r!r}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"success probability must lie in (0, 1), got {p!r}")
-    g = sample_gamma(rng, r, p / (1.0 - p), size)
-    return sample_poisson(rng, g)
+        return rng.generator.standard_gamma(shape, size)
+    g = rng.generator.standard_gamma(shape + 1.0, size)
+    return g * rng.uniform(size) ** (1.0 / shape)
 
 
 def sample_harris(rng: RngStream, params: HarrisParams, size=None):
-    """Harris draws 1 + k * NB(1/k, 1/m); every value is 1 modulo k."""
-    counts = sample_nb(rng, params.index, 1.0 / params.m, size)
-    return 1 + params.k * counts
+    """Harris draws 1 + k * NB(1/k, 1/m); every value is 1 modulo k.
+
+    The NB(r, p) count is a Poisson draw whose mean is gamma distributed
+    with shape r and rate p/(1-p).  A scalar call returns an int.
+    """
+    p = 1.0 / params.m
+    g = _standard_gamma(rng, params.index, size) / (p / (1.0 - p))
+    return 1 + params.k * rng.generator.poisson(g)

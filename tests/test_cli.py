@@ -217,7 +217,7 @@ class TestSimulate:
     @pytest.mark.parametrize("argv,message", [
         (["--model", "birth", "--lambda", "1e-300", "--t", "1",
           "--replicas", "3000000"], "m must be > 1 and finite, got 1.0"),
-        (["--model", "mixture", "--a", "1", "--t", "inf"],
+        (["--model", "mixture", "--a", "1e-320", "--t", "1"],
          "m must be > 1 and finite, got inf"),
     ])
     def test_invalid_law_exits_2_before_any_draw(self, argv, message, capsys,
@@ -228,6 +228,18 @@ class TestSimulate:
         code, out, err = run_cli(["simulate", "--k", "2"] + argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: scale parameter {message}\n"
+
+    @pytest.mark.parametrize("model,route", [("birth", "--lambda"),
+                                             ("mixture", "--a")])
+    def test_invalid_time_exits_2_before_any_draw(self, model, route, capsys,
+                                                  monkeypatch):
+        # a draw would raise TypeError
+        monkeypatch.setattr(birth, "RngStream", None)
+        monkeypatch.setattr(acceptance, "RngStream", None)
+        code, out, err = run_cli(["simulate", "--model", model, route, "1",
+                                  "--k", "2", "--t", "inf"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: query time t must be > 0 and finite, got inf\n"
 
     def test_threads_flag_is_rejected(self, capsys):
         for command in (["simulate", "--model", "birth", "--lambda", "0.5",
@@ -314,17 +326,19 @@ class TestParameterGuards:
         (["pgf", "--m", "1e300", "--k", "2"], "exceeded 1000000 terms"),
         (["ode", "--lambda", "50", "--k", "3", "--t", "1"],
          "exceeded 20000 terms"),
-        # a simulated law that is no Harris law, refused before any draw
+        # a query time that is not > 0 and finite, or a simulated law that
+        # is no Harris law, refused before any draw
         *[(["simulate", "--model", model, route, value, "--k", "2", "--t", t,
-            "--replicas", "1000"], "m must be > 1 and finite")
-          for model, route, value, t in (
-              *[(model, route, "1", t)
+            "--replicas", "1000"], message)
+          for model, route, value, t, message in (
+              *[(model, route, "1", t, "query time t must be > 0 and finite")
                 for model, route in (("birth", "--lambda"), ("mixture", "--a"))
                 for t in ("0", "-1", "nan", "inf")],
-              ("birth", "--lambda", "1e-300", "1"),
-              ("birth", "--lambda", "inf", "1"),
-              ("mixture", "--a", "1e300", "1"),
-              ("mixture", "--a", "1e-320", "1"))],
+              *[(*case, "m must be > 1 and finite") for case in (
+                  ("birth", "--lambda", "1e-300", "1"),
+                  ("birth", "--lambda", "inf", "1"),
+                  ("mixture", "--a", "1e300", "1"),
+                  ("mixture", "--a", "1e-320", "1"))])],
         (["pgf", "--m", "1e300", "--k", "3"], "exceeded 1000000 terms"),
         (["pmf", "--m", "1e5", "--k", "1"], "exceeded 1000000 terms"),
         (["pmf", "--a", "1e-300", "--t", "1", "--k", "1"],
@@ -341,6 +355,10 @@ class TestParameterGuards:
           "--replicas", str(10**16)], "error: Unable to allocate"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
           "--nmax", str(10**16)], "error: Unable to allocate"),
+        (["pmf", "--lambda", "1", "--k", "1", "--t", "0"],
+         "query time t must be > 0 and finite, got 0.0"),
+        (["mixture-check", "--a", "1", "--k", "1", "--t", "inf"],
+         "query time t must be > 0 and finite, got inf"),
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -169,6 +170,9 @@ SUBCOMMANDS = [
 
 
 def _leaves(value):
+    # render_json writes a dataclass as its fields (json.dumps default=vars)
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):

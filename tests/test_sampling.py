@@ -4,17 +4,12 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import special
 
-from harrisproc import birth
+from harrisproc import birth, sampling
 from harrisproc.distribution import HarrisParams, nb_pmf
-from harrisproc.sampling import (
-    RngStream,
-    sample_gamma,
-    sample_harris,
-    sample_nb,
-    sample_poisson,
-)
+from harrisproc.mixture import MixtureParams, sample_model2
+from harrisproc.sampling import RngStream, sample_harris
 from harrisproc.validation import chi_square_gof, gof_support
 
 E = math.e
@@ -135,83 +130,47 @@ class TestExponential:
 
 
 class TestGamma:
+    """The gamma law of a rate: sampling._standard_gamma(rng, shape) / rate."""
+
     def test_shape_one_reduces_to_exponential_law(self):
-        draws = sample_gamma(RngStream(9), 1.0, 2.0, size=N_BIG)
+        draws = sampling._standard_gamma(RngStream(9), 1.0, N_BIG) / 2.0
         assert abs(draws.mean() - 0.5) < 0.01
         assert abs(draws.var(ddof=1) - 0.25) < 0.01
 
     def test_half_shape_mean(self):
-        draws = sample_gamma(RngStream(13), 0.5, 1.0, size=N_BIG)
+        draws = sampling._standard_gamma(RngStream(13), 0.5, N_BIG)
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_half_shape_rate_two_moments(self):
         # mean 0.25, var 0.125; gamma fourth central moment is
         # var**2 * (3 + 6/shape), so SE(var) = sqrt(14) * var / sqrt(N)
-        draws = sample_gamma(RngStream(21), 0.5, 2.0, size=N_BIG)
+        draws = sampling._standard_gamma(RngStream(21), 0.5, N_BIG) / 2.0
         se_mean = math.sqrt(0.125 / N_BIG)
         se_var = math.sqrt(14.0) * 0.125 / math.sqrt(N_BIG)
         assert abs(draws.mean() - 0.25) < 3 * se_mean
         assert abs(draws.var(ddof=1) - 0.125) < 3 * se_var
 
     def test_strictly_positive(self):
-        draws = sample_gamma(RngStream(4), 0.25, 1.0, size=100_000)
+        draws = sampling._standard_gamma(RngStream(4), 0.25, 100_000)
         assert draws.min() > 0.0
-
-    @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
-    def test_domain_errors(self, shape, rate):
-        with pytest.raises(ValueError):
-            sample_gamma(RngStream(0), shape, rate)
-
-
-class TestPoisson:
-    def test_zero_mean_is_deterministic(self):
-        draws = sample_poisson(RngStream(2), 0.0, size=1000)
-        assert np.all(draws == 0)
-
-    def test_mean_four(self):
-        draws = sample_poisson(RngStream(17), 4.0, size=N_BIG)
-        assert abs(draws.mean() - 4.0) < 0.012
-
-    def test_law_against_pmf(self):
-        draws = sample_poisson(RngStream(17), 4.0, size=N_BIG)
-        assert gof_passes(
-            draws, partial(stats.poisson.pmf, mu=4.0), 0.01
-        )
-        # in particular the zero cell sits near exp(-4)
-        frac0 = np.count_nonzero(draws == 0) / N_BIG
-        assert abs(frac0 - math.exp(-4.0)) < 5e-4
-
-    def test_array_means(self):
-        means = np.array([0.0, 1.0, 50.0])
-        draws = sample_poisson(RngStream(1), means)
-        assert draws.shape == means.shape and draws[0] == 0
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            sample_poisson(RngStream(0), -0.5)
 
 
 class TestNegativeBinomial:
-    def test_geometric_mean(self):
-        draws = sample_nb(RngStream(8), 1.0, 0.5, size=N_BIG)
-        assert abs(draws.mean() - 1.0) < 0.005
+    """Harris counts (X - 1)/k follow NB(1/k, 1/m)."""
 
     def test_mass_concentrates_as_p_tends_to_one(self):
-        draws = sample_nb(RngStream(6), 2.0, 0.999, size=100_000)
-        assert draws.mean() < 0.01
+        # p = 1/m = 0.999: the law nears the point mass at 1, the law of
+        # either process at t = 0
+        draws = sample_harris(RngStream(6), HarrisParams(1.001, 2), size=100_000)
+        assert ((draws - 1) // 2).mean() < 0.01
 
     def test_law_against_pmf(self):
-        draws = sample_nb(RngStream(42), 0.5, 0.25, size=N_BIG)
+        draws = sample_harris(RngStream(42), HarrisParams(4.0, 2), size=N_BIG)
         assert gof_passes(
-            draws, partial(nb_pmf, 0.5, 0.25), 0.01
+            (draws - 1) // 2, partial(nb_pmf, 0.5, 0.25), 0.01
         )
-        frac1 = np.count_nonzero(draws == 1) / N_BIG
+        frac1 = np.count_nonzero(draws == 3) / N_BIG
         assert abs(frac1 - 0.1875) < 2e-3
-
-    @pytest.mark.parametrize("r,p", [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0)])
-    def test_domain_errors(self, r, p):
-        with pytest.raises(ValueError):
-            sample_nb(RngStream(0), r, p)
 
 
 class TestHarris:
@@ -245,20 +204,6 @@ class TestDistributionalConformance:
                 failures += 1
         return failures
 
-    def test_poisson(self):
-        def run(rng):
-            draws = sample_poisson(rng, 4.0, size=self.N_PER_SEED)
-            return draws, partial(stats.poisson.pmf, mu=4.0)
-
-        assert self._failures(run) <= 2
-
-    def test_negative_binomial(self):
-        def run(rng):
-            draws = sample_nb(rng, 0.5, 0.25, size=self.N_PER_SEED)
-            return draws, partial(nb_pmf, 0.5, 0.25)
-
-        assert self._failures(run) <= 2
-
     def test_harris(self):
         params = HarrisParams(E, 2)
 
@@ -283,10 +228,38 @@ class TestDistributionalConformance:
         w = self.WIDTH
 
         def run(rng):
-            draws = sample_gamma(rng, 0.5, 1.0, size=self.N_PER_SEED)
+            draws = sampling._standard_gamma(rng, 0.5, self.N_PER_SEED)
             cells = np.floor(draws / w).astype(int)
             pmf = lambda j: (special.gammainc(0.5, (j + 1) * w)
                              - special.gammainc(0.5, j * w))
             return cells, pmf
 
         assert self._failures(run) <= 2
+
+
+def test_draws_equal_the_gamma_poisson_reference():
+    """Both samplers draw Poisson(G / rate * t), G ~ gamma(shape) from numpy,
+    for shape < 1 as standard_gamma(shape + 1) * U**(1/shape), bit for bit."""
+
+    def reference(rng, shape, rate, t, size):
+        if shape >= 1.0:
+            g = rng.generator.standard_gamma(shape, size)
+        else:
+            g = rng.generator.standard_gamma(shape + 1.0, size)
+            g = g * rng.uniform(size) ** (1.0 / shape)
+        return rng.generator.poisson(g / rate * t)
+
+    cases = [(partial(sample_model2, params=MixtureParams(a, k), t=t), k, a, t)
+             for a, k, t in ((1.0, 1, 1.0), (1.0, 2, 1.0), (0.5, 3, 2.0),
+                             (2.0, 2, 0.3))]
+    for m, k in ((2.0, 1), (E, 2), (10.0, 5)):
+        p = 1.0 / m
+        cases.append((partial(sample_harris, params=HarrisParams(m, k)), k,
+                      p / (1.0 - p), 1.0))
+    for seed, (sample, k, rate, t) in enumerate(cases):
+        for size in (None, 1000):
+            draws = sample(RngStream(seed), size=size)
+            expected = 1 + k * reference(RngStream(seed), 1.0 / k, rate, t, size)
+            assert np.array_equal(draws, expected)
+            if size is None:
+                assert isinstance(draws, int)
