@@ -11,8 +11,8 @@ quadrature of the mixture integral) through the validation harness.
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_mean_var,
                            harris_pgf, harris_pmf, nb_pmf, pmf_table)
 from .birth import (ProcessParams, Trajectory, TrajectoryBatch, TransientSolution,
-                    empirical_distribution, process_moments, simulate_many,
-                    solve_forward_odes)
+                    count_events, empirical_distribution, process_moments,
+                    simulate_many, solve_forward_odes)
 from .errors import ConvergenceError, ResourceLimitError
 from .mixture import (MixtureParams, mixture_moments, mixture_pmf,
                       mixture_pmf_quadrature, sample_model2)

@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .birth import (ProcessParams, empirical_distribution, process_moments,
-                    simulate_many, solve_forward_odes)
+from .birth import (ProcessParams, count_events, process_moments, simulate_many,
+                    solve_forward_odes)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
                            harris_pmf, nb_pmf)
 from .mixture import (DRAW_BLOCK, MixtureParams, _mixture_quadrature,
@@ -75,7 +75,6 @@ class ScenarioRun:
     report: ValidationReport
     observed: dict
     expected_counts: dict
-    coupling_violations: int
 
 
 def _variance_band(marginal: HarrisParams, n: int) -> float:
@@ -130,15 +129,14 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                  lam: float = None, a: float = None) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
-    Model "birth" requires lam, takes no a, and simulates replica
-    trajectories to t (replica block b on stream b); model "mixture"
-    requires a, takes no lam, and draws replicas samples (draw block b of
-    DRAW_BLOCK on stream b).  The law at t is checked before any draw.
-    The samples are tallied once; the goodness of fit at GOF_ALPHA, the
-    exact sample mean and variance and, for the mixture, the draws off the
-    lattice {1, 1+k, ...} are read from that tally.  The variance band
-    widens with the law's excess kurtosis at small replica counts (see
-    _variance_band).
+    Model "birth" requires lam, takes no a, and counts the events of
+    replica paths to t (count_events: replica block b on stream b, no path
+    stored); model "mixture" requires a, takes no lam, and draws replicas
+    samples (draw block b of DRAW_BLOCK on stream b).  The law at t is
+    checked before any draw.  The samples are tallied once; the goodness
+    of fit at GOF_ALPHA and the exact sample mean and variance are read
+    from that tally.  The variance band widens with the law's excess
+    kurtosis at small replica counts (see _variance_band).
     """
     # the moment bands need this many replicas; refuse before simulating
     if replicas < MIN_MOMENT_SAMPLES:
@@ -149,9 +147,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
         marginal = params.harris_at(t)
-        batch = simulate_many(params, t, replicas, seed)
-        violations = batch.coupling_violations()
-        observed = empirical_distribution(batch, t)
+        observed = tally(1 + params.k * count_events(params, t, replicas, seed))
         analytic_mean, analytic_var = process_moments(params, t)
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
                             t, replicas, seed)
@@ -161,8 +157,6 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         params = MixtureParams(a, k)
         marginal = params.harris_at(t)
         observed = _tally_mixture(params, t, replicas, seed)
-        violations = sum(count for value, count in observed.items()
-                         if (value - 1) % params.k)
         analytic_mean, analytic_var = mixture_moments(params, t)
         scenario = Scenario("mixture", {"a": params.a, "k": params.k},
                             t, replicas, seed)
@@ -179,7 +173,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     # the expected count of every lattice point up to the largest observation
     shown = support <= max(observed)
     expected = dict(zip(support[shown].tolist(), (replicas * probs[shown]).tolist()))
-    return ScenarioRun(report, observed, expected, violations)
+    return ScenarioRun(report, observed, expected)
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,7 @@ def _check_monte_carlo(number: int, name: str, model: str, replicas: int,
     return CriterionResult(number, name, run.report.overall, detail), run
 
 
-def _check_yule_furry(replicas: int, seed: int):
+def _check_yule_furry(replicas: int, seed: int) -> CriterionResult:
     params = ProcessParams(1.0, 1)
     t = 0.7
     q = math.exp(-t)
@@ -249,9 +243,7 @@ def _check_yule_furry(replicas: int, seed: int):
     closed = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - closed).max())
 
-    batch = simulate_many(params, t, replicas, seed)
-    violations = batch.coupling_violations()
-    observed = empirical_distribution(batch, t)
+    observed = tally(1 + count_events(params, t, replicas, seed))
     # the decapitated geometric, not harris_pmf, so the check stays independent
     support, _ = gof_support(params.harris_at(t), max(observed), replicas)
     probs = decap_geometric_pmf(q, support)
@@ -261,7 +253,32 @@ def _check_yule_furry(replicas: int, seed: int):
         f"ode gap {ode_gap:.3e} (budget {ODE_GAP:.0e}); gof stat {gof.statistic:.3f} "
         f"vs threshold {gof.threshold:.3f}"
     )
-    return CriterionResult(5, "yule-furry-reduction", passed, detail), violations
+    return CriterionResult(5, "yule-furry-reduction", passed, detail)
+
+
+def _check_coupling(replicas: int, seed: int, mixture_run: ScenarioRun, *,
+                    lam: float, k: int, t: float) -> CriterionResult:
+    """Criterion 6: the coupling N = 1 + k*I on three records of the same
+    birth paths and on every mixture draw.
+
+    At the given law and seed (criterion 3's), counts the replicas where
+    count_events, simulate_many's event counter and the count read from
+    its recorded event times do not all agree, then adds the draws of the
+    mixture run's tally off the lattice {1, 1+k, ...}.
+    """
+    params = ProcessParams(lam, k)
+    batch = simulate_many(params, t, replicas, seed)
+    disagree = ((count_events(params, t, replicas, seed) != batch.n_events)
+                | (batch.counts_at(t) != batch.n_events))
+    mixture = mixture_run.report.scenario
+    off_lattice = sum(count for value, count in mixture_run.observed.items()
+                      if (value - 1) % mixture.params["k"])
+    violations = int(np.count_nonzero(disagree)) + off_lattice
+    return CriterionResult(
+        6, "coupling-identity", violations == 0,
+        f"{violations} violations of state = 1 + k*count across {replicas} "
+        f"trajectories (three counts each) and {mixture.replicas} mixture draws",
+    )
 
 
 def _check_identities() -> CriterionResult:
@@ -338,23 +355,18 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         if count < MIN_MOMENT_SAMPLES:
             raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} {name}, "
                              f"got {count!r}")
+    birth_law = {"lam": 0.5, "k": 2, "t": 1.0}
     criterion_3 = partial(_check_monte_carlo, 3, "model1-monte-carlo-law",
-                          "birth", birth_replicas, seed, lam=0.5, k=2, t=1.0)
+                          "birth", birth_replicas, seed, **birth_law)
     results = [_check_ode_grid(), _check_quadrature_grid()]
     birth_result, birth_run = criterion_3()
     mixture_result, mixture_run = _check_monte_carlo(
         4, "model2-monte-carlo-law", "mixture", mixture_draws, seed,
         a=1.0, k=2, t=1.0)
-    yule_result, yule_violations = _check_yule_furry(birth_replicas, seed)
-    results += [birth_result, mixture_result, yule_result]
-    violations = (birth_run.coupling_violations + yule_violations
-                  + mixture_run.coupling_violations)
-    results.append(CriterionResult(
-        6, "coupling-identity", violations == 0,
-        f"{violations} violations of state = 1 + k*count across "
-        f"{2 * birth_replicas} trajectories and {mixture_draws} mixture draws",
-    ))
-    results.append(_check_identities())
+    results += [birth_result, mixture_result,
+                _check_yule_furry(birth_replicas, seed),
+                _check_coupling(birth_replicas, seed, mixture_run, **birth_law),
+                _check_identities()]
     results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
     _, rerun = criterion_3()
     results.append(_check_determinism(birth_run, rerun))

@@ -12,6 +12,10 @@ discretization) and LSODA integration, with the exact banded Jacobian, of
 the truncated Kolmogorov forward equations
 
     dP[n]/dt = ((n-1)k + 1) lam P[n-1] - (nk + 1) lam P[n],   P[0](0) = 1.
+
+The simulation has two entry points that run the same rounds on the same
+draws: count_events keeps only each replica's count I(t), which is all a
+law at t needs, and simulate_many also records every event time.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "Trajectory",
     "TrajectoryBatch",
     "TransientSolution",
+    "count_events",
     "simulate_many",
     "empirical_distribution",
     "solve_forward_odes",
@@ -206,36 +211,97 @@ class _Exponentials:
         return self._draws[self._pos - n:self._pos]
 
 
-def _block_groups(params: ProcessParams, horizon: float, stream: RngStream,
-                  size: int) -> list:
+def _check_run(params: ProcessParams, horizon, n_replicas: int) -> float:
+    """The horizon as a float; refuses, before any draw, a horizon not > 0,
+    no replicas, or a mean path, (m(horizon) - 1)/k events, past MAX_EVENTS."""
+    horizon = float(horizon)
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    if n_replicas < 1:
+        raise ValueError(f"need at least one replica, got {n_replicas!r}")
+    mean_events = (params.scale_at(horizon) - 1.0) / params.k
+    if mean_events > MAX_EVENTS:
+        raise ResourceLimitError(
+            f"a path to t={horizon} averages {mean_events:.4g} events, "
+            f"more than {MAX_EVENTS}"
+        )
+    return horizon
+
+
+def _blocks(n_replicas: int, seed: int):
+    """(first replica, size, stream) of each block: block b owns RngStream(seed, b)."""
+    for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
+        yield first, min(BLOCK_SIZE, n_replicas - first), RngStream(seed, stream_id=b)
+
+
+def _rounds(params: ProcessParams, horizon: float, stream: RngStream, size: int):
     """Run one block of replicas to the horizon, one event per round.
 
-    Round j gives the (j+1)-th event time of every replica with more than
-    j events.  Returns groups of consecutive rounds holding about
-    DRAW_CHUNK events each, as (first round, events per round, block-local
-    replica ids, event times), every round in replica order.
+    Round j advances every replica with j events by one holding time
+    -ln(U)/((j*k + 1)*lam) and yields (j, retired, alive, clock): the
+    block-local ids of the replicas whose next event falls past the
+    horizon, so that they end with j events, then those of the others with
+    their (j+1)-th event times, all in replica order.  The last round
+    retires every replica left; ResourceLimitError is raised once a
+    replica passes MAX_EVENTS events.
     """
     draws = _Exponentials(stream)
     alive = np.arange(size, dtype=np.min_scalar_type(size - 1))
     clock = np.zeros(size)
-    groups, ids, clocks, pending = [], [], [], 0
     for j in itertools.count():
         clock = clock + draws.take(alive.size) / params.rate_after(j)
         inside = clock <= horizon
-        alive, clock = alive[inside], clock[inside]
-        if ids and (pending >= DRAW_CHUNK or alive.size == 0):
-            groups.append((j - len(ids), [members.size for members in ids],
-                           np.concatenate(ids), np.concatenate(clocks)))
-            ids, clocks, pending = [], [], 0
+        if inside.all():  # no replica leaves in most rounds of a long path
+            retired = alive[:0]
+        else:
+            retired = alive[~inside]
+            alive, clock = alive[inside], clock[inside]
+        yield j, retired, alive, clock
         if alive.size == 0:
-            return groups
+            return
         if j == MAX_EVENTS:
             raise ResourceLimitError(
                 f"trajectory exceeded {MAX_EVENTS} events before t={horizon}"
             )
+
+
+def _block_groups(params: ProcessParams, horizon: float, stream: RngStream,
+                  size: int) -> list:
+    """The event times of one block's rounds, in groups of consecutive rounds.
+
+    Each group holds about DRAW_CHUNK events, as (first round, events per
+    round, block-local replica ids, event times), every round in replica
+    order.
+    """
+    groups, ids, clocks, pending = [], [], [], 0
+    for j, _, alive, clock in _rounds(params, horizon, stream, size):
+        if ids and (pending >= DRAW_CHUNK or alive.size == 0):
+            groups.append((j - len(ids), [members.size for members in ids],
+                           np.concatenate(ids), np.concatenate(clocks)))
+            ids, clocks, pending = [], [], 0
         ids.append(alive)
         clocks.append(clock)
         pending += alive.size
+    return groups
+
+
+def count_events(params: ProcessParams, horizon: float, n_replicas: int,
+                 seed: int) -> np.ndarray:
+    """The event count I(horizon) of each replica, without storing its path.
+
+    Runs simulate_many's rounds on the same draws, so every count equals
+    simulate_many(params, horizon, n_replicas, seed).n_events bit for bit,
+    and raises what it raises; only the live replicas' clocks are kept, and
+    a replica's count is the round that retires it.
+    """
+    horizon = _check_run(params, horizon, n_replicas)
+    n_events = np.zeros(n_replicas, dtype=np.int64)
+    for first, size, stream in _blocks(n_replicas, seed):
+        block = n_events[first:first + size]
+        for j, retired, _, _ in _rounds(params, horizon, stream, size):
+            if retired.size:
+                block[retired] = j
+    return n_events
 
 
 def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
@@ -253,28 +319,17 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     calls concatenate, so drawing them ahead in chunks of DRAW_CHUNK
     changes none, and every full block gives the same paths whatever
     n_replicas is.  The rows are filled from groups of about DRAW_CHUNK
-    events, so no temporary spans the whole batch.  Raises
-    ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
-    pathological parameters; the process itself is non-explosive on finite
-    horizons), before any draw if the mean path, (m(horizon) - 1)/k events,
-    already does.
+    events, so no temporary spans the whole batch, and n_events counts each
+    replica's recorded events.  Raises ResourceLimitError if a path would
+    exceed MAX_EVENTS (a guard for pathological parameters; the process
+    itself is non-explosive on finite horizons), before any draw if the
+    mean path, (m(horizon) - 1)/k events, already does.
     """
-    horizon = float(horizon)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
-    if n_replicas < 1:
-        raise ValueError(f"need at least one replica, got {n_replicas!r}")
-    mean_events = (params.scale_at(horizon) - 1.0) / params.k
-    if mean_events > MAX_EVENTS:
-        raise ResourceLimitError(
-            f"a path to t={horizon} averages {mean_events:.4g} events, "
-            f"more than {MAX_EVENTS}"
-        )
+    horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)
     blocks = []
-    for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, n_replicas - first)
-        groups = _block_groups(params, horizon, RngStream(seed, stream_id=b), size)
+    for first, size, stream in _blocks(n_replicas, seed):
+        groups = _block_groups(params, horizon, stream, size)
         for _, _, members, _ in groups:
             n_events[first:first + size] += np.bincount(members, minlength=size)
         blocks.append((first, groups))

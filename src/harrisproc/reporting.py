@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -89,14 +89,23 @@ def render_json(head: dict, rows_key: str, header, columns) -> str:
     """
     text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False,
                       default=vars)
-    rows = zip(*(_cells(column, set(map(type, column)), "json") for column in columns))
-    keys = (json.dumps(name).replace("%", "%%") for name in header)
-    template = "    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    body = ",\n".join(map(template.__mod__, rows))
+    body = _json_objects(header, columns, 4)
     if not body:
         return text + "\n"
     # text ends with the empty rows list: "[]\n}"
     return text[:-4] + "[\n" + body + "\n  ]\n}\n"
+
+
+def _json_objects(header, columns, indent: int) -> str:
+    """The items of a list of row objects as json.dumps(indent=2) writes
+    them indent spaces deep, without the brackets; each row fills one
+    %-template built from the header."""
+    rows = zip(*(_cells(column, set(map(type, column)), "json") for column in columns))
+    keys = (json.dumps(name).replace("%", "%%") for name in header)
+    pad = " " * indent
+    template = (pad + "{" + ",".join(f"\n{pad}  {key}: %s" for key in keys)
+                + f"\n{pad}}}")
+    return ",\n".join(map(template.__mod__, rows))
 
 
 def envelope(command: str, fmt: str, metadata: dict, columns: dict,
@@ -137,14 +146,21 @@ def simulate_text(run, fmt: str) -> str:
                 **_verdict_fields("gof", report.gof),
                 **_verdict_fields("mean", report.mean_check),
                 **_verdict_fields("var", report.var_check),
-                coupling_violations=run.coupling_violations,
                 overall=report.overall)
     k = int(scenario.params["k"])
     xs = sorted(run.expected_counts)
     columns = {"n": [(x - 1) // k for x in xs], "x": xs,
                "observed": [run.observed.get(x, 0) for x in xs],
                "expected": [run.expected_counts[x] for x in xs]}
-    # only JSON carries the full report; CSV would drop it
-    sections = {"report": report} if fmt == "json" else {}
-    return envelope("simulate", fmt, meta, columns, rows_key="empirical",
-                    **sections)
+    if fmt == "csv":  # only JSON carries the full report; CSV would drop it
+        return envelope("simulate", fmt, meta, columns, rows_key="empirical")
+    # the report goes through json.dumps without its bins, which are then
+    # written from columns like the rows: the text of dumping them whole
+    gof = report.gof
+    text = envelope("simulate", fmt, meta, columns, rows_key="empirical",
+                    report=replace(report, gof=replace(gof, bins=())))
+    names = [f.name for f in fields(gof.bins[0])]
+    bins = _json_objects(names, [[getattr(b, name) for b in gof.bins]
+                                 for name in names], 8)
+    # the report holds the only "bins" key; a goodness of fit has two bins or more
+    return text.replace('"bins": []', '"bins": [\n' + bins + "\n      ]", 1)

@@ -18,6 +18,7 @@ import pytest
 from harrisproc import acceptance
 from harrisproc.birth import (
     ProcessParams,
+    count_events,
     empirical_distribution,
     simulate_many,
     solve_forward_odes,
@@ -153,6 +154,9 @@ def test_criterion_6_coupling_identity(birth_run, yule_run, mixture_draws):
         k = batch.params.k
         violations += int(np.count_nonzero(
             batch.states_at(t) != 1 + k * batch.counts_at(t)))
+        # the counts-only sampler runs the same draws
+        violations += int(np.count_nonzero(
+            count_events(batch.params, t, len(batch), SEED) != batch.n_events))
     violations += int(np.count_nonzero((mixture_draws - 1) % 2))
     record(6, "coupling-identity", violations == 0,
            f"{violations} violations of N = 1 + k*I across 200000 trajectories "
@@ -170,8 +174,26 @@ def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
                                         calibration_seeds=25)
     coupling = results[5]
     assert coupling.number == 6 and not coupling.passed
-    # one dropped event in each of the criterion 3 and criterion 5 runs
-    assert coupling.detail.startswith("2 violations")
+    # one dropped event in criterion 6's one row-storing run
+    assert coupling.detail.startswith("1 violations")
+
+
+def _coupling_of(mixture_run):
+    """Criterion 6 on 1000 paths of criterion 3's law and the given mixture run."""
+    return acceptance._check_coupling(1000, SEED, mixture_run,
+                                      lam=0.5, k=2, t=1.0)
+
+
+def test_criterion_6_reports_a_miscounted_replica(monkeypatch):
+    def miscounting(*args, **kwargs):
+        counts = count_events(*args, **kwargs)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(acceptance, "count_events", miscounting)
+    coupling = _coupling_of(acceptance.run_scenario(
+        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED))
+    assert not coupling.passed and coupling.detail.startswith("1 violations")
 
 
 def test_criterion_6_reports_a_mixture_draw_off_the_lattice(monkeypatch):
@@ -183,7 +205,8 @@ def test_criterion_6_reports_a_mixture_draw_off_the_lattice(monkeypatch):
     monkeypatch.setattr(acceptance, "sample_model2", shifted)
     run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=1000,
                                   seed=SEED)
-    assert run.coupling_violations == 1
+    coupling = _coupling_of(run)
+    assert not coupling.passed and coupling.detail.startswith("1 violations")
 
 
 def test_criterion_6_counts_a_shifted_draw_in_every_block(monkeypatch):
@@ -196,7 +219,7 @@ def test_criterion_6_counts_a_shifted_draw_in_every_block(monkeypatch):
     # four blocks, the last one short, tallied on the thread pool
     run = acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0,
                                   replicas=3 * DRAW_BLOCK + 100, seed=SEED)
-    assert run.coupling_violations == 4
+    assert _coupling_of(run).detail.startswith("4 violations")
 
 
 def _use_cpus(monkeypatch, cpus):

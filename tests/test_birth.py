@@ -1,20 +1,23 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from harrisproc import birth
+from harrisproc import acceptance, birth
 from harrisproc.birth import (
     BLOCK_SIZE,
     ProcessParams,
     TrajectoryBatch,
+    count_events,
     empirical_distribution,
     process_moments,
     simulate_many,
     solve_forward_odes,
 )
+from harrisproc.cli import main
 from harrisproc.distribution import (
     HarrisParams,
     decap_geometric_pmf,
@@ -196,6 +199,10 @@ class TestMonteCarloLaw:
         rerun = simulate_many(params, 1.0, 2 * BLOCK_SIZE + 100, seed=9)
         assert np.array_equal(longer.event_times, rerun.event_times)
         assert np.array_equal(longer.offsets, rerun.offsets)
+        # the counts-only route too
+        assert np.array_equal(count_events(params, 1.0, BLOCK_SIZE, seed=9),
+                              count_events(params, 1.0, 2 * BLOCK_SIZE + 100,
+                                           seed=9)[:BLOCK_SIZE])
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -292,6 +299,50 @@ class TestDrawContract:
         assert np.array_equal(batch.event_times, event_times)
         if law == (1e-9, 2):
             assert batch.event_times.size == 0
+        # the counts-only route runs the same draws
+        counts = count_events(params, horizon, n_replicas, seed)
+        assert counts.dtype == np.int64 and np.array_equal(counts, n_events)
+
+
+class TestCountEvents:
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(birth, "MAX_EVENTS", 3)
+        with pytest.raises(ResourceLimitError, match="trajectory exceeded 3"):
+            count_events(ProcessParams(0.5, 1), 2.0, 1000, seed=0)
+
+    def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        with pytest.raises(ResourceLimitError, match="averages 1.203e"):
+            count_events(ProcessParams(1.0, 1), 14.0, 100, seed=0)
+
+    @pytest.mark.parametrize("horizon, n_replicas", [(0.0, 10), (1.0, 0)])
+    def test_empty_runs_rejected(self, horizon, n_replicas):
+        with pytest.raises(ValueError):
+            count_events(ProcessParams(0.5, 1), horizon, n_replicas, seed=0)
+
+    def test_keeps_no_paths(self):
+        # the deep bench law: ~812k events, whose stored times alone take 6 MiB
+        params = ProcessParams(1.0, 1)
+
+        def peak(sample):
+            tracemalloc.start()
+            try:
+                sample(params, 6.0, 2000, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(count_events) < 2 * 2**20 and peak(simulate_many) > 10 * 2**20
+
+    def test_simulate_birth_never_stores_paths(self, monkeypatch, capsys):
+        def stored(*args, **kwargs):
+            raise AssertionError("simulate stored the paths")
+
+        monkeypatch.setattr(acceptance, "simulate_many", stored)
+        monkeypatch.setattr(birth, "simulate_many", stored)
+        code = main(["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
+                     "--t", "1", "--replicas", "1000"])
+        assert code == 0 and '"overall": true' in capsys.readouterr().out
 
 
 class TestForwardEquations:

@@ -161,7 +161,8 @@ class TestSimulate:
         assert code == 0
         metadata, header, rows = parse_csv(out)
         assert metadata["overall"] == "true"
-        assert metadata["coupling_violations"] == "0"
+        # the counts-only sampler keeps no rows to check against its counts
+        assert "coupling_violations" not in metadata
         assert header == ["n", "x", "observed", "expected"]
         assert sum(int(r[2]) for r in rows) == 5000
 
@@ -193,7 +194,8 @@ class TestSimulate:
         def never(*args, **kwargs):
             raise AssertionError("simulated below the replica floor")
 
-        monkeypatch.setattr(acceptance, "simulate_many", never)
+        for name in ("count_events", "simulate_many"):
+            monkeypatch.setattr(acceptance, name, never)
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
              "--t", "1", "--replicas", replicas],
@@ -378,8 +380,8 @@ class TestParameterGuards:
                                                       capsys, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
-        for name in ("solve_forward_odes", "run_scenario", "simulate_many",
-                     "sample_harris"):
+        for name in ("solve_forward_odes", "run_scenario", "count_events",
+                     "simulate_many", "sample_harris"):
             monkeypatch.setattr(acceptance, name, ran)
         code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
@@ -442,7 +444,7 @@ class TestParameterGuards:
                                                       monkeypatch, tmp_path):
         def ran(*args, **kwargs):
             raise AssertionError("ran with an unwritable --out")
-        for name in ("solve_forward_odes", "_mixture_quadrature",
+        for name in ("solve_forward_odes", "_mixture_quadrature", "count_events",
                      "simulate_many", "sample_model2", "sample_harris"):
             monkeypatch.setattr(acceptance, name, ran)
         path = tmp_path / "missing" / "out.txt"
@@ -622,9 +624,9 @@ def test_command_and_criterion_share_each_threshold(capsys):
     assert metadata(["simulate", "--model", "mixture", "--a", "1", "--k", "2",
                      "--t", "1", "--replicas", "1000"])[
         "alpha"] == acceptance.GOF_ALPHA
-    yule, _ = acceptance._check_yule_furry(2000, 42)
     for result, gap in ((acceptance._check_ode_grid(), acceptance.ODE_GAP),
                         (acceptance._check_quadrature_grid(),
                          acceptance.QUAD_GAP),
-                        (yule, acceptance.ODE_GAP)):
+                        (acceptance._check_yule_furry(2000, 42),
+                         acceptance.ODE_GAP)):
         assert f"(budget {gap:.0e})" in result.detail

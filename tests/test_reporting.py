@@ -148,7 +148,7 @@ def test_simulate_metadata_keys(model, law):
         "gof_degrees_of_freedom", "gof_threshold", "gof_passed",
         "mean_empirical", "mean_analytic", "mean_std_error", "mean_passed",
         "var_empirical", "var_analytic", "var_rel_tol", "var_passed",
-        "coupling_violations", "overall"]
+        "overall"]
     assert meta["alpha"] == run.report.gof.alpha
     assert meta["var_rel_tol"] == run.report.var_check.rel_tol
     assert meta.get("horizon", meta["t"]) == meta["t"]
