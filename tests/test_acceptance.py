@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from harrisproc import acceptance
+from harrisproc import acceptance, sampling
 from harrisproc.birth import (
     ProcessParams,
     count_events,
@@ -27,6 +27,7 @@ from harrisproc.cli import main
 from harrisproc.distribution import (
     HarrisParams,
     decap_geometric_pmf,
+    harris_mean_var,
     harris_pgf,
     harris_pmf,
     nb_pmf,
@@ -36,7 +37,7 @@ from harrisproc.mixture import (DRAW_BLOCK, MixtureParams, mixture_pmf,
 from harrisproc.reporting import simulate_text
 from harrisproc.sampling import RngStream, sample_harris
 from harrisproc.validation import (add_tallies, chi_square_gof, gof_support,
-                                   moment_check, tally)
+                                   moment_check, tally, tally_moments)
 
 E = math.e
 SEED = 42
@@ -171,7 +172,7 @@ def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
     monkeypatch.setattr(acceptance, "simulate_many", lossy)
     monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
     results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
-                                        calibration_seeds=25)
+                                        calibration_seeds=200)
     coupling = results[5]
     assert coupling.number == 6 and not coupling.passed
     # one dropped event in criterion 6's one row-storing run
@@ -295,12 +296,18 @@ def test_criterion_7_identity_suite():
 
 
 def test_criterion_8_null_calibration():
+    # inversion: one uniform per draw, searched in the cumulative table of the
+    # law to its 1e-16 tail (51 terms); a uniform past the table's last
+    # value lands one step past it
     params = HarrisParams(2.0, 2)
+    ns = np.arange(51)
+    cumulative = np.cumsum(harris_pmf(params, ns))
     rejections = 0
     for seed in range(200):
-        draws = sample_harris(RngStream(seed), params, size=10_000)
-        values, counts = np.unique(draws, return_counts=True)
-        observed = {int(v): int(c) for v, c in zip(values, counts)}
+        index = np.searchsorted(cumulative, RngStream(seed).uniform(10_000),
+                                side="right")
+        draws = params.support_value(index)
+        observed = tally(draws)
         support, probs = gof_support(params, max(observed), len(draws))
         gof = chi_square_gof(observed, support, probs, alpha=0.05)
         rejections += not gof.passed
@@ -323,15 +330,16 @@ def test_calibration_does_not_depend_on_the_worker_count(monkeypatch, capsys):
         per_seed.append([])
         with monkeypatch.context() as patch:
             patch.setattr(acceptance, "chi_square_gof", recording)
-            results.append(acceptance._check_calibration(25, 2000))
+            results.append(acceptance._check_calibration(200, 2000))
         assert main(["validate", "--replicas", "2000", "--mixture-draws",
-                     "20000", "--calibration-seeds", "25"]) == 0
+                     "20000", "--calibration-seeds", "200"]) == 0
         texts.append(capsys.readouterr().out)
     # each seed tested alone against its own table, as one loop would
     params = HarrisParams(2.0, 2)
+    cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
     alone = []
-    for seed in range(25):
-        observed = tally(sample_harris(RngStream(seed), params, size=2000))
+    for seed in range(200):
+        observed = acceptance._exact_tally(seed, *cells, 2000)
         own = gof_support(params, max(observed), 2000)
         alone.append(chi_square_gof(observed, *own, 0.05).statistic)
     assert per_seed[0] == per_seed[1] == alone
@@ -393,30 +401,135 @@ def test_one_shared_table_gives_every_seed_its_own_gof(m, k):
 def _small_battery(monkeypatch):
     monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
     return acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
-                                     calibration_seeds=25)
+                                     calibration_seeds=200)
 
 
 def test_criterion_8_rejects_a_sampler_at_the_wrong_scale(monkeypatch):
-    def drifted(rng, params, size=None):
-        return sample_harris(rng, HarrisParams(2.4, params.k), size=size)
+    exact_tally = acceptance._exact_tally
+    drifted = acceptance._law_cells(HarrisParams(2.4, 2),
+                                    acceptance.CALIBRATION_TAIL)
 
-    monkeypatch.setattr(acceptance, "sample_harris", drifted)
+    def drifted_tally(seed, values, probs, draws):
+        return exact_tally(seed, *drifted, draws)
+
+    monkeypatch.setattr(acceptance, "_exact_tally", drifted_tally)
     calibration = _small_battery(monkeypatch)[7]
     assert calibration.number == 8 and not calibration.passed
-    assert calibration.detail.startswith("rejection rate 1.000 over 25 seeds")
+    assert calibration.detail.startswith("rejection rate 1.000 over 200 seeds")
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_a_failing_calibration_seed_fails_the_battery(monkeypatch, cpus):
-    def failing(rng, params, size=None):
-        if rng.seed == 7:
+    exact_tally = acceptance._exact_tally
+
+    def failing(seed, *args):
+        if seed == 7:
             raise RuntimeError("seed 7 failed")
-        return sample_harris(rng, params, size=size)
+        return exact_tally(seed, *args)
 
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(acceptance, "sample_harris", failing)
+    monkeypatch.setattr(acceptance, "_exact_tally", failing)
     with pytest.raises(RuntimeError, match="seed 7 failed"):
         _small_battery(monkeypatch)
+
+
+def test_criterion_8_calls_no_gamma_or_poisson_sampler(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("a gamma or Poisson sampler was called")
+
+    class NoGammaPoisson:
+        """A generator that refuses every gamma, Poisson and NB draw."""
+
+        def __init__(self, generator):
+            self.generator = generator
+
+        def __getattr__(self, name):
+            if name in ("gamma", "standard_gamma", "poisson",
+                        "negative_binomial"):
+                return sampled
+            return getattr(self.generator, name)
+
+    class Stream(RngStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.generator = NoGammaPoisson(self.generator)
+
+    for module, name in ((sampling, "sample_harris"),
+                         (sampling, "_standard_gamma"),
+                         (acceptance, "sample_model2")):
+        monkeypatch.setattr(module, name, sampled)
+    monkeypatch.setattr(acceptance, "RngStream", Stream)
+    calibration = acceptance._check_calibration(
+        acceptance.DEFAULT_CALIBRATION_SEEDS, acceptance.CALIBRATION_DRAWS)
+    assert calibration.passed
+    assert calibration.detail.startswith("rejection rate 0.065 over 200 seeds")
+
+
+def test_pooled_exact_tallies_fit_the_law():
+    # criterion 8's 200 seeds, 2e6 draws together
+    params = HarrisParams(2.0, 2)
+    cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
+    pooled = add_tallies(acceptance._exact_tally(seed, *cells, 10_000)
+                         for seed in range(200))
+    total = sum(pooled.values())
+    gof = chi_square_gof(pooled, *gof_support(params, max(pooled), total),
+                         acceptance.GOF_ALPHA)
+    assert total == 2_000_000 and gof.passed
+
+
+def test_exact_tally_sends_the_cut_tail_past_the_table():
+    params = HarrisParams(2.0, 2)
+    values, probs = acceptance._law_cells(params, 0.3)
+    table = harris_pmf(params, np.arange(len(values) - 1))
+    assert np.array_equal(values, params.support_value(np.arange(len(values))))
+    assert probs[-1] == pytest.approx(1.0 - table.sum(), rel=1e-12)
+    draws = 100_000
+    observed = acceptance._exact_tally(3, values, probs, draws)
+    assert max(observed) == values[-1]
+    # 4 standard errors for the open tail and for the last point of the table
+    for value, p in ((values[-1], probs[-1]), (values[-2], probs[-2])):
+        assert abs(observed[value] / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+
+# (label, Harris law, replicas) of the Monte Carlo verdicts: criteria 3, 4
+# and 5 at their default scales
+MONTE_CARLO_LAWS = [("criterion-3", HarrisParams(E, 2), 100_000),
+                    ("criterion-4", HarrisParams(2.0, 2), 1_000_000),
+                    ("criterion-5", HarrisParams(math.exp(0.7), 1), 100_000)]
+
+
+def monte_carlo_sizes(params, replicas, seeds):
+    """Rejection rates (GoF, mean, variance) of the true law, over seeds
+    exact tallies of replicas draws each, judged as run_scenario judges."""
+    cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
+    mean, var = harris_mean_var(params)
+    band = acceptance._variance_band(params, replicas)
+    rejections = np.zeros(3, dtype=int)
+    for seed in seeds:
+        observed = acceptance._exact_tally(seed, *cells, replicas)
+        support, probs = gof_support(params, max(observed), replicas)
+        gof = chi_square_gof(observed, support, probs, acceptance.GOF_ALPHA)
+        checks = moment_check(*tally_moments(observed), replicas, mean, var, band)
+        rejections += [not gof.passed, not checks[0].passed, not checks[1].passed]
+    return rejections / len(seeds)
+
+
+@pytest.mark.parametrize("params,replicas", [law[1:] for law in MONTE_CARLO_LAWS],
+                         ids=[law[0] for law in MONTE_CARLO_LAWS])
+def test_every_monte_carlo_verdict_keeps_its_size(params, replicas):
+    from scipy import stats
+
+    seeds = 500
+
+    def bound(rate):
+        # a correct program exceeds it with chance below 1e-3
+        return stats.binom.isf(1e-3, seeds, rate) / seeds
+
+    gof, mean, var = monte_carlo_sizes(params, replicas, range(seeds))
+    # the mean band is 3 standard errors: 0.27% under a normal law; the
+    # variance band is at least that wide
+    assert gof <= bound(acceptance.GOF_ALPHA)
+    assert mean <= bound(0.0027) and var <= bound(0.0027)
 
 
 def test_criterion_9_byte_identical_cli_reruns(tmp_path):
@@ -448,7 +561,7 @@ def test_criterion_9_fails_when_the_rerun_differs(monkeypatch):
     monkeypatch.setattr(acceptance, "run_scenario", drifting)
     monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
     results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
-                                        calibration_seeds=25)
+                                        calibration_seeds=200)
     # criterion 3's run is the first of the pair; one rerun follows it
     assert birth_calls == [SEED, SEED]
     determinism = results[8]

@@ -231,6 +231,18 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"error: scale parameter {message}\n"
 
+    @pytest.mark.parametrize("replicas", [str(10**9 + 1), str(10**12)])
+    def test_mixture_draws_past_the_budget_exit_2_before_any_draw(
+            self, replicas, capsys, monkeypatch):
+        # 1e12 draws were accepted and sampled for about a day
+        monkeypatch.setattr(acceptance, "RngStream", None)  # a draw would raise
+        code, out, err = run_cli(["simulate", "--model", "mixture", "--a", "1",
+                                  "--k", "2", "--t", "1", "--replicas", replicas],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {replicas} mixture draws exceed the draw budget "
+                       f"of 1000000000\n")
+
     @pytest.mark.parametrize("model,route", [("birth", "--lambda"),
                                              ("mixture", "--a")])
     def test_invalid_time_exits_2_before_any_draw(self, model, route, capsys,
@@ -351,8 +363,7 @@ class TestParameterGuards:
         (["pmf", "--m", "14.770960494304251", "--k", "1", "--tail", "1e-320"],
          "tail bound must lie in"),
         # 8e16 bytes, past a 128 TiB address space: the allocation fails at once
-        (["validate", "--replicas", str(10**16), "--calibration-seeds", "10"],
-         "error: Unable to allocate"),
+        (["validate", "--replicas", str(10**16)], "error: Unable to allocate"),
         (["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
           "--replicas", str(10**16)], "error: Unable to allocate"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
@@ -369,19 +380,28 @@ class TestParameterGuards:
 
     @pytest.mark.parametrize("argv,message", [
         *[pytest.param(["--calibration-seeds", seeds],
-                       "calibration seeds must be >= 10", id=seeds)
-          for seeds in ("0", "-3", "1", "9")],
+                       "calibration seeds must be >= 200", id=seeds)
+          for seeds in ("0", "-3", "1", "9", "10", "25", "199")],
         pytest.param(["--replicas", "50"], "need at least 100 birth replicas",
                      id="replicas-50"),
         pytest.param(["--mixture-draws", "99"], "need at least 100 mixture draws",
                      id="mixture-draws-99"),
+        # past acceptance.MAX_DRAWS (1e9): about a day of sampling for 1e12
+        pytest.param(["--mixture-draws", str(10**12)],
+                     "1000000000000 mixture draws exceed the draw budget of "
+                     "1000000000", id="mixture-draws-1e12"),
+        pytest.param(["--mixture-draws", str(10**9 + 1)],
+                     "1000000001 mixture draws exceed", id="mixture-draws-1e9+1"),
+        pytest.param(["--calibration-seeds", str(10**5 + 1)],
+                     "1000010000 calibration draws exceed the draw budget",
+                     id="calibration-seeds-1e5+1"),
     ])
     def test_calibration_seeds_checked_before_any_run(self, argv, message,
                                                       capsys, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
         for name in ("solve_forward_odes", "run_scenario", "count_events",
-                     "simulate_many", "sample_harris"):
+                     "simulate_many", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
@@ -424,8 +444,7 @@ class TestParameterGuards:
          "--replicas", "1000"],
         ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
         ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "2"],
-        ["validate", "--replicas", "200", "--mixture-draws", "1000",
-         "--calibration-seeds", "10"],
+        ["validate", "--replicas", "200", "--mixture-draws", "1000"],
     ])
     def test_unwritable_out_exits_2(self, argv, capsys, tmp_path):
         path = tmp_path / "missing" / "out.txt"
@@ -437,15 +456,14 @@ class TestParameterGuards:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
          "--replicas", "1000"],
-        ["validate", "--replicas", "200", "--mixture-draws", "1000",
-         "--calibration-seeds", "10"],
+        ["validate", "--replicas", "200", "--mixture-draws", "1000"],
     ])
     def test_unwritable_out_refused_before_simulating(self, argv, capsys,
                                                       monkeypatch, tmp_path):
         def ran(*args, **kwargs):
             raise AssertionError("ran with an unwritable --out")
         for name in ("solve_forward_odes", "_mixture_quadrature", "count_events",
-                     "simulate_many", "sample_model2", "sample_harris"):
+                     "simulate_many", "sample_model2", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         path = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)
@@ -528,7 +546,7 @@ class TestValidate:
     def test_scaled_down_grid_passes(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--replicas", "5000", "--mixture-draws", "20000",
-             "--calibration-seeds", "25"],
+             "--calibration-seeds", "200"],
             capsys,
         )
         assert code == 0
@@ -542,7 +560,7 @@ class TestValidate:
         # a clock ticking at a different pace in each run stands in for
         # solve times that differ between runs
         args = ["validate", "--replicas", "2000", "--mixture-draws", "20000",
-                "--calibration-seeds", "25", "--format", "csv"]
+                "--calibration-seeds", "200", "--format", "csv"]
         outputs = []
         for tick in (0.001, 0.002):
             clock = itertools.count(step=tick)

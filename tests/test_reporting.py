@@ -165,7 +165,7 @@ SUBCOMMANDS = [
     ["ode", "--lambda", "0.5", "--k", "2", "--t", "1"],
     ["mixture-check", "--a", "1", "--k", "2", "--t", "1"],
     ["validate", "--replicas", "2000", "--mixture-draws", "20000",
-     "--calibration-seeds", "25"],
+     "--calibration-seeds", "200"],
 ]
 
 
