@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .birth import (ProcessParams, count_events, process_moments, simulate_many,
-                    solve_forward_odes)
+from .birth import (MAX_EVENTS, ProcessParams, count_events, process_moments,
+                    simulate_many, solve_forward_odes, solve_forward_odes_at)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
                            harris_pmf, nb_pmf, pmf_table)
 from .mixture import (DRAW_BLOCK, MixtureParams, _mixture_quadrature,
@@ -27,8 +27,9 @@ from .mixture import (DRAW_BLOCK, MixtureParams, _mixture_quadrature,
 from .reporting import simulate_text
 from .sampling import RngStream
 from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
-                         add_tallies, chi_square_gof, gof_support, moment_check,
-                         tally, tally_moments)
+                         add_tallies, chi_square_gof, gof_cells, gof_stop,
+                         gof_support, moment_check, pearson_statistic, tally,
+                         tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -64,8 +65,11 @@ STREAM_BATCH = 1024
 ODE_GAP = 1e-8  # largest absolute ODE gap: ode, criteria 1 and 5
 QUAD_GAP = 1e-8  # quadrature gap, relative below: mixture-check, criterion 2
 GOF_ALPHA = 0.01  # goodness-of-fit level: simulate, criteria 3 to 5
-ODE_SOLVE_BUDGET = 1.0  # seconds per forward-equation solve: criterion 1
+ODE_SOLVE_BUDGET = 1.0  # seconds per forward-equation integration: criterion 1
 
+# The birth laws of criteria 3, 6 and 9, and of criterion 5 (k = 1)
+BIRTH_LAW = {"lam": 0.5, "k": 2, "t": 1.0}
+YULE_FURRY_LAW = {"lam": 1.0, "k": 1, "t": 0.7}
 ODE_GRID = tuple(
     (lam, k, t) for lam in (0.25, 0.5, 1.0) for k in (1, 2, 3) for t in (0.5, 1.0)
 )
@@ -122,6 +126,20 @@ def _check_draw_budget(name: str, draws: int) -> None:
         raise ValueError(f"{draws} {name} exceed the draw budget of {MAX_DRAWS}")
 
 
+def _check_birth_budget(params: ProcessParams, t: float, replicas: int) -> None:
+    """Refuses a birth run whose expected draws pass MAX_DRAWS: a path
+    draws once per event and once past t, replicas*(1 + (m(t) - 1)/k) in
+    all.  count_events itself refuses a mean path past MAX_EVENTS."""
+    mean_path = (params.scale_at(t) - 1.0) / params.k
+    if mean_path > MAX_EVENTS:
+        return
+    try:
+        draws = math.ceil(replicas * (1.0 + mean_path))
+    except OverflowError:  # more replicas than a float holds
+        draws = math.inf
+    _check_draw_budget("expected birth draws", draws)
+
+
 def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> dict:
     """Frequency map of draws samples of Z(t), drawn block by block.
 
@@ -144,8 +162,9 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
 
     Model "birth" requires lam, takes no a, and counts the events of
     replica paths to t (count_events: replica block b on stream b, no path
-    stored); model "mixture" requires a, takes no lam, and draws replicas
-    samples (draw block b of DRAW_BLOCK on stream b), at most MAX_DRAWS.
+    stored), at most MAX_DRAWS expected draws; model "mixture" requires a,
+    takes no lam, and draws replicas samples (draw block b of DRAW_BLOCK on
+    stream b), at most MAX_DRAWS.
     The law at t and the draw budget are checked before any draw.  The
     samples are tallied once; the goodness of fit at GOF_ALPHA and the
     exact sample mean and variance are read from that tally.  The variance
@@ -161,6 +180,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
         marginal = params.harris_at(t)
+        _check_birth_budget(params, t, replicas)
         observed = tally(1 + params.k * count_events(params, t, replicas, seed))
         analytic_mean, analytic_var = process_moments(params, t)
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
@@ -202,16 +222,30 @@ class CriterionResult:
 
 
 def _check_ode_grid() -> CriterionResult:
+    """Criterion 1: each ODE_GRID law against the closed form.
+
+    Every rate scales with lam, so the law at (lam, k, t) is that of the
+    k-system at any rate base at time lam*t/base.  Each k is integrated
+    once, at its laws' smallest rate (not 1, so an ODE that drops lam still
+    fails), through their sorted distinct clocks, and each law is judged
+    at its own (lam, k, t).  ODE_SOLVE_BUDGET bounds each integration.
+    """
     import time
 
     worst_gap, worst_elapsed = 0.0, 0.0
-    for lam, k, t in ODE_GRID:
-        params = ProcessParams(lam, k)
+    for k in sorted({k for _, k, _ in ODE_GRID}):
+        laws = [(lam, t) for lam, step, t in ODE_GRID if step == k]
+        base = min(lam for lam, _ in laws)
+        clocks = sorted({lam * t / base for lam, t in laws})
         start = time.perf_counter()
-        solution = solve_forward_odes(params, t)
+        solutions = dict(zip(clocks, solve_forward_odes_at(ProcessParams(base, k),
+                                                           clocks)))
         worst_elapsed = max(worst_elapsed, time.perf_counter() - start)
-        closed = harris_pmf(params.harris_at(t), np.arange(solution.n_max + 1))
-        worst_gap = max(worst_gap, float(np.abs(solution.probs - closed).max()))
+        for lam, t in laws:
+            solution = solutions[lam * t / base]
+            closed = harris_pmf(ProcessParams(lam, k).harris_at(t),
+                                np.arange(solution.n_max + 1))
+            worst_gap = max(worst_gap, float(np.abs(solution.probs - closed).max()))
     in_budget = worst_elapsed < ODE_SOLVE_BUDGET
     # the measured time stays out of the detail, so reruns print the same bytes
     return CriterionResult(
@@ -251,8 +285,8 @@ def _check_monte_carlo(number: int, name: str, model: str, replicas: int,
 
 
 def _check_yule_furry(replicas: int, seed: int) -> CriterionResult:
-    params = ProcessParams(1.0, 1)
-    t = 0.7
+    params = ProcessParams(YULE_FURRY_LAW["lam"], YULE_FURRY_LAW["k"])
+    t = YULE_FURRY_LAW["t"]
     q = math.exp(-t)
     solution = solve_forward_odes(params, t)
     closed = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
@@ -343,23 +377,39 @@ def _exact_tally(seed: int, values, probs, draws: int) -> dict:
     return dict(zip(values[drawn].tolist(), counts[drawn].tolist()))
 
 
-def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
-    """Criterion 8: the 5% chi-square test's rejection rate on the true law.
+def _calibration_gofs(params: HarrisParams, n_seeds: int, draws: int):
+    """(statistic, threshold) of the 5% chi-square test of each seed's
+    exact tally of the law, seed by seed.
 
-    Seed s tallies draws_per_seed exact draws of the law from RngStream(s)
-    (_exact_tally over _law_cells at CALIBRATION_TAIL), so the test is
-    judged apart from the gamma-Poisson samplers.  The seeds run one after
-    another, each tested against one table made for the open-tail value, the
-    largest a draw can take: the table gof_support makes for one seed alone
-    is a prefix of it and the test stops inside that prefix.
+    Seed s tallies draws exact draws of the law from RngStream(s)
+    (_exact_tally over _law_cells at CALIBRATION_TAIL).  Every seed is
+    tested against one table made for the open-tail value, the largest a
+    draw can take: the table gof_support makes for one seed alone is a
+    prefix of it and the test stops inside that prefix.  A seed's cells
+    depend on its tally only through its stop, so the cells of each stop
+    are made once.
     """
-    params = HarrisParams(2.0, 2)
     values, probs = _law_cells(params, CALIBRATION_TAIL)
-    support, law = gof_support(params, int(values[-1]), draws_per_seed)
-    rejections = sum(
-        not chi_square_gof(_exact_tally(seed, values, probs, draws_per_seed),
-                           support, law, 0.05).passed
-        for seed in range(n_seeds))
+    support, law = gof_support(params, int(values[-1]), draws)
+    cumulative = np.cumsum(law)
+    cells_at = {}
+    for seed in range(n_seeds):
+        observed = _exact_tally(seed, values, probs, draws)
+        end = gof_stop(support, cumulative, draws, max(observed))
+        if end not in cells_at:
+            cells_at[end] = gof_cells(support, law, draws, end, 0.05)
+        cells = cells_at[end]
+        counts, _ = cells.observed_in(observed, draws)
+        yield pearson_statistic(counts, cells.expected), cells.threshold
+
+
+def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
+    """Criterion 8: the 5% chi-square test's rejection rate on the true law
+    (m = 2, k = 2), over the exact tallies of _calibration_gofs, so the test
+    is judged apart from the gamma-Poisson samplers."""
+    rejections = sum(statistic > threshold for statistic, threshold
+                     in _calibration_gofs(HarrisParams(2.0, 2), n_seeds,
+                                          draws_per_seed))
     rate, (low, high) = rejections / n_seeds, CALIBRATION_BAND
     return CriterionResult(
         8, "null-calibration", low <= rate <= high,
@@ -393,11 +443,13 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         if count < MIN_MOMENT_SAMPLES:
             raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} {name}, "
                              f"got {count!r}")
+    for law in (BIRTH_LAW, YULE_FURRY_LAW):
+        _check_birth_budget(ProcessParams(law["lam"], law["k"]), law["t"],
+                            birth_replicas)
     _check_draw_budget("mixture draws", mixture_draws)
     _check_draw_budget("calibration draws", calibration_seeds * CALIBRATION_DRAWS)
-    birth_law = {"lam": 0.5, "k": 2, "t": 1.0}
     criterion_3 = partial(_check_monte_carlo, 3, "model1-monte-carlo-law",
-                          "birth", birth_replicas, seed, **birth_law)
+                          "birth", birth_replicas, seed, **BIRTH_LAW)
     results = [_check_ode_grid(), _check_quadrature_grid()]
     birth_result, birth_run = criterion_3()
     mixture_result, mixture_run = _check_monte_carlo(
@@ -405,7 +457,7 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         a=1.0, k=2, t=1.0)
     results += [birth_result, mixture_result,
                 _check_yule_furry(birth_replicas, seed),
-                _check_coupling(birth_replicas, seed, mixture_run, **birth_law),
+                _check_coupling(birth_replicas, seed, mixture_run, **BIRTH_LAW),
                 _check_identities()]
     results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
     _, rerun = criterion_3()

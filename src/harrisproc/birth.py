@@ -42,6 +42,7 @@ __all__ = [
     "simulate_many",
     "empirical_distribution",
     "solve_forward_odes",
+    "solve_forward_odes_at",
     "process_moments",
 ]
 
@@ -51,6 +52,12 @@ MAX_EVENTS = 1_000_000
 STATE_CAP = 20_000
 ODE_TOL = 1e-10
 ODE_TAIL = 1e-12
+# LSODA's most internal steps between two output times.  odeint's default,
+# 500, ended 11 of 315 laws (k <= 20, lam*k*t <= 12) with "Excess work
+# done", all at k >= 4 and lam*k*t from 2.5 to 6, where LSODA runs its
+# non-stiff method for a few hundred steps before it switches; they take
+# up to ~760.  A larger cap changes no law that solved under the smaller.
+ODE_MAX_STEPS = 5000
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
 # Uniforms a block draws ahead, and about the events per group when the
@@ -391,44 +398,63 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
 def solve_forward_odes(params: ProcessParams, t: float) -> TransientSolution:
     """Integrate the truncated forward equations from the unit start to t.
 
-    The grid stops where the certified closed-form tail falls below
-    ODE_TAIL.  The system is lower triangular (state n is fed only by n-1),
-    so truncating it leaves every retained state exact: no margin is needed.
-    The rates run up to (n_max*k + 1)*lam, so the system is stiff; LSODA
-    with the exact Jacobian sizes its steps by accuracy, not by stability.
-    Raises ConvergenceError if the integration fails, and
-    ResourceLimitError past STATE_CAP states.  t = 0 returns the
-    initial law directly.
+    The one-time case of solve_forward_odes_at; t = 0 returns the initial
+    law directly.
     """
-    # imported here so that commands without a witness never load it
-    from scipy.integrate import ODEintWarning, odeint
     t = float(t)
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     if t == 0.0:
         return TransientSolution(np.array([1.0]), 0.0)
+    return solve_forward_odes_at(params, (t,))[0]
 
-    marginal = params.harris_at(t)
-    n_max = max(truncation_index(marginal, ODE_TAIL, max_terms=STATE_CAP), 2)
-    rhs, band = _forward_system(params, n_max)
-    y0 = np.zeros(n_max + 1)
+
+def solve_forward_odes_at(params: ProcessParams, times) -> list:
+    """One TransientSolution per time, from one integration of the forward
+    equations from the unit start through every time.
+
+    times must be positive and strictly increasing.  Each time's grid stops
+    where its certified closed-form tail falls below ODE_TAIL; the system is
+    integrated once, on the longest of these grids.  It is lower triangular
+    (state n is fed only by n-1), so truncating it leaves every retained
+    state exact: no margin is needed, and each time's law is the integrated
+    state cut to its own grid.  The rates run up to (n_max*k + 1)*lam, so
+    the system is stiff; LSODA with the exact Jacobian sizes its steps by
+    accuracy, not by stability.  Raises ConvergenceError if the integration
+    fails, and ResourceLimitError past STATE_CAP states.
+    """
+    # imported here so that commands without a witness never load it
+    from scipy.integrate import ODEintWarning, odeint
+    times = [float(t) for t in times]
+    if not times or times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be positive and increasing, got {times!r}")
+
+    marginals = [params.harris_at(t) for t in times]
+    n_maxes = [max(truncation_index(marginal, ODE_TAIL, max_terms=STATE_CAP), 2)
+               for marginal in marginals]
+    rhs, band = _forward_system(params, max(n_maxes))
+    y0 = np.zeros(len(band[0]))
     y0[0] = 1.0
     # odeint, not solve_ivp(method="LSODA"): in scipy 1.17.1 the latter
     # leaks about 70 KB per call.  A failure is reported through info, so
     # the warning odeint also emits for it is silenced.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
-        path, info = odeint(rhs, y0, (0.0, t), Dfun=lambda _p, _t: band,
-                            ml=1, mu=0, rtol=ODE_TOL, atol=ODE_TOL, full_output=True)
+        path, info = odeint(rhs, y0, (0.0, *times), Dfun=lambda _p, _t: band,
+                            ml=1, mu=0, rtol=ODE_TOL, atol=ODE_TOL,
+                            mxstep=ODE_MAX_STEPS, full_output=True)
     if info["message"] != "Integration successful.":
         raise ConvergenceError(f"forward integration failed: {info['message']}")
-    probs = path[-1]
-    if probs.min() < -1e-9:
-        raise ConvergenceError(
-            f"forward integration produced probability {probs.min()!r}"
-        )
-    probs = np.clip(probs, 0.0, None)
-    return TransientSolution(probs, tail_bound_after(marginal, n_max))
+    solutions = []
+    for state, marginal, n_max in zip(path[1:], marginals, n_maxes):
+        probs = state[:n_max + 1]
+        if probs.min() < -1e-9:
+            raise ConvergenceError(
+                f"forward integration produced probability {probs.min()!r}"
+            )
+        solutions.append(TransientSolution(np.clip(probs, 0.0, None),
+                                           tail_bound_after(marginal, n_max)))
+    return solutions
 
 
 def process_moments(params: ProcessParams, t: float) -> tuple:

@@ -32,6 +32,10 @@ __all__ = [
     "ValidationReport",
     "chi_square_quantile",
     "chi_square_gof",
+    "GofCells",
+    "gof_stop",
+    "gof_cells",
+    "pearson_statistic",
     "gof_support",
     "moment_check",
     "tally",
@@ -130,6 +134,87 @@ def gof_support(params: HarrisParams, largest: int, total: int) -> tuple:
     return params.support_value(ns), harris_pmf(params, ns)
 
 
+@dataclass(frozen=True)
+class GofCells:
+    """The cells of one goodness-of-fit test, set before any count is read.
+
+    Cell i holds the support points points[starts[i]:starts[i + 1]], runs
+    over the values bounds[i] = (lo, hi), hi None for the open tail, and
+    expects expected[i] of the test's observations.  The last cell also
+    holds every observation that is not at a point read.
+    """
+
+    points: list
+    starts: list
+    bounds: list
+    expected: list
+    degrees_of_freedom: int
+    threshold: float
+
+    def observed_in(self, observed, total: int) -> tuple:
+        """(observations per cell, observations at no point read) of a
+        frequency map of total observations."""
+        at_points = [observed.get(value, 0) for value in self.points]
+        counts = [sum(at_points[lo:hi]) for lo, hi in zip(self.starts, self.starts[1:])]
+        past = total - sum(at_points)
+        counts[-1] += past
+        return counts, past
+
+
+def gof_stop(support, cumulative, total: int, largest) -> int:
+    """How many support points a test of total observations reads.
+
+    It reads up to the first point at or past largest, the largest
+    observation, with less than MIN_EXPECTED_PER_BIN expected beyond it
+    (cumulative is np.cumsum of the probabilities), or to the end.
+    """
+    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
+                           & (support >= largest))
+    return int(stops[0]) + 1 if stops.size else len(support)
+
+
+def gof_cells(support, probs, total: int, end: int, alpha: float) -> GofCells:
+    """The cells of a test of total observations that reads end support points.
+
+    Consecutive points are merged until every cell's expected count
+    reaches MIN_EXPECTED_PER_BIN; the open tail, with the rest of the
+    points' sum, 1 - cumsum, is the last cell, or merges into the one
+    before it if too few observations are expected there.  The threshold
+    is the chi-square upper alpha quantile.  Raises ValueError if fewer
+    than two cells survive merging.
+    """
+    points = support[:end].tolist()
+    starts, bounds, expected = [], [], []
+    first, acc = 0, 0.0
+    for i, exp in enumerate((total * probs[:end]).tolist()):
+        acc += exp
+        if acc >= MIN_EXPECTED_PER_BIN:
+            starts.append(first)
+            bounds.append((points[first], points[i]))
+            expected.append(acc)
+            first, acc = i + 1, 0.0
+    # np.cumsum adds in support order, as a running sum does
+    acc += max(total * (1.0 - float(np.cumsum(probs[:end])[-1])), 0.0)
+    if first < end or acc > 0.0:
+        if expected and not acc >= MIN_EXPECTED_PER_BIN:
+            first = starts.pop()
+            bounds.pop()
+            acc = expected.pop() + acc
+        starts.append(first)
+        bounds.append((points[first] if first < end else points[-1] + 1, None))
+        expected.append(acc)
+    if len(expected) < 2:
+        raise ValueError("fewer than two bins remain after merging")
+    df = len(expected) - 1
+    return GofCells(points, starts + [end], bounds, expected, df,
+                    chi_square_quantile(df, alpha))
+
+
+def pearson_statistic(observed, expected) -> float:
+    """sum((o - e)**2 / e) over the cells, added in cell order."""
+    return float(sum((o - e) ** 2 / e for o, e in zip(observed, expected)))
+
+
 def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     """Pearson chi-square test of observed frequencies against a p.m.f.
 
@@ -144,12 +229,10 @@ def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     alpha : float
         Significance level for the pass/fail threshold.
 
-    The support is read up to the first point with no observation and less
-    than MIN_EXPECTED_PER_BIN expected beyond it, or to its end.  Consecutive
-    points are merged until every bin's expected count reaches
-    MIN_EXPECTED_PER_BIN; the final bin absorbs the open tail, observations
-    past the support included.  Raises ValueError if fewer than two bins
-    survive merging.
+    The support is read as far as gof_stop says, and its points are merged
+    into the cells gof_cells makes; observations at no point read belong to
+    the last cell, which is then the open tail.  Raises ValueError if fewer
+    than two cells survive merging.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
@@ -164,48 +247,16 @@ def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     if np.any(np.diff(support) <= 0):
         raise ValueError("support values must increase")
 
-    # np.cumsum adds in support order, as a running sum does
-    cumulative = np.cumsum(probs)
-    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
-                           & (support >= max(observed)))
-    end = int(stops[0]) + 1 if stops.size else len(support)
-    values = support[:end].tolist()
-    counts = [observed.get(value, 0) for value in values]
-    tail_expected = max(total * (1.0 - float(cumulative[end - 1])), 0.0)
-    # Observations past the read range belong to the open tail bin.
-    tail_observed = total - sum(counts)
-
-    # cells (lo, hi, observed, expected); hi is None for the open tail
-    cells = []
-    acc_lo, acc_obs, acc_exp = None, 0, 0.0
-    for value, obs, exp in zip(values, counts, (total * probs[:end]).tolist()):
-        if acc_lo is None:
-            acc_lo = value
-        acc_obs += obs
-        acc_exp += exp
-        if acc_exp >= MIN_EXPECTED_PER_BIN:
-            cells.append((acc_lo, value, acc_obs, acc_exp))
-            acc_lo, acc_obs, acc_exp = None, 0, 0.0
-    # Open tail (plus any residual accumulation) becomes the last cell, or
-    # merges into the one before it if too few samples are expected there.
-    acc_obs += tail_observed
-    acc_exp += tail_expected
-    if acc_lo is not None or acc_exp > 0.0 or acc_obs > 0:
-        if cells and not acc_exp >= MIN_EXPECTED_PER_BIN:
-            lo, _, obs, exp = cells.pop()
-            acc_lo, acc_obs, acc_exp = lo, obs + acc_obs, exp + acc_exp
-        cells.append((values[-1] + 1 if acc_lo is None else acc_lo, None,
-                      acc_obs, acc_exp))
+    cells = gof_cells(support, probs, total,
+                      gof_stop(support, np.cumsum(probs), total, max(observed)), alpha)
+    counts, past = cells.observed_in(observed, total)
+    statistic = pearson_statistic(counts, cells.expected)
+    lo, hi = cells.bounds[-1]
+    bounds = cells.bounds[:-1] + [(lo, None if past else hi)]
     bins = [Bin(f">={lo}" if hi is None else f"{lo}" if lo == hi else f"{lo}-{hi}",
-                obs, exp) for lo, hi, obs, exp in cells]
-    if len(bins) < 2:
-        raise ValueError("fewer than two bins remain after merging")
-
-    statistic = sum((b.observed - b.expected) ** 2 / b.expected for b in bins)
-    df = len(bins) - 1
-    threshold = chi_square_quantile(df, alpha)
-    return GofResult(float(statistic), df, threshold, alpha,
-                     statistic <= threshold, tuple(bins))
+                obs, exp) for (lo, hi), obs, exp in zip(bounds, counts, cells.expected)]
+    return GofResult(statistic, cells.degrees_of_freedom, cells.threshold, alpha,
+                     statistic <= cells.threshold, tuple(bins))
 
 
 @dataclass(frozen=True)

@@ -26,4 +26,4 @@ def starved_odeint(monkeypatch):
     """Make every forward-equation solve fail: odeint gets one step only."""
     real_odeint = integrate.odeint
     monkeypatch.setattr(integrate, "odeint", lambda *args, **kwargs:
-                        real_odeint(*args, mxstep=1, **kwargs))
+                        real_odeint(*args, **{**kwargs, "mxstep": 1}))

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from harrisproc import acceptance, sampling
+from harrisproc import acceptance, birth, sampling
 from harrisproc.birth import (
     ProcessParams,
     count_events,
@@ -36,8 +36,8 @@ from harrisproc.mixture import (DRAW_BLOCK, MixtureParams, mixture_pmf,
                                 mixture_pmf_quadrature, sample_model2)
 from harrisproc.reporting import simulate_text
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import (add_tallies, chi_square_gof, gof_support,
-                                   moment_check, tally, tally_moments)
+from harrisproc.validation import (add_tallies, chi_square_gof, gof_stop,
+                                   gof_support, moment_check, tally, tally_moments)
 
 E = math.e
 SEED = 42
@@ -86,6 +86,38 @@ def test_criterion_1_ode_vs_closed_form():
            worst_gap < 1e-8 and worst_time < 1.0,
            f"max-abs diff {worst_gap:.3e} < 1e-8; slowest solve "
            f"{worst_time:.3f}s < 1s")
+
+
+def test_criterion_1_reads_each_law_off_one_integration_per_k(monkeypatch):
+    solve = acceptance.solve_forward_odes_at
+    calls = []
+
+    def recording(params, times):
+        calls.append((params, list(times)))
+        return solve(params, times)
+
+    monkeypatch.setattr(acceptance, "solve_forward_odes_at", recording)
+    result = acceptance._check_ode_grid()
+    assert result.passed
+    assert result.detail == ("max-abs gap 4.308e-10 (budget 1e-08); slowest solve "
+                             "within the 1s budget")
+    assert calls == [(ProcessParams(0.25, k), [0.5, 1.0, 2.0, 4.0])
+                     for k in (1, 2, 3)]
+
+
+def test_criterion_1_fails_when_the_solve_reverses_its_times(monkeypatch):
+    solve = acceptance.solve_forward_odes_at
+    monkeypatch.setattr(acceptance, "solve_forward_odes_at",
+                        lambda params, times: solve(params, times)[::-1])
+    assert not acceptance._check_ode_grid().passed
+
+
+def test_criterion_1_fails_when_the_ode_ignores_the_rate(monkeypatch):
+    # the rates (n*k + 1) without lam: the laws of rate 1, not of rate lam
+    system = birth._forward_system
+    monkeypatch.setattr(birth, "_forward_system", lambda params, n_max:
+                        system(ProcessParams(1.0, params.k), n_max))
+    assert not acceptance._check_ode_grid().passed
 
 
 def test_criterion_2_quadrature_vs_closed_form():
@@ -316,35 +348,23 @@ def test_criterion_8_null_calibration():
            f"rejection rate {rate:.3f} within [0.01, 0.11] over 200 seeds")
 
 
-def test_calibration_does_not_depend_on_the_worker_count(monkeypatch, capsys):
-    per_seed, results, texts = [], [], []
-    real_gof = acceptance.chi_square_gof
-
-    def recording(*args, **kwargs):
-        gof = real_gof(*args, **kwargs)
-        per_seed[-1].append(gof.statistic)
-        return gof
-
-    for cpus in (1, 4):
-        _use_cpus(monkeypatch, cpus)
-        per_seed.append([])
-        with monkeypatch.context() as patch:
-            patch.setattr(acceptance, "chi_square_gof", recording)
-            results.append(acceptance._check_calibration(200, 2000))
-        assert main(["validate", "--replicas", "2000", "--mixture-draws",
-                     "20000", "--calibration-seeds", "200"]) == 0
-        texts.append(capsys.readouterr().out)
-    # each seed tested alone against its own table, as one loop would
-    params = HarrisParams(2.0, 2)
+@pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1)])
+def test_each_calibration_statistic_is_the_seeds_own_gof(m, k):
+    # (2, 2) is criterion 8's law; at (100, 1) the seeds stop at different
+    # points, so criterion 8 makes several sets of cells
+    params = HarrisParams(m, k)
+    gofs = list(acceptance._calibration_gofs(params, 200, 10_000))
     cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
-    alone = []
+    alone, stops = [], set()
     for seed in range(200):
-        observed = acceptance._exact_tally(seed, *cells, 2000)
-        own = gof_support(params, max(observed), 2000)
-        alone.append(chi_square_gof(observed, *own, 0.05).statistic)
-    assert per_seed[0] == per_seed[1] == alone
-    assert results[0] == results[1]
-    assert texts[0] == texts[1]
+        # each seed tested alone against its own table, as one loop would
+        observed = acceptance._exact_tally(seed, *cells, 10_000)
+        support, probs = gof_support(params, max(observed), 10_000)
+        gof = chi_square_gof(observed, support, probs, 0.05)
+        alone.append((gof.statistic, gof.threshold))
+        stops.add(gof_stop(support, np.cumsum(probs), 10_000, max(observed)))
+    assert gofs == alone
+    assert len(stops) > 1
 
 
 @pytest.mark.parametrize("cpus,streams", [(4, 1), (1, 5)])

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from harrisproc import acceptance
 from harrisproc.birth import ProcessParams, simulate_many
-from harrisproc.cli import build_parser
+from harrisproc.cli import build_parser, main
 from harrisproc.validation import chi_square_gof
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -73,3 +74,27 @@ def test_bin_counts_read_the_gof_result():
 def test_every_bench_op_parses(workload, seed):
     for op in workloads.WORKLOADS[workload](seed).ops:
         build_parser().parse_args(op.argv)
+
+
+class Reached(Exception):
+    """Raised where a command that was not refused starts its work."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_birth_run_of_the_bench_is_within_the_draw_budget(workload,
+                                                                monkeypatch):
+    # simulate --model birth starts at count_events, validate at criterion 1
+    monkeypatch.setattr(acceptance, "count_events", _reached)
+    monkeypatch.setattr(acceptance, "solve_forward_odes_at", _reached)
+    ops = [op.argv for op in workloads.WORKLOADS[workload](1).ops
+           if op.argv[0] == "validate" or op.argv[:3] == ("simulate", "--model",
+                                                          "birth")]
+    if workload == "validate":
+        ops.append(("validate",))  # the default scale
+    for argv in ops:
+        with pytest.raises(Reached):
+            main(list(argv))

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from harrisproc import acceptance, birth
@@ -16,6 +18,7 @@ from harrisproc.birth import (
     process_moments,
     simulate_many,
     solve_forward_odes,
+    solve_forward_odes_at,
 )
 from harrisproc.cli import main
 from harrisproc.distribution import (
@@ -417,9 +420,68 @@ class TestForwardEquations:
             solve_forward_odes(ProcessParams(1.0, 1), 4.0)
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("lam,k,t", [(1.0, 4, 0.7265625), (1.0, 5, 0.54),
+                                         (1.0, 4, 1.291)])
+    def test_a_law_past_500_steps_is_solved(self, lam, k, t):
+        # LSODA takes 500 to 760 steps here; odeint's default cap of 500
+        # ended each with "Excess work done"
+        params = ProcessParams(lam, k)
+        sol = solve_forward_odes(params, t)
+        closed = harris_pmf(params.harris_at(t), np.arange(sol.n_max + 1))
+        assert np.abs(sol.probs - closed).max() < acceptance.ODE_GAP
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             solve_forward_odes(ProcessParams(1.0, 1), -0.1)
+
+
+class TestMultiTimeForwardEquations:
+    # lam*k*t at most 3, so no grid passes about 600 states
+    @settings(max_examples=400, deadline=None)
+    @given(lam=st.floats(0.05, 5.0), k=st.integers(1, 6),
+           clock=st.floats(1e-3, 3.0),
+           fractions=st.sets(st.floats(0.01, 1.0), min_size=1, max_size=4))
+    def test_every_time_matches_the_closed_form_and_the_one_time_solve(
+            self, lam, k, clock, fractions):
+        params = ProcessParams(lam, k)
+        times = sorted({clock / (lam * k) * f for f in fractions})
+        solutions = solve_forward_odes_at(params, times)
+        assert len(solutions) == len(times)
+        for t, solution in zip(times, solutions):
+            alone = solve_forward_odes(params, t)
+            assert solution.n_max == alone.n_max <= 600
+            assert solution.truncation_tail == alone.truncation_tail
+            closed = harris_pmf(params.harris_at(t), np.arange(solution.n_max + 1))
+            assert np.abs(solution.probs - closed).max() < acceptance.ODE_GAP
+            assert np.abs(solution.probs - alone.probs).max() < acceptance.ODE_GAP
+
+    def test_one_time_is_the_one_time_solve(self):
+        params = ProcessParams(0.5, 2)
+        [solution] = solve_forward_odes_at(params, [1.0])
+        alone = solve_forward_odes(params, 1.0)
+        assert np.array_equal(solution.probs, alone.probs)
+        assert solution.truncation_tail == alone.truncation_tail
+
+    @pytest.mark.parametrize("lam,k,t", [(0.37, 2, 1.3), (2.5, 3, 0.4),
+                                         (0.25, 1, 3.0)])
+    def test_rate_lam_at_t_is_the_unit_rate_at_lam_t(self, lam, k, t):
+        # every rate scales with lam: the clock identity criterion 1 reads
+        scaled = solve_forward_odes(ProcessParams(lam, k), t)
+        unit = solve_forward_odes(ProcessParams(1.0, k), lam * t)
+        assert scaled.n_max == unit.n_max
+        assert scaled.truncation_tail == unit.truncation_tail
+        assert np.abs(scaled.probs - unit.probs).max() < acceptance.ODE_GAP
+
+    @pytest.mark.parametrize("times", [[], [0.0, 1.0], [-0.5], [1.0, 0.5],
+                                       [0.5, 0.5]])
+    def test_times_must_be_positive_and_increasing(self, times):
+        with pytest.raises(ValueError, match="positive and increasing"):
+            solve_forward_odes_at(ProcessParams(1.0, 1), times)
+
+    def test_state_cap_applies_to_the_last_time(self, monkeypatch):
+        monkeypatch.setattr(birth, "STATE_CAP", 100)
+        with pytest.raises(ResourceLimitError):
+            solve_forward_odes_at(ProcessParams(1.0, 3), [0.1, 1.0])
 
 
 class TestMoments:

@@ -243,6 +243,21 @@ class TestSimulate:
         assert err == (f"error: {replicas} mixture draws exceed the draw budget "
                        f"of 1000000000\n")
 
+    # 4e8 paths of e - 1 events on average: 4e8 * e expected draws; 1e400
+    # replicas are more than a float holds
+    @pytest.mark.parametrize("replicas,draws", [("400000000", "1087312732"),
+                                                (str(10**400), "inf")],
+                             ids=["4e8", "1e400"])
+    def test_birth_draws_past_the_budget_exit_2_before_any_draw(
+            self, replicas, draws, capsys, monkeypatch):
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise
+        code, out, err = run_cli(["simulate", "--model", "birth", "--lambda", "1",
+                                  "--k", "1", "--t", "1", "--replicas", replicas],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {draws} expected birth draws exceed the draw "
+                       f"budget of 1000000000\n")
+
     @pytest.mark.parametrize("model,route", [("birth", "--lambda"),
                                              ("mixture", "--a")])
     def test_invalid_time_exits_2_before_any_draw(self, model, route, capsys,
@@ -362,10 +377,15 @@ class TestParameterGuards:
          "tail bound must lie in"),
         (["pmf", "--m", "14.770960494304251", "--k", "1", "--tail", "1e-320"],
          "tail bound must lie in"),
+        # past the draw budget, before the 8e16-byte count array is allocated
+        pytest.param(["validate", "--replicas", str(10**16)],
+                     "expected birth draws exceed the draw budget of 1000000000",
+                     id="validate-replicas-1e16"),
+        pytest.param(["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
+                      "--t", "1", "--replicas", str(10**16)],
+                     "expected birth draws exceed the draw budget of 1000000000",
+                     id="simulate-birth-replicas-1e16"),
         # 8e16 bytes, past a 128 TiB address space: the allocation fails at once
-        (["validate", "--replicas", str(10**16)], "error: Unable to allocate"),
-        (["simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "1",
-          "--replicas", str(10**16)], "error: Unable to allocate"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
           "--nmax", str(10**16)], "error: Unable to allocate"),
         (["pmf", "--lambda", "1", "--k", "1", "--t", "0"],
@@ -395,13 +415,17 @@ class TestParameterGuards:
         pytest.param(["--calibration-seeds", str(10**5 + 1)],
                      "1000010000 calibration draws exceed the draw budget",
                      id="calibration-seeds-1e5+1"),
+        # criterion 3's law takes 9.3e8 expected draws, criterion 5's 1.007e9
+        pytest.param(["--replicas", str(5 * 10**8)],
+                     "1006876354 expected birth draws exceed the draw budget",
+                     id="replicas-5e8"),
     ])
     def test_calibration_seeds_checked_before_any_run(self, argv, message,
                                                       capsys, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
-        for name in ("solve_forward_odes", "run_scenario", "count_events",
-                     "simulate_many", "_exact_tally"):
+        for name in ("solve_forward_odes", "solve_forward_odes_at", "run_scenario",
+                     "count_events", "simulate_many", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
@@ -462,8 +486,9 @@ class TestParameterGuards:
                                                       monkeypatch, tmp_path):
         def ran(*args, **kwargs):
             raise AssertionError("ran with an unwritable --out")
-        for name in ("solve_forward_odes", "_mixture_quadrature", "count_events",
-                     "simulate_many", "sample_model2", "_exact_tally"):
+        for name in ("solve_forward_odes", "solve_forward_odes_at",
+                     "_mixture_quadrature", "count_events", "simulate_many",
+                     "sample_model2", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         path = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)

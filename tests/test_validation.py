@@ -122,6 +122,20 @@ class TestChiSquareGof:
         assert result.bins[-1].expected == pytest.approx(8.0, rel=1e-12)
         assert result.statistic < 1e-12
 
+    @pytest.mark.parametrize("observed,labels", [
+        ({0: 50, 1: 25, 2: 25}, ["0", "1", "2"]),
+        ({0: 50, 1: 25, 2: 20, 7: 5}, ["0", "1", ">=2"]),
+    ])
+    def test_a_closed_last_cell_opens_for_observations_past_it(self, observed,
+                                                               labels):
+        # the sum reaches 1 at the last point, so no open tail cell is
+        # expected; observations past the points join the last cell
+        result = chi_square_gof(observed, np.arange(3), np.array([0.5, 0.25, 0.25]),
+                                0.05)
+        assert [b.label for b in result.bins] == labels
+        assert [b.observed for b in result.bins] == [50, 25, 25]
+        assert result.statistic == 0.0
+
     def test_a_negative_lower_bound_keeps_its_sign(self):
         # the thin tail merges into the last cell, whose lower bound is -2
         result = chi_square_gof({-3: 50, -2: 50}, np.array([-3, -2]),
