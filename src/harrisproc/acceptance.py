@@ -128,8 +128,9 @@ def _check_draw_budget(name: str, draws: int) -> None:
 
 def _check_birth_budget(params: ProcessParams, t: float, replicas: int) -> None:
     """Refuses a birth run whose expected draws pass MAX_DRAWS: a path
-    draws once per event and once past t, replicas*(1 + (m(t) - 1)/k) in
-    all.  count_events itself refuses a mean path past MAX_EVENTS."""
+    needs one per event and one past t, replicas*(1 + (m(t) - 1)/k) in all
+    (a pass also draws the rest of each ending column).  count_events
+    refuses a mean path past MAX_EVENTS, or a run expecting one past it."""
     mean_path = (params.scale_at(t) - 1.0) / params.k
     if mean_path > MAX_EVENTS:
         return

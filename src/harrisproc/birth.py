@@ -13,9 +13,12 @@ the truncated Kolmogorov forward equations
 
     dP[n]/dt = ((n-1)k + 1) lam P[n-1] - (nk + 1) lam P[n],   P[0](0) = 1.
 
-The simulation has two entry points that run the same rounds on the same
-draws: count_events keeps only each replica's count I(t), which is all a
-law at t needs, and simulate_many also records every event time.
+The simulation runs each block of replicas in passes: one stream.uniform
+call advances every live replica of the block by several rounds, one
+event per round, and a replica ends at its first clock past the horizon.
+Its two entry points run the same passes on the same draws: count_events
+keeps only each replica's count I(t), which is all a law at t needs, and
+simulate_many also records every event time.
 """
 
 from __future__ import annotations
@@ -60,12 +63,9 @@ ODE_TAIL = 1e-12
 ODE_MAX_STEPS = 5000
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
-# Uniforms a block draws ahead, and about the events per group when the
-# rows are filled.  The uniforms are the stream's nonzero values in order;
-# consecutive calls concatenate, so the chunk changes no value.  At least
-# BLOCK_SIZE, so one refill covers any round; a 5000-path run of ~0.9
-# events each uses ~9,500 draws, and drawing 65,536 made it 0.8 ms slower
-# than drawing per round.
+# The most uniforms one pass of a block draws, m live replicas times w
+# rounds (see _passes).  At least BLOCK_SIZE, so every pass covers at least
+# one round of the whole block.
 DRAW_CHUNK = 16_384
 
 
@@ -193,44 +193,30 @@ class TrajectoryBatch:
         return int(np.count_nonzero(self.states_at(self.horizon) != expected))
 
 
-class _Exponentials:
-    """Exponentials -ln(U) of one stream, drawn DRAW_CHUNK uniforms ahead.
-
-    take(n) returns -ln of exactly the uniforms stream.uniform(n) would
-    return at the same point of the stream: uniform gives the stream's
-    nonzero values in order and consecutive calls concatenate, so reading
-    ahead changes no value.
-    """
-
-    def __init__(self, stream: RngStream):
-        self._uniform = stream.uniform
-        self._draws = np.empty(0)
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        if self._pos + n > self._draws.size:
-            fresh = self._uniform(max(DRAW_CHUNK, n))
-            np.log(fresh, out=fresh)
-            np.negative(fresh, out=fresh)
-            self._draws = np.concatenate((self._draws[self._pos:], fresh))
-            self._pos = 0
-        self._pos += n
-        return self._draws[self._pos - n:self._pos]
-
-
 def _check_run(params: ProcessParams, horizon, n_replicas: int) -> float:
     """The horizon as a float; refuses, before any draw, a horizon not > 0,
-    no replicas, or a mean path, (m(horizon) - 1)/k events, past MAX_EVENTS."""
+    no replicas, a mean path, (m(horizon) - 1)/k events, past MAX_EVENTS,
+    or a run that expects at least one path past it.  That expectation is
+    n_replicas times the certified tail of the law after MAX_EVENTS events,
+    exact at k = 1."""
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     if n_replicas < 1:
         raise ValueError(f"need at least one replica, got {n_replicas!r}")
-    mean_events = (params.scale_at(horizon) - 1.0) / params.k
+    m = params.scale_at(horizon)
+    mean_events = (m - 1.0) / params.k
     if mean_events > MAX_EVENTS:
         raise ResourceLimitError(
             f"a path to t={horizon} averages {mean_events:.4g} events, "
             f"more than {MAX_EVENTS}"
+        )
+    past_cap = (n_replicas * tail_bound_after(HarrisParams(m, params.k), MAX_EVENTS)
+                if m > 1.0 else 0.0)
+    if past_cap >= 1.0:
+        raise ResourceLimitError(
+            f"{n_replicas} paths to t={horizon} expect {past_cap:.4g} of them "
+            f"past {MAX_EVENTS} events"
         )
     return horizon
 
@@ -241,73 +227,63 @@ def _blocks(n_replicas: int, seed: int):
         yield first, min(BLOCK_SIZE, n_replicas - first), RngStream(seed, stream_id=b)
 
 
-def _rounds(params: ProcessParams, horizon: float, stream: RngStream, size: int):
-    """Run one block of replicas to the horizon, one event per round.
+def _passes(params: ProcessParams, horizon: float, stream: RngStream, size: int):
+    """Run one block of replicas to the horizon, several rounds per pass.
 
-    Round j advances every replica with j events by one holding time
-    -ln(U)/((j*k + 1)*lam) and yields (j, retired, alive, clock): the
-    block-local ids of the replicas whose next event falls past the
-    horizon, so that they end with j events, then those of the others with
-    their (j+1)-th event times, all in replica order.  The last round
-    retires every replica left; ResourceLimitError is raised once a
-    replica passes MAX_EVENTS events.
+    Pass p starts at round j with the m replicas still inside the horizon,
+    each holding j events, and advances them w = max(1, min(2**p,
+    DRAW_CHUNK // m)) rounds on one stream.uniform(m*w) call: row r of the
+    (w, m) clocks holds round j + r of every live replica, in replica
+    order, its clock plus the cumulative holding times -ln(U)/((i*k + 1)*lam)
+    for rounds i = j..j + r.  A clock past the horizon ends its replica with
+    j + r events, and the rest of its column is discarded.  Yields (j,
+    alive, clocks, n): the block-local ids of the pass's replicas, their
+    clocks and the events n each has inside the horizon in this pass.
+    ResourceLimitError is raised once a replica passes MAX_EVENTS events.
     """
-    draws = _Exponentials(stream)
-    alive = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    alive = np.arange(size)
     clock = np.zeros(size)
-    for j in itertools.count():
-        clock = clock + draws.take(alive.size) / params.rate_after(j)
-        inside = clock <= horizon
-        if inside.all():  # no replica leaves in most rounds of a long path
-            retired = alive[:0]
+    j = 0
+    for p in itertools.count():
+        w = max(1, min(2**p, DRAW_CHUNK // alive.size))
+        clocks = stream.uniform(alive.size * w).reshape(w, alive.size)
+        np.log(clocks, out=clocks)
+        clocks /= -params.rate_after(np.arange(j, j + w))[:, np.newaxis]
+        clocks[0] += clock
+        if w < alive.size:  # cumsum along a short axis 0 is ~5x slower
+            for r in range(1, w):
+                clocks[r] += clocks[r - 1]
         else:
-            retired = alive[~inside]
-            alive, clock = alive[inside], clock[inside]
-        yield j, retired, alive, clock
-        if alive.size == 0:
-            return
-        if j == MAX_EVENTS:
+            np.cumsum(clocks, axis=0, out=clocks)
+        n = np.count_nonzero(clocks <= horizon, axis=0)
+        if j + n.max() > MAX_EVENTS:
             raise ResourceLimitError(
                 f"trajectory exceeded {MAX_EVENTS} events before t={horizon}"
             )
-
-
-def _block_groups(params: ProcessParams, horizon: float, stream: RngStream,
-                  size: int) -> list:
-    """The event times of one block's rounds, in groups of consecutive rounds.
-
-    Each group holds about DRAW_CHUNK events, as (first round, events per
-    round, block-local replica ids, event times), every round in replica
-    order.
-    """
-    groups, ids, clocks, pending = [], [], [], 0
-    for j, _, alive, clock in _rounds(params, horizon, stream, size):
-        if ids and (pending >= DRAW_CHUNK or alive.size == 0):
-            groups.append((j - len(ids), [members.size for members in ids],
-                           np.concatenate(ids), np.concatenate(clocks)))
-            ids, clocks, pending = [], [], 0
-        ids.append(alive)
-        clocks.append(clock)
-        pending += alive.size
-    return groups
+        yield j, alive, clocks, n
+        survivors = n == w
+        if not survivors.any():
+            return
+        alive, clock = alive[survivors], clocks[-1, survivors]
+        j += w
 
 
 def count_events(params: ProcessParams, horizon: float, n_replicas: int,
                  seed: int) -> np.ndarray:
     """The event count I(horizon) of each replica, without storing its path.
 
-    Runs simulate_many's rounds on the same draws, so every count equals
+    Runs simulate_many's passes on the same draws, so every count equals
     simulate_many(params, horizon, n_replicas, seed).n_events bit for bit,
-    and raises what it raises; only the live replicas' clocks are kept, and
-    a replica's count is the round that retires it.
+    and raises what it raises; a replica's count is the sum of its events
+    inside the horizon over the passes it runs in, and only one pass's
+    clocks are kept at a time.
     """
     horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)
     for first, size, stream in _blocks(n_replicas, seed):
         block = n_events[first:first + size]
-        for j, retired, _, _ in _rounds(params, horizon, stream, size):
-            if retired.size:
-                block[retired] = j
+        for _, alive, _, n in _passes(params, horizon, stream, size):
+            block[alive] += n
     return n_events
 
 
@@ -316,41 +292,38 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     """Exact event-driven simulation of independent replicas to the horizon.
 
     Replica block b (replicas b*BLOCK_SIZE to (b+1)*BLOCK_SIZE - 1) runs
-    alone on RngStream(seed, b).  Each round advances every replica of the
-    block still inside the horizon by one exponential holding time
-    -ln(U)/((j*k + 1)*lam), where j, the round, is the event count of every
-    such replica, and retires those that pass the horizon; no time
-    discretization is involved.  The uniforms are those of one
-    stream.uniform call per round, one per live replica in replica order.
-    uniform gives the stream's nonzero values in order and consecutive
-    calls concatenate, so drawing them ahead in chunks of DRAW_CHUNK
-    changes none, and every full block gives the same paths whatever
-    n_replicas is.  The rows are filled from groups of about DRAW_CHUNK
-    events, so no temporary spans the whole batch, and n_events counts each
-    replica's recorded events.  Raises ResourceLimitError if a path would
-    exceed MAX_EVENTS (a guard for pathological parameters; the process
-    itself is non-explosive on finite horizons), before any draw if the
-    mean path, (m(horizon) - 1)/k events, already does.
+    alone on RngStream(seed, b), in passes (see _passes).  Pass p advances
+    the m replicas of the block still inside the horizon by w = max(1,
+    min(2**p, DRAW_CHUNK // m)) rounds, from one stream.uniform(m*w) call
+    whose row r is round j + r of every live replica in replica order.
+    Each round adds one exponential holding time -ln(U)/((i*k + 1)*lam),
+    i being the replica's event count, with no time discretization; a
+    replica ends at the first clock past the horizon, and its later draws
+    in the pass are discarded.  Which draws feed a replica depends only on
+    the live set at the start of each pass, so every full block gives the
+    same paths whatever n_replicas is.  The rows are filled from each
+    pass's clocks inside the horizon, and n_events counts them.  Raises
+    ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
+    pathological parameters; the process itself is non-explosive on
+    finite horizons), before any draw if the mean path, (m(horizon) - 1)/k
+    events, already does or the run expects a path to.
     """
     horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)
-    blocks = []
+    passes = []
     for first, size, stream in _blocks(n_replicas, seed):
-        groups = _block_groups(params, horizon, stream, size)
-        for _, _, members, _ in groups:
-            n_events[first:first + size] += np.bincount(members, minlength=size)
-        blocks.append((first, groups))
+        block = n_events[first:first + size]
+        for j, alive, clocks, n in _passes(params, horizon, stream, size):
+            block[alive] += n
+            passes.append((j, first + alive, clocks))
 
     offsets = np.zeros(n_replicas + 1, dtype=np.int64)
     np.cumsum(n_events, out=offsets[1:])
     event_times = np.empty(offsets[-1])
-    for first, groups in blocks:
-        row_starts = offsets[first:]
-        for first_round, sizes, members, times in groups:
-            # the event of round j is entry j of its replica's row
-            rounds = np.repeat(np.arange(first_round, first_round + len(sizes)),
-                               sizes)
-            event_times[row_starts[members] + rounds] = times
+    for j, replicas, clocks in passes:
+        # round j + r is entry j + r of its replica's row
+        rows, cols = np.nonzero(clocks <= horizon)
+        event_times[offsets[replicas[cols]] + j + rows] = clocks[rows, cols]
     return TrajectoryBatch(params, horizon, n_events, event_times, offsets)
 
 

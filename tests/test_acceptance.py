@@ -590,14 +590,15 @@ def test_criterion_9_fails_when_the_rerun_differs(monkeypatch):
                                   "json rerun identical: False")
 
 
-# Goodness-of-fit results pinned from the scalar support walk the array
-# form replaced: statistic (exact repr), degrees of freedom and bin labels.
+# Goodness-of-fit results pinned on the birth sampler's pass stream:
+# statistic (exact repr), degrees of freedom and bin labels, the last two as
+# the scalar support walk the array form replaced gave them.
 # The statistic is that of the log-Pochhammer p.m.f.; with probabilities
-# exact to 50 digits it is 12.031085121469468.
+# exact to 50 digits (m = e) it is 28.608510155545403.
 def test_gof_of_criterion_3_is_pinned():
     gof = acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=100_000,
                                   seed=SEED).report.gof
-    assert repr(gof.statistic) == "12.03108512146931"
+    assert repr(gof.statistic) == "28.608510155533764"
     assert gof.degrees_of_freedom == 17
     assert [b.label for b in gof.bins] == [str(x) for x in range(1, 35, 2)] + [">=35"]
 
@@ -608,7 +609,7 @@ def test_gof_of_the_deep_birth_run_is_pinned():
     gof = acceptance.run_scenario("birth", lam=1.0, k=1, t=6.0, replicas=2000,
                                   seed=1880700755).report.gof
     labels = [b.label for b in gof.bins]
-    assert repr(gof.statistic) == "304.01503144494336"
+    assert repr(gof.statistic) == "357.1640692937921"
     assert gof.degrees_of_freedom == 315
     assert labels[:3] == ["1-2", "3-4", "5-6"]
     assert labels[-3:] == ["1904-2037", "2038-2238", ">=2239"]

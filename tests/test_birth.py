@@ -112,11 +112,11 @@ class TestTrajectory:
         assert batch.states_at(0.3).tolist() == [3, 3]
 
     def test_event_cap(self, monkeypatch):
-        # the mean path count (e - 1) is below the cap, so the round loop
-        # runs and stops at the first path that passes it
+        # the mean path count (e - 1) is below the cap and 6 paths expect
+        # 0.96 past it, so the passes run and stop at a path that passes it
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError, match="trajectory exceeded 3"):
-            simulate_many(ProcessParams(0.5, 1), 2.0, 1000, seed=0)
+            simulate_many(ProcessParams(0.5, 1), 2.0, 6, seed=1)
 
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
@@ -228,37 +228,53 @@ class TestMonteCarloLaw:
 
 
 def _reference_batch(params, horizon, n_replicas, seed):
-    """All blocks advance together, one stream.uniform call per block and round.
+    """The pass contract, one replica at a time in plain Python.
 
-    The per-round loop that simulate_many's chunked draws must reproduce
-    value for value.
+    Block b runs on RngStream(seed, b).  Pass p of a block, with m live
+    replicas at round j, reads stream.uniform(m * w), w = max(1, min(2**p,
+    DRAW_CHUNK // m)), as w rows of m: row r is round j + r of each live
+    replica in replica order.  Each column is walked alone until its clock
+    passes the horizon; the rest of the column is never read.
     """
-    streams = [birth.RngStream(seed, stream_id=b)
-               for b in range(math.ceil(n_replicas / BLOCK_SIZE))]
-    alive = np.arange(n_replicas)
-    clock = np.zeros(n_replicas)
-    n_events = np.zeros(n_replicas, dtype=np.int64)
-    rounds = []
-    while True:
-        per_block = np.bincount(alive // BLOCK_SIZE, minlength=len(streams))
-        uniforms = np.concatenate([stream.uniform(size) for stream, size
-                                   in zip(streams, per_block) if size])
-        rate = (len(rounds) * params.k + 1) * params.lam
-        clock = clock - np.log(uniforms) / rate
-        inside = clock <= horizon
-        alive, clock = alive[inside], clock[inside]
-        if alive.size == 0:
-            break
-        n_events[alive] += 1
-        rounds.append(clock)
+    n_events, rows = [], []
+    for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
+        stream = birth.RngStream(seed, stream_id=b)
+        paths = [[] for _ in range(min(BLOCK_SIZE, n_replicas - first))]
+        alive, j, p = list(range(len(paths))), 0, 0
+        while alive:
+            w = max(1, min(2**p, birth.DRAW_CHUNK // len(alive)))
+            draws = -np.log(stream.uniform(len(alive) * w))
+            survivors = []
+            for c, replica in enumerate(alive):
+                path = paths[replica]
+                clock = path[-1] if path else 0.0
+                for r in range(w):
+                    clock = clock + draws[r * len(alive) + c] / params.rate_after(j + r)
+                    if clock > horizon:
+                        break
+                    path.append(clock)
+                else:
+                    survivors.append(replica)
+            alive, j, p = survivors, j + w, p + 1
+        n_events += [len(path) for path in paths]
+        rows += paths
     offsets = np.zeros(n_replicas + 1, dtype=np.int64)
     np.cumsum(n_events, out=offsets[1:])
-    event_times = np.empty(offsets[-1])
-    members = np.arange(n_replicas)
-    for j, times in enumerate(rounds):
-        members = members[n_events[members] > j]
-        event_times[offsets[members] + j] = times
-    return n_events, offsets, event_times
+    event_times = np.array([time for path in rows for time in path], dtype=float)
+    return np.array(n_events, dtype=np.int64), offsets, event_times
+
+
+def _assert_the_contract_holds(params, horizon, n_replicas, seed):
+    batch = simulate_many(params, horizon, n_replicas, seed)
+    n_events, offsets, event_times = _reference_batch(params, horizon,
+                                                      n_replicas, seed)
+    assert np.array_equal(batch.n_events, n_events)
+    assert np.array_equal(batch.offsets, offsets)
+    assert np.array_equal(batch.event_times, event_times)
+    # the counts-only route runs the same draws
+    counts = count_events(params, horizon, n_replicas, seed)
+    assert counts.dtype == np.int64 and np.array_equal(counts, n_events)
+    return batch
 
 
 class _ZeroingGenerator:
@@ -278,7 +294,7 @@ class _ZeroingGenerator:
 
 
 class TestDrawContract:
-    LAWS = [((1.0, 1), 6.0, 2000, 7),             # several chunk refills
+    LAWS = [((1.0, 1), 6.0, 2000, 7),             # passes of up to DRAW_CHUNK draws
             ((0.5, 2), 1.0, 2 * BLOCK_SIZE + 100, 9),
             ((0.5, 2), 2.0, 1, 3),
             ((1e-9, 2), 1.0, 300, 0)]             # no replica has an event
@@ -293,25 +309,55 @@ class TestDrawContract:
                 made.generator = _ZeroingGenerator(made.generator, zero_every)
                 return made
             monkeypatch.setattr(birth, "RngStream", stream)
-        params = ProcessParams(*law)
-        batch = simulate_many(params, horizon, n_replicas, seed)
-        n_events, offsets, event_times = _reference_batch(params, horizon,
-                                                          n_replicas, seed)
-        assert np.array_equal(batch.n_events, n_events)
-        assert np.array_equal(batch.offsets, offsets)
-        assert np.array_equal(batch.event_times, event_times)
+        batch = _assert_the_contract_holds(ProcessParams(*law), horizon,
+                                           n_replicas, seed)
         if law == (1e-9, 2):
             assert batch.event_times.size == 0
-        # the counts-only route runs the same draws
-        counts = count_events(params, horizon, n_replicas, seed)
-        assert counts.dtype == np.int64 and np.array_equal(counts, n_events)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.floats(0.01, 3.0), k=st.integers(1, 5), exponent=st.floats(0.01, 3.0),
+           n_replicas=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_any_small_run_equals_the_reference(self, lam, k, exponent, n_replicas,
+                                                 seed):
+        # lam*k*t = exponent <= 3: up to ~20 events a path
+        _assert_the_contract_holds(ProcessParams(lam, k), exponent / (lam * k),
+                                   n_replicas, seed)
+
+    def test_the_deep_law_takes_few_passes_and_few_extra_draws(self, monkeypatch):
+        # a per-round loop would make ~3,400 calls on this law
+        calls = []
+
+        class Counted(RngStream):
+            def uniform(self, size=None):
+                calls.append(size)
+                return super().uniform(size)
+
+        monkeypatch.setattr(birth, "RngStream", Counted)
+        counts = count_events(ProcessParams(1.0, 1), 6.0, 2000, seed=1)
+        assert len(calls) <= 64
+        assert sum(calls) <= 1.10 * (counts.sum() + 2000)
+        assert max(calls) <= birth.DRAW_CHUNK
 
 
 class TestCountEvents:
     def test_event_cap(self, monkeypatch):
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError, match="trajectory exceeded 3"):
-            count_events(ProcessParams(0.5, 1), 2.0, 1000, seed=0)
+            count_events(ProcessParams(0.5, 1), 2.0, 6, seed=1)
+        # the cap counts events inside the horizon only
+        assert count_events(ProcessParams(0.5, 1), 2.0, 6, seed=3).max() == 3
+
+    def test_a_run_expecting_a_path_past_the_cap_is_refused_before_any_draw(
+            self, monkeypatch):
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        # at k = 1 the tail is exact: P(I > 3) = (1 - 1/e)**4 = 0.1597
+        monkeypatch.setattr(birth, "MAX_EVENTS", 3)
+        with pytest.raises(ResourceLimitError,
+                           match="7 paths to t=2.0 expect 1.118 of them past 3"):
+            count_events(ProcessParams(0.5, 1), 2.0, 7, seed=0)
+        monkeypatch.undo()
+        with pytest.raises(ResourceLimitError, match="expect 208.6 of them"):
+            simulate_many(ProcessParams(1.0, 1), 13.0, 2000, seed=0)
 
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError

@@ -216,6 +216,19 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "averages 1.203e+06 events, more than 1000000" in err
 
+    def test_a_run_expecting_a_path_past_the_event_cap_exits_2_before_any_draw(
+            self, capsys, monkeypatch):
+        # the mean path to t = 13 is under MAX_EVENTS, but 2000 paths expect
+        # 2000 * (1 - e**-13)**1000001 = 208.6 of them past it
+        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        code, out, err = run_cli(
+            ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
+             "--t", "13", "--replicas", "2000"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "2000 paths to t=13.0 expect 208.6 of them past 1000000 events" in err
+
     @pytest.mark.parametrize("argv,message", [
         (["--model", "birth", "--lambda", "1e-300", "--t", "1",
           "--replicas", "3000000"], "m must be > 1 and finite, got 1.0"),

@@ -108,25 +108,25 @@ class TestUniformContract:
         assert np.array_equal(scalars, whole)
 
 
+def pass_exponentials(stream, n):
+    """The n unit exponentials -ln(U) that birth's first pass over n
+    replicas draws: at rate lam = 1 its one round's clocks are the
+    holding times themselves."""
+    _, _, clocks, _ = next(birth._passes(birth.ProcessParams(1.0, 1), math.inf,
+                                         stream, n))
+    return clocks[0]
+
+
 class TestExponential:
-    """The birth sampler's unit exponentials, birth._Exponentials(stream).take(n)."""
+    """The birth sampler's unit exponentials, the holding times of a pass."""
 
     def test_mean_unit_rate(self):
-        draws = birth._Exponentials(RngStream(42)).take(N_BIG)
+        draws = pass_exponentials(RngStream(42), N_BIG)
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_strictly_positive(self):
-        draws = birth._Exponentials(RngStream(3)).take(100_000)
+        draws = pass_exponentials(RngStream(3), 100_000)
         assert draws.min() > 0.0
-
-    @pytest.mark.parametrize("stream", [partial(RngStream, 6),
-                                        partial(zeroing_stream, 6, 3)])
-    def test_calls_across_a_refill_equal_one_uniform_call(self, stream):
-        # the first take leaves 10 drawn values, so the second one refills
-        a, b = birth.DRAW_CHUNK - 10, 25
-        draws = birth._Exponentials(stream())
-        split = np.concatenate((draws.take(a), draws.take(b)))
-        assert np.array_equal(split, -np.log(stream().uniform(a + b)))
 
 
 class TestGamma:
@@ -217,7 +217,7 @@ class TestDistributionalConformance:
         w = self.WIDTH
 
         def run(rng):
-            draws = birth._Exponentials(rng).take(self.N_PER_SEED)
+            draws = pass_exponentials(rng, self.N_PER_SEED)
             cells = np.floor(draws / w).astype(int)
             pmf = lambda j: np.exp(-j * w) - np.exp(-(j + 1) * w)
             return cells, pmf
