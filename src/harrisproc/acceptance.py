@@ -4,30 +4,29 @@
 the analytic law, assemble a ValidationReport); ``run_acceptance`` executes
 the whole battery of cross-checks relating the closed forms, the forward
 equations, the quadrature oracle, and Monte Carlo, and reports one verdict
-per check.  Both are exposed through the command line.
+per check.  Both are exposed through the command line.  The Monte Carlo
+runs and their work bounds belong to the models (birth.count_events,
+mixture.tally_model2); this module only judges.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .birth import (MAX_EVENTS, ProcessParams, count_events, process_moments,
+from .birth import (ProcessParams, _check_run, count_events, process_moments,
                     simulate_many, solve_forward_odes, solve_forward_odes_at)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
                            harris_pmf, nb_pmf, pmf_table)
-from .mixture import (DRAW_BLOCK, MixtureParams, _mixture_quadrature,
-                      mixture_moments, mixture_pmf, quadrature_agrees,
-                      sample_model2)
+from .mixture import (MixtureParams, _mixture_quadrature, mixture_moments,
+                      mixture_pmf, quadrature_agrees, tally_model2)
 from .reporting import simulate_text
-from .sampling import RngStream
-from .validation import (MIN_MOMENT_SAMPLES, Scenario, ValidationReport,
-                         add_tallies, chi_square_gof, gof_cells, gof_stop,
+from .sampling import RngStream, _check_draw_budget
+from .validation import (MIN_MOMENT_SAMPLES, VAR_REL_FLOOR, Scenario,
+                         ValidationReport, chi_square_gof, gof_cells, gof_stop,
                          gof_support, moment_check, pearson_statistic, tally,
                          tally_moments)
 
@@ -44,23 +43,15 @@ DEFAULT_MIXTURE_DRAWS = 1_000_000
 DEFAULT_CALIBRATION_SEEDS = 200
 DEFAULT_ACCEPTANCE_SEED = 42
 CALIBRATION_DRAWS = 10_000
-# Criterion 8's band for the 5% test's rejection rate.  It is judged at
+CALIBRATION_LEVEL = 0.05  # criterion 8's goodness-of-fit level
+# Criterion 8's band for that test's rejection rate.  It is judged at
 # DEFAULT_CALIBRATION_SEEDS seeds or more: a correct program's rate of n
 # seeds falls outside it with chance 68% at n = 10, 40% at 25, 11% at 50
-# and 0.06% at 200 (Bin(n, 0.05)).
+# and 0.06% at 200 (Bin(n, CALIBRATION_LEVEL)).
 CALIBRATION_BAND = (0.01, 0.11)
 # Criterion 8's table of the law ends where the certified tail drops below
 # this; one open-tail cell past it holds the rest of the mass.
 CALIBRATION_TAIL = 1e-16
-# The most draws one run may ask for: simulate's mixture draws, validate's
-# mixture draws, and validate's calibration seeds x CALIBRATION_DRAWS.
-# 1e9 mixture draws sample for about 40 s on two cores.
-MAX_DRAWS = 10**9
-# Streams _map_streams submits at once.  The pool makes a future (~1.6 KiB)
-# for each stream of a batch before the first result is read, so a fixed
-# batch bounds that memory for any stream count; 1024 holds the 153 blocks
-# of 1e7 mixture draws in one batch.
-STREAM_BATCH = 1024
 # Verdict thresholds, each shared by the commands and criteria it lists.
 ODE_GAP = 1e-8  # largest absolute ODE gap: ode, criteria 1 and 5
 QUAD_GAP = 1e-8  # quadrature gap, relative below: mixture-check, criterion 2
@@ -90,71 +81,14 @@ class ScenarioRun:
 
 
 def _variance_band(marginal: HarrisParams, n: int) -> float:
-    """Relative band for the sample variance: 3 standard errors, at least 5%.
+    """Relative band for the sample variance: 3 standard errors, >= VAR_REL_FLOOR.
 
     The sample variance of n draws has relative variance 2/(n-1) + g2/n,
     where g2 = k*(6 + 1/(m*(m-1))) is the excess kurtosis of the Harris law
     (that of NB(1/k, 1/m)).  At the calibrated 1e5 scale the band is 5%.
     """
     g2 = marginal.k * (6.0 + 1.0 / (marginal.m * (marginal.m - 1.0)))
-    return max(0.05, 3.0 * math.sqrt(2.0 / (n - 1) + g2 / n))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # sched_getaffinity is not on every platform
-        return os.cpu_count() or 1
-
-
-def _map_streams(task, n: int) -> list:
-    """[task(b) for b in range(n)], one thread per usable CPU (numpy's
-    samplers release the GIL); one stream or one CPU runs inline.  Streams
-    are submitted STREAM_BATCH at a time, each batch scheduled dynamically."""
-    workers = min(_usable_cpus(), n)
-    if workers <= 1:
-        return [task(b) for b in range(n)]
-    results = []
-    with ThreadPoolExecutor(workers) as pool:
-        for start in range(0, n, STREAM_BATCH):
-            results += pool.map(task, range(start, min(start + STREAM_BATCH, n)))
-    return results
-
-
-def _check_draw_budget(name: str, draws: int) -> None:
-    if draws > MAX_DRAWS:
-        raise ValueError(f"{draws} {name} exceed the draw budget of {MAX_DRAWS}")
-
-
-def _check_birth_budget(params: ProcessParams, t: float, replicas: int) -> None:
-    """Refuses a birth run whose expected draws pass MAX_DRAWS: a path
-    needs one per event and one past t, replicas*(1 + (m(t) - 1)/k) in all
-    (a pass also draws the rest of each ending column).  count_events
-    refuses a mean path past MAX_EVENTS, or a run expecting one past it."""
-    mean_path = (params.scale_at(t) - 1.0) / params.k
-    if mean_path > MAX_EVENTS:
-        return
-    try:
-        draws = math.ceil(replicas * (1.0 + mean_path))
-    except OverflowError:  # more replicas than a float holds
-        draws = math.inf
-    _check_draw_budget("expected birth draws", draws)
-
-
-def _tally_mixture(params: MixtureParams, t: float, draws: int, seed: int) -> dict:
-    """Frequency map of draws samples of Z(t), drawn block by block.
-
-    Block b holds DRAW_BLOCK draws (the last one the rest) from
-    RngStream(seed, b), on the stream pool (_map_streams).  Integer counts
-    add exactly, so the tally does not depend on the worker count.
-    """
-    def block(b):
-        size = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
-        # sample_model2 is looked up here on every call, so a rebinding of
-        # this module's name sees every block
-        return tally(sample_model2(RngStream(seed, b), params, t, size=size))
-
-    return add_tallies(_map_streams(block, -(-draws // DRAW_BLOCK)))
+    return max(VAR_REL_FLOOR, 3.0 * math.sqrt(2.0 / (n - 1) + g2 / n))
 
 
 def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
@@ -162,13 +96,11 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     """Simulate one model and validate it against its analytic law.
 
     Model "birth" requires lam, takes no a, and counts the events of
-    replica paths to t (count_events: replica block b on stream b, no path
-    stored), at most MAX_DRAWS expected draws; model "mixture" requires a,
-    takes no lam, and draws replicas samples (draw block b of DRAW_BLOCK on
-    stream b), at most MAX_DRAWS.
-    The law at t and the draw budget are checked before any draw.  The
-    samples are tallied once; the goodness of fit at GOF_ALPHA and the
-    exact sample mean and variance are read from that tally.  The variance
+    replica paths to t (birth.count_events); model "mixture" requires a,
+    takes no lam, and tallies replicas samples (mixture.tally_model2).
+    The law at t is checked before any draw, and the work bound by each
+    model's run.  The samples are tallied once; the goodness of fit at
+    GOF_ALPHA and the exact sample mean and variance are read from it.  The variance
     band widens with the law's excess kurtosis at small replica counts (see
     _variance_band).
     """
@@ -181,7 +113,6 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
         params = ProcessParams(lam, k)
         marginal = params.harris_at(t)
-        _check_birth_budget(params, t, replicas)
         observed = tally(1 + params.k * count_events(params, t, replicas, seed))
         analytic_mean, analytic_var = process_moments(params, t)
         scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
@@ -191,8 +122,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
             raise ValueError("model 'mixture' takes the mixing rate a and no rate lam")
         params = MixtureParams(a, k)
         marginal = params.harris_at(t)
-        _check_draw_budget("mixture draws", replicas)
-        observed = _tally_mixture(params, t, replicas, seed)
+        observed = tally_model2(params, t, replicas, seed)
         analytic_mean, analytic_var = mixture_moments(params, t)
         scenario = Scenario("mixture", {"a": params.a, "k": params.k},
                             t, replicas, seed)
@@ -379,8 +309,8 @@ def _exact_tally(seed: int, values, probs, draws: int) -> dict:
 
 
 def _calibration_gofs(params: HarrisParams, n_seeds: int, draws: int):
-    """(statistic, threshold) of the 5% chi-square test of each seed's
-    exact tally of the law, seed by seed.
+    """(statistic, threshold) of the chi-square test at CALIBRATION_LEVEL
+    of each seed's exact tally of the law, seed by seed.
 
     Seed s tallies draws exact draws of the law from RngStream(s)
     (_exact_tally over _law_cells at CALIBRATION_TAIL).  Every seed is
@@ -398,14 +328,14 @@ def _calibration_gofs(params: HarrisParams, n_seeds: int, draws: int):
         observed = _exact_tally(seed, values, probs, draws)
         end = gof_stop(support, cumulative, draws, max(observed))
         if end not in cells_at:
-            cells_at[end] = gof_cells(support, law, draws, end, 0.05)
+            cells_at[end] = gof_cells(support, law, draws, end, CALIBRATION_LEVEL)
         cells = cells_at[end]
         counts, _ = cells.observed_in(observed, draws)
         yield pearson_statistic(counts, cells.expected), cells.threshold
 
 
 def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:
-    """Criterion 8: the 5% chi-square test's rejection rate on the true law
+    """Criterion 8: the CALIBRATION_LEVEL test's rejection rate on the true law
     (m = 2, k = 2), over the exact tallies of _calibration_gofs, so the test
     is judged apart from the gamma-Poisson samplers."""
     rejections = sum(statistic > threshold for statistic, threshold
@@ -445,8 +375,7 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
             raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} {name}, "
                              f"got {count!r}")
     for law in (BIRTH_LAW, YULE_FURRY_LAW):
-        _check_birth_budget(ProcessParams(law["lam"], law["k"]), law["t"],
-                            birth_replicas)
+        _check_run(ProcessParams(law["lam"], law["k"]), law["t"], birth_replicas)
     _check_draw_budget("mixture draws", mixture_draws)
     _check_draw_budget("calibration draws", calibration_seeds * CALIBRATION_DRAWS)
     criterion_3 = partial(_check_monte_carlo, 3, "model1-monte-carlo-law",

@@ -33,7 +33,7 @@ import numpy as np
 from .distribution import (HarrisParams, _check_time, _validate_step,
                            tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
-from .sampling import RngStream
+from .sampling import RngStream, _check_draw_budget
 from .validation import tally
 
 __all__ = [
@@ -194,11 +194,14 @@ class TrajectoryBatch:
 
 
 def _check_run(params: ProcessParams, horizon, n_replicas: int) -> float:
-    """The horizon as a float; refuses, before any draw, a horizon not > 0,
-    no replicas, a mean path, (m(horizon) - 1)/k events, past MAX_EVENTS,
-    or a run that expects at least one path past it.  That expectation is
-    n_replicas times the certified tail of the law after MAX_EVENTS events,
-    exact at k = 1."""
+    """The horizon as a float; refuses, before any stream is made, a horizon
+    not > 0, no replicas, a mean path, (m(horizon) - 1)/k events, past
+    MAX_EVENTS, n_replicas*(1 + (m(horizon) - 1)/k) expected draws past
+    MAX_DRAWS, or a run that expects at least one path past MAX_EVENTS:
+    n_replicas times the certified tail after it, exact at k = 1.  The draws
+    counted are events plus path ends, not uniforms: a pass also draws the
+    rest of each ending column, ~1.25 uniforms per counted draw at criterion
+    3's law (5,000 paths) and up to 1.75 for one path (lam 1, k 1, t 0.7)."""
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
@@ -211,6 +214,11 @@ def _check_run(params: ProcessParams, horizon, n_replicas: int) -> float:
             f"a path to t={horizon} averages {mean_events:.4g} events, "
             f"more than {MAX_EVENTS}"
         )
+    try:
+        draws = math.ceil(n_replicas * (1.0 + mean_events))
+    except OverflowError:  # more replicas than a float holds
+        draws = math.inf
+    _check_draw_budget("expected birth draws", draws)
     past_cap = (n_replicas * tail_bound_after(HarrisParams(m, params.k), MAX_EVENTS)
                 if m > 1.0 else 0.0)
     if past_cap >= 1.0:
@@ -306,7 +314,8 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
     pathological parameters; the process itself is non-explosive on
     finite horizons), before any draw if the mean path, (m(horizon) - 1)/k
-    events, already does or the run expects a path to.
+    events, already does or the run expects a path to (see _check_run,
+    which also refuses a run past the draw budget).
     """
     horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)

@@ -15,7 +15,8 @@ mixture identity rather than an inversion of the closed-form p.m.f.  The
 gamma draw is ``_standard_gamma``, which model 2's sampler shares; the
 Poisson draw is numpy's ``Generator.poisson``, which refuses a negative,
 NaN or too large mean with ValueError.  Other gamma, Poisson or negative
-binomial draws come from ``RngStream(seed).generator`` directly.
+binomial draws come from ``RngStream(seed).generator`` directly.  The
+work bound of every Monte Carlo run, ``MAX_DRAWS``, is checked here too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ __all__ = ["RngStream", "sample_harris"]
 
 # Recorded in output metadata so runs are attributable to one algorithm.
 GENERATOR_ALGORITHM = "PCG64"
+# The most draws one run may ask for: a mixture run's draws, a birth run's
+# expected draws (birth._check_run) and criterion 8's calibration draws.
+# 1e9 mixture draws sample for about 40 s on two cores.
+MAX_DRAWS = 10**9
+
+
+def _check_draw_budget(name: str, draws: int) -> None:
+    if draws > MAX_DRAWS:
+        raise ValueError(f"{draws} {name} exceed the draw budget of {MAX_DRAWS}")
 
 
 class RngStream:

@@ -45,6 +45,7 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 5.0
 MIN_MOMENT_SAMPLES = 100
+VAR_REL_FLOOR = 0.05  # narrowest variance band: moment_check, _variance_band
 # tally counts samples below this with one np.bincount (an 8 MB histogram
 # at most); wider or negative samples are sorted instead
 _DENSE_TALLY_SPAN = 1 << 20
@@ -277,7 +278,7 @@ class VarCheck:
 
 def moment_check(samples_mean: float, samples_var: float, n: int,
                  analytic_mean: float, analytic_var: float,
-                 var_rel_tol: float = 0.05) -> tuple:
+                 var_rel_tol: float = VAR_REL_FLOOR) -> tuple:
     """(MeanCheck, VarCheck): 3-standard-error band and relative variance band."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples for moment "

@@ -323,8 +323,16 @@ class TestDrawContract:
         _assert_the_contract_holds(ProcessParams(lam, k), exponent / (lam * k),
                                    n_replicas, seed)
 
-    def test_the_deep_law_takes_few_passes_and_few_extra_draws(self, monkeypatch):
-        # a per-round loop would make ~3,400 calls on this law
+    # The uniforms drawn, against the events plus one end per path that
+    # _check_run's draw bound counts.  On the deep law a per-round loop would
+    # make ~3,400 calls.  At criterion 3's law most paths end in their first
+    # pass and discard the rest of their column: 1.25-1.27x over seeds 0-19.
+    @pytest.mark.parametrize("law, horizon, n_replicas, seed, factor", [
+        pytest.param((1.0, 1), 6.0, 2000, 1, 1.10, id="deep-law"),
+        pytest.param((0.5, 2), 1.0, 5000, 1, 1.30, id="criterion-3"),
+    ])
+    def test_the_deep_law_takes_few_passes_and_few_extra_draws(
+            self, monkeypatch, law, horizon, n_replicas, seed, factor):
         calls = []
 
         class Counted(RngStream):
@@ -333,9 +341,9 @@ class TestDrawContract:
                 return super().uniform(size)
 
         monkeypatch.setattr(birth, "RngStream", Counted)
-        counts = count_events(ProcessParams(1.0, 1), 6.0, 2000, seed=1)
+        counts = count_events(ProcessParams(*law), horizon, n_replicas, seed=seed)
         assert len(calls) <= 64
-        assert sum(calls) <= 1.10 * (counts.sum() + 2000)
+        assert sum(calls) <= factor * (counts.sum() + n_replicas)
         assert max(calls) <= birth.DRAW_CHUNK
 
 
@@ -356,8 +364,19 @@ class TestCountEvents:
                            match="7 paths to t=2.0 expect 1.118 of them past 3"):
             count_events(ProcessParams(0.5, 1), 2.0, 7, seed=0)
         monkeypatch.undo()
+        monkeypatch.setattr(birth, "RngStream", None)
         with pytest.raises(ResourceLimitError, match="expect 208.6 of them"):
             simulate_many(ProcessParams(1.0, 1), 13.0, 2000, seed=0)
+        for run in (count_events, simulate_many):
+            # simulate's message: criterion 3's law expects 1.859 draws a path
+            with pytest.raises(ValueError, match="1003936094 expected birth draws "
+                                                 "exceed the draw budget of 1000000000"):
+                run(ProcessParams(0.5, 2), 1.0, 540_000_000, seed=0)
+            # the draw budget is checked after the mean path and before the cap
+            with pytest.raises(ResourceLimitError, match="averages 1.203e"):
+                run(ProcessParams(1.0, 1), 14.0, 10**12, seed=0)
+            with pytest.raises(ValueError, match="1327240177 expected birth draws"):
+                run(ProcessParams(1.0, 1), 13.0, 3000, seed=0)
 
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from harrisproc import acceptance, birth
+from harrisproc import acceptance, birth, mixture
 from harrisproc.cli import build_parser, main
 from harrisproc.distribution import (HarrisParams, harris_pmf, tail_bound_after,
                                      truncation_index)
@@ -239,7 +239,7 @@ class TestSimulate:
                                                  monkeypatch):
         # a draw would raise TypeError
         monkeypatch.setattr(birth, "RngStream", None)
-        monkeypatch.setattr(acceptance, "RngStream", None)
+        monkeypatch.setattr(mixture, "RngStream", None)
         code, out, err = run_cli(["simulate", "--k", "2"] + argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: scale parameter {message}\n"
@@ -248,7 +248,7 @@ class TestSimulate:
     def test_mixture_draws_past_the_budget_exit_2_before_any_draw(
             self, replicas, capsys, monkeypatch):
         # 1e12 draws were accepted and sampled for about a day
-        monkeypatch.setattr(acceptance, "RngStream", None)  # a draw would raise
+        monkeypatch.setattr(mixture, "RngStream", None)  # a draw would raise
         code, out, err = run_cli(["simulate", "--model", "mixture", "--a", "1",
                                   "--k", "2", "--t", "1", "--replicas", replicas],
                                  capsys)
@@ -277,7 +277,7 @@ class TestSimulate:
                                                   monkeypatch):
         # a draw would raise TypeError
         monkeypatch.setattr(birth, "RngStream", None)
-        monkeypatch.setattr(acceptance, "RngStream", None)
+        monkeypatch.setattr(mixture, "RngStream", None)
         code, out, err = run_cli(["simulate", "--model", model, route, "1",
                                   "--k", "2", "--t", "inf"], capsys)
         assert (code, out) == (2, "")
@@ -419,7 +419,7 @@ class TestParameterGuards:
                      id="replicas-50"),
         pytest.param(["--mixture-draws", "99"], "need at least 100 mixture draws",
                      id="mixture-draws-99"),
-        # past acceptance.MAX_DRAWS (1e9): about a day of sampling for 1e12
+        # past sampling.MAX_DRAWS (1e9): about a day of sampling for 1e12
         pytest.param(["--mixture-draws", str(10**12)],
                      "1000000000000 mixture draws exceed the draw budget of "
                      "1000000000", id="mixture-draws-1e12"),
@@ -501,8 +501,9 @@ class TestParameterGuards:
             raise AssertionError("ran with an unwritable --out")
         for name in ("solve_forward_odes", "solve_forward_odes_at",
                      "_mixture_quadrature", "count_events", "simulate_many",
-                     "sample_model2", "_exact_tally"):
+                     "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
+        monkeypatch.setattr(mixture, "sample_model2", ran)
         path = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)
         assert (code, out) == (2, "")

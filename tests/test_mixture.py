@@ -218,6 +218,17 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_model2(RngStream(0), MixtureParams(1.0, 1), -1.0)
 
+    def test_a_run_past_the_draw_budget_is_refused_before_any_stream(
+            self, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was made")
+
+        monkeypatch.setattr(mixture, "RngStream", no_stream)
+        # simulate's message for --replicas 1000000001
+        with pytest.raises(ValueError, match="1000000001 mixture draws exceed the "
+                                             "draw budget of 1000000000"):
+            mixture.tally_model2(MixtureParams(1.0, 2), 1.0, 10**9 + 1, seed=0)
+
 
 class TestMoments:
     def test_degenerate_start(self):

@@ -43,3 +43,17 @@ def test_compare_lists_each_differing_label(tool, tmp_path, monkeypatch, capsys,
     assert code == (1 if changed else 0)
     assert out.splitlines() == changed
     assert err == f"{len(changed)} of {len(new)} outcomes differ\n"
+
+
+def test_each_refusal_exits_2_before_any_draw(tool, monkeypatch, capsys):
+    from harrisproc import birth, mixture
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was made")
+
+    for module in (birth, mixture):
+        monkeypatch.setattr(module, "RngStream", no_stream)
+    for argv in tool.REFUSALS:
+        assert tool.cli_main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and ("draw budget" in err or "past 1000000 events" in err)

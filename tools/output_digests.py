@@ -3,7 +3,8 @@
 Runs in process, through ``harrisproc.cli.main``, every operation of
 ``bench/workloads.py`` at seeds 1 and 2, each as given and with
 ``--format csv`` and ``--format json``; the default ``validate`` in both
-formats; and each demo.  Each outcome is recorded as
+formats; the work-bound refusals (exit 2) of ``REFUSALS``; and each demo.
+Each outcome is recorded as
 ``label: [exit_code, sha256(stdout + "\\0" + stderr)]``, the label being
 the command line (or the demo's file name); an operation that two seeds
 give alike runs once.  An exception that escapes is recorded as exit 1
@@ -38,6 +39,20 @@ from harrisproc.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2)
 FORMATS = ((), ("--format", "csv"), ("--format", "json"))
+# Runs past the draw budget or the event cap, each refused before any draw:
+# the stderr of each is its refusal message
+REFUSALS = (
+    ("simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
+     "--replicas", "1000000001"),
+    ("simulate", "--model", "birth", "--lambda", "0.5", "--k", "2", "--t", "1",
+     "--replicas", "540000000"),
+    ("simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "13",
+     "--replicas", "2000"),
+    ("validate", "--mixture-draws", str(10**12)),
+    ("validate", "--mixture-draws", str(10**9 + 1)),
+    ("validate", "--calibration-seeds", str(10**5 + 1)),
+    ("validate", "--replicas", str(5 * 10**8)),
+)
 
 
 def _load_workloads():
@@ -70,7 +85,7 @@ def _digest(run) -> list:
 def argvs():
     """Every command line to digest, once each, in a fixed order."""
     workloads = _load_workloads()
-    lines = [("validate",), ("validate", "--format", "json")]
+    lines = [("validate",), ("validate", "--format", "json"), *REFUSALS]
     for seed in SEEDS:
         for make in workloads.WORKLOADS.values():
             for op in make(seed).ops:
