@@ -52,6 +52,9 @@ CALIBRATION_BAND = (0.01, 0.11)
 # Criterion 8's table of the law ends where the certified tail drops below
 # this; one open-tail cell past it holds the rest of the mass.
 CALIBRATION_TAIL = 1e-16
+# Criterion 8 judges the count vectors of this many seeds at a time, so its
+# memory does not grow with --calibration-seeds.
+CALIBRATION_BATCH = 256
 # Verdict thresholds, each shared by the commands and criteria it lists.
 ODE_GAP = 1e-8  # largest absolute ODE gap: ode, criteria 1 and 5
 QUAD_GAP = 1e-8  # quadrature gap, relative below: mixture-check, criterion 2
@@ -296,42 +299,53 @@ def _law_cells(params: HarrisParams, tail: float) -> tuple:
             np.append(probs, max(1.0 - probs.sum(), 0.0)))
 
 
-def _exact_tally(seed: int, values, probs, draws: int) -> dict:
-    """Frequency map of draws i.i.d. values of the law (values, probs).
+def _exact_tally(seed: int, probs, draws: int):
+    """Counts of draws i.i.d. draws of a law over its table, one per point
+    of probs.
 
     The count vector is one multinomial draw from RngStream(seed): in law,
     the tally of that many inversion draws, at a cost of one binomial draw
     per cell rather than one uniform per draw.
     """
-    counts = RngStream(seed).generator.multinomial(draws, probs)
-    drawn = np.flatnonzero(counts)
-    return dict(zip(values[drawn].tolist(), counts[drawn].tolist()))
+    return RngStream(seed).generator.multinomial(draws, probs)
 
 
 def _calibration_gofs(params: HarrisParams, n_seeds: int, draws: int):
     """(statistic, threshold) of the chi-square test at CALIBRATION_LEVEL
-    of each seed's exact tally of the law, seed by seed.
+    of each seed's exact tally of the law, in seed order.
 
     Seed s tallies draws exact draws of the law from RngStream(s)
-    (_exact_tally over _law_cells at CALIBRATION_TAIL).  Every seed is
-    tested against one table made for the open-tail value, the largest a
-    draw can take: the table gof_support makes for one seed alone is a
-    prefix of it and the test stops inside that prefix.  A seed's cells
-    depend on its tally only through its stop, so the cells of each stop
-    are made once.
+    (_exact_tally over _law_cells at CALIBRATION_TAIL), one call per seed.
+    Every seed is tested against one table made for the open-tail value,
+    the largest a draw can take: the table gof_support makes for one seed
+    alone is a prefix of it and the test stops inside that prefix.  A
+    seed's cells depend on its tally only through its stop, so the cells
+    of each stop are made once, and the count vectors of up to
+    CALIBRATION_BATCH seeds are stacked into one matrix and judged one
+    stop group at a time.
     """
     values, probs = _law_cells(params, CALIBRATION_TAIL)
     support, law = gof_support(params, int(values[-1]), draws)
     cumulative = np.cumsum(law)
     cells_at = {}
-    for seed in range(n_seeds):
-        observed = _exact_tally(seed, values, probs, draws)
-        end = gof_stop(support, cumulative, draws, max(observed))
-        if end not in cells_at:
-            cells_at[end] = gof_cells(support, law, draws, end, CALIBRATION_LEVEL)
-        cells = cells_at[end]
-        counts, _ = cells.observed_in(observed, draws)
-        yield pearson_statistic(counts, cells.expected), cells.threshold
+    for first in range(0, n_seeds, CALIBRATION_BATCH):
+        tallies = [_exact_tally(seed, probs, draws)
+                   for seed in range(first, min(first + CALIBRATION_BATCH, n_seeds))]
+        rows = np.zeros((len(tallies), max(map(len, tallies))), dtype=np.int64)
+        for row, counts in zip(rows, tallies):
+            row[:len(counts)] = counts
+        # each row's largest draw is the point of its last nonzero column
+        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        ends = gof_stop(support, cumulative, draws, params.support_value(last))
+        statistics, thresholds = np.empty(len(rows)), np.empty(len(rows))
+        for end in np.unique(ends).tolist():
+            if end not in cells_at:
+                cells_at[end] = gof_cells(support, law, draws, end, CALIBRATION_LEVEL)
+            cells, group = cells_at[end], ends == end
+            statistics[group] = pearson_statistic(cells.observed_in(rows[group])[0],
+                                                  cells.expected)
+            thresholds[group] = cells.threshold
+        yield from zip(statistics.tolist(), thresholds.tolist())
 
 
 def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:

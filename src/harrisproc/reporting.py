@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import fields, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,12 +45,16 @@ def _cells(column: list, kinds: set, fmt: str):
 
     kinds is the set of the cells' types.  A column of ints, or of floats
     (all finite, for JSON), maps its type's repr and skips the dispatch per
-    cell; the text is the same.  Other cells go through fmt_value for CSV
-    and json.dumps for JSON, which raises ValueError on a non-finite float.
+    cell; a JSON column of strings maps encode_basestring_ascii, which is
+    what json.dumps calls for a str.  The text is the same.  Other cells go
+    through fmt_value for CSV and json.dumps for JSON, which raises
+    ValueError on a non-finite float.
     """
     if kinds == {int} or kinds == {float} and (fmt == "csv"
                                                or all(map(math.isfinite, column))):
         return map(next(iter(kinds)).__repr__, column)
+    if kinds == {str} and fmt == "json":
+        return map(encode_basestring_ascii, column)
     return map(fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False),
                column)
 

@@ -14,8 +14,10 @@ fit and the exact sample moments (``tally_moments``) are both read from it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.special import chdtri
@@ -152,26 +154,37 @@ class GofCells:
     degrees_of_freedom: int
     threshold: float
 
-    def observed_in(self, observed, total: int) -> tuple:
-        """(observations per cell, observations at no point read) of a
-        frequency map of total observations."""
-        at_points = [observed.get(value, 0) for value in self.points]
-        counts = [sum(at_points[lo:hi]) for lo, hi in zip(self.starts, self.starts[1:])]
-        past = total - sum(at_points)
-        counts[-1] += past
-        return counts, past
+    def observed_in(self, counts) -> tuple:
+        """(observations per cell, observations at no point read) of a count
+        row, or of each row of a count matrix.
+
+        Column j counts the observations at support point j; a row may end
+        before the points read (its missing columns count 0) or run past
+        them, and its columns past them count observations at no point
+        read, which go to the last cell.
+        """
+        counts = np.asarray(counts)
+        end = self.starts[-1]
+        width = min(counts.shape[-1], end)
+        # the points read, then one column of the observations at none of them
+        read = np.zeros(counts.shape[:-1] + (end + 1,), dtype=counts.dtype)
+        read[..., :width] = counts[..., :width]
+        read[..., end] = past = counts[..., end:].sum(axis=-1)
+        return np.add.reduceat(read, self.starts[:-1], axis=-1), past
 
 
-def gof_stop(support, cumulative, total: int, largest) -> int:
-    """How many support points a test of total observations reads.
+def gof_stop(support, cumulative, total: int, largest):
+    """How many support points a test of total observations reads, for
+    largest, the largest observation, or for each of an array of them.
 
-    It reads up to the first point at or past largest, the largest
-    observation, with less than MIN_EXPECTED_PER_BIN expected beyond it
-    (cumulative is np.cumsum of the probabilities), or to the end.
+    It reads up to the first point at or past largest with less than
+    MIN_EXPECTED_PER_BIN expected beyond it (cumulative is np.cumsum of
+    the probabilities), or to the end.
     """
-    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
-                           & (support >= largest))
-    return int(stops[0]) + 1 if stops.size else len(support)
+    thin = np.flatnonzero(total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
+    # the first thin point at or past the first point at or past largest
+    return np.append(thin + 1, len(support))[
+        np.searchsorted(thin, np.searchsorted(support, largest))]
 
 
 def gof_cells(support, probs, total: int, end: int, alpha: float) -> GofCells:
@@ -211,9 +224,20 @@ def gof_cells(support, probs, total: int, end: int, alpha: float) -> GofCells:
                     chi_square_quantile(df, alpha))
 
 
-def pearson_statistic(observed, expected) -> float:
-    """sum((o - e)**2 / e) over the cells, added in cell order."""
-    return float(sum((o - e) ** 2 / e for o, e in zip(observed, expected)))
+def pearson_statistic(observed, expected):
+    """sum((o - e)**2 / e) over the cells, added in cell order, of a row of
+    cell counts, or of each row of a matrix of them.
+
+    Each statistic is bit for bit Python's left-to-right sum of the scalar
+    terms: np.cumsum adds in cell order, and each square is libm's
+    pow(abs(o - e), 2.0), which is what Python's float ** 2 computes and
+    which rounds differently from numpy's square in about 1 term in 1,000.
+    """
+    expected = np.asarray(expected, dtype=float)
+    diff = np.abs(np.asarray(observed) - expected)
+    squares = np.fromiter(map(math.pow, diff.ravel().tolist(), repeat(2.0)), float,
+                          diff.size).reshape(diff.shape)
+    return np.cumsum(squares / expected, axis=-1)[..., -1]
 
 
 def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
@@ -250,8 +274,10 @@ def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
 
     cells = gof_cells(support, probs, total,
                       gof_stop(support, np.cumsum(probs), total, max(observed)), alpha)
-    counts, past = cells.observed_in(observed, total)
-    statistic = pearson_statistic(counts, cells.expected)
+    at_points = [observed.get(value, 0) for value in cells.points]
+    counts, past = cells.observed_in(at_points + [total - sum(at_points)])
+    statistic = float(pearson_statistic(counts, cells.expected))
+    counts = counts.tolist()
     lo, hi = cells.bounds[-1]
     bounds = cells.bounds[:-1] + [(lo, None if past else hi)]
     bins = [Bin(f">={lo}" if hi is None else f"{lo}" if lo == hi else f"{lo}-{hi}",

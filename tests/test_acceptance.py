@@ -348,6 +348,14 @@ def test_criterion_8_null_calibration():
            f"rejection rate {rate:.3f} within [0.01, 0.11] over 200 seeds")
 
 
+def exact_observed(seed, values, probs, draws):
+    """The frequency map of acceptance._exact_tally's count vector over
+    the law's table values."""
+    counts = acceptance._exact_tally(seed, probs, draws)
+    drawn = np.flatnonzero(counts)
+    return dict(zip(values[drawn].tolist(), counts[drawn].tolist()))
+
+
 @pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1)])
 def test_each_calibration_statistic_is_the_seeds_own_gof(m, k):
     # (2, 2) is criterion 8's law; at (100, 1) the seeds stop at different
@@ -358,13 +366,85 @@ def test_each_calibration_statistic_is_the_seeds_own_gof(m, k):
     alone, stops = [], set()
     for seed in range(200):
         # each seed tested alone against its own table, as one loop would
-        observed = acceptance._exact_tally(seed, *cells, 10_000)
+        observed = exact_observed(seed, *cells, 10_000)
         support, probs = gof_support(params, max(observed), 10_000)
         gof = chi_square_gof(observed, support, probs, 0.05)
         alone.append((gof.statistic, gof.threshold))
         stops.add(gof_stop(support, np.cumsum(probs), 10_000, max(observed)))
     assert gofs == alone
     assert len(stops) > 1
+
+
+@pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1), (30.0, 3)])
+def test_the_array_judge_is_chi_square_gof_row_by_row(monkeypatch, m, k):
+    params, draws = HarrisParams(m, k), 10_000
+    values, probs = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
+    support, law = gof_support(params, int(values[-1]), draws)
+    assert len(support) == len(values)
+    natural = [acceptance._exact_tally(seed, probs, draws) for seed in range(9)]
+    open_tail = natural[0].copy()
+    open_tail[[0, -1]] += (-1, 1)
+    # rows longer than the table, as the drifted-law mutant gives: one with
+    # two draws two steps past the table's end, at no point read, and one
+    # longer only by zeros
+    past = np.append(natural[1], [0, 2])
+    past[0] -= 2
+    longer = np.append(natural[2], np.zeros(3, dtype=int))
+    # all draws on the first three points: the row ends before its stop
+    short = RngStream(9).generator.multinomial(draws, probs[:3] / probs[:3].sum())
+    rows = natural + [open_tail, past, longer, short]
+    monkeypatch.setattr(acceptance, "_exact_tally",
+                        lambda seed, probs, draws: rows[seed])
+    # batches of three: rows of several widths stack in one batch, and the
+    # short row is a batch of its own
+    monkeypatch.setattr(acceptance, "CALIBRATION_BATCH", 3)
+    judged = list(acceptance._calibration_gofs(params, len(rows), draws))
+    alone, stops = [], set()
+    for row in rows:
+        drawn = np.flatnonzero(row)
+        observed = dict(zip(params.support_value(drawn).tolist(),
+                            row[drawn].tolist()))
+        gof = chi_square_gof(observed, support, law, acceptance.CALIBRATION_LEVEL)
+        alone.append((gof.statistic, gof.threshold))
+        stops.add(gof_stop(support, np.cumsum(law), draws, max(observed)))
+    assert judged == alone
+    assert max(stops) == len(support) and len(short) < min(stops)
+    assert len(stops) > 2
+
+
+@pytest.mark.parametrize("batch", [7, acceptance.CALIBRATION_BATCH])
+def test_criterion_8_draws_each_seed_once_in_seed_order(monkeypatch, batch):
+    exact_tally, seeds = acceptance._exact_tally, []
+
+    def recorded(seed, *args):
+        seeds.append(seed)
+        return exact_tally(seed, *args)
+
+    monkeypatch.setattr(acceptance, "_exact_tally", recorded)
+    monkeypatch.setattr(acceptance, "CALIBRATION_BATCH", batch)
+    calibration = acceptance._check_calibration(
+        acceptance.DEFAULT_CALIBRATION_SEEDS, acceptance.CALIBRATION_DRAWS)
+    assert seeds == list(range(acceptance.DEFAULT_CALIBRATION_SEEDS))
+    assert calibration.detail.startswith("rejection rate 0.065 over 200 seeds")
+
+
+def test_calibration_memory_is_bounded_by_the_batch_not_the_seeds():
+    params = HarrisParams(2.0, 2)
+
+    def peak(n_seeds):
+        tracemalloc.start()
+        try:
+            for _ in acceptance._calibration_gofs(params, n_seeds,
+                                                  acceptance.CALIBRATION_DRAWS):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time allocations stay out of both measurements
+    # two batches' count vectors can be alive at once; all 2,000 seeds'
+    # vectors stacked together took ~7x one batch's peak
+    assert peak(2000) < 1.5 * peak(acceptance.CALIBRATION_BATCH)
 
 
 @pytest.mark.parametrize("cpus,streams", [(4, 1), (1, 5)])
@@ -429,8 +509,8 @@ def test_criterion_8_rejects_a_sampler_at_the_wrong_scale(monkeypatch):
     drifted = acceptance._law_cells(HarrisParams(2.4, 2),
                                     acceptance.CALIBRATION_TAIL)
 
-    def drifted_tally(seed, values, probs, draws):
-        return exact_tally(seed, *drifted, draws)
+    def drifted_tally(seed, probs, draws):
+        return exact_tally(seed, drifted[1], draws)
 
     monkeypatch.setattr(acceptance, "_exact_tally", drifted_tally)
     calibration = _small_battery(monkeypatch)[7]
@@ -487,7 +567,7 @@ def test_pooled_exact_tallies_fit_the_law():
     # criterion 8's 200 seeds, 2e6 draws together
     params = HarrisParams(2.0, 2)
     cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
-    pooled = add_tallies(acceptance._exact_tally(seed, *cells, 10_000)
+    pooled = add_tallies(exact_observed(seed, *cells, 10_000)
                          for seed in range(200))
     total = sum(pooled.values())
     gof = chi_square_gof(pooled, *gof_support(params, max(pooled), total),
@@ -502,7 +582,7 @@ def test_exact_tally_sends_the_cut_tail_past_the_table():
     assert np.array_equal(values, params.support_value(np.arange(len(values))))
     assert probs[-1] == pytest.approx(1.0 - table.sum(), rel=1e-12)
     draws = 100_000
-    observed = acceptance._exact_tally(3, values, probs, draws)
+    observed = exact_observed(3, values, probs, draws)
     assert max(observed) == values[-1]
     # 4 standard errors for the open tail and for the last point of the table
     for value, p in ((values[-1], probs[-1]), (values[-2], probs[-2])):
@@ -524,7 +604,7 @@ def monte_carlo_sizes(params, replicas, seeds):
     band = acceptance._variance_band(params, replicas)
     rejections = np.zeros(3, dtype=int)
     for seed in seeds:
-        observed = acceptance._exact_tally(seed, *cells, replicas)
+        observed = exact_observed(seed, *cells, replicas)
         support, probs = gof_support(params, max(observed), replicas)
         gof = chi_square_gof(observed, support, probs, acceptance.GOF_ALPHA)
         checks = moment_check(*tally_moments(observed), replicas, mean, var, band)

@@ -263,3 +263,13 @@ def test_draws_equal_the_gamma_poisson_reference():
             assert np.array_equal(draws, expected)
             if size is None:
                 assert isinstance(draws, int)
+
+
+@pytest.mark.parametrize("m,k", [(2.0, 2), (1.5, 1), (3.7, 3), (1000.0, 1)])
+def test_sample_harris_is_model_2_at_rate_one_to_time_m_minus_one(m, k):
+    # the Harris law at m is model 2's law at a = 1, t = m - 1, and the
+    # gamma-Poisson route draws the two alike
+    for seed in range(3):
+        assert np.array_equal(
+            sample_harris(RngStream(seed), HarrisParams(m, k), 10_000),
+            sample_model2(RngStream(seed), MixtureParams(1.0, k), m - 1.0, 10_000))

@@ -24,6 +24,7 @@ from harrisproc.validation import (
     add_tallies,
     gof_support,
     moment_check,
+    pearson_statistic,
     tally,
     tally_moments,
 )
@@ -238,6 +239,19 @@ class TestGofMergeReference:
         assert (result.bins, result.statistic, result.degrees_of_freedom,
                 result.passed) == expected
 
+
+
+def test_pearson_statistic_is_the_scalar_sum_row_by_row():
+    # two cells a row, so a term that rounds differently shows in its sum
+    rng = np.random.default_rng(5)
+    expected = rng.uniform(5.0, 2000.0, 2)
+    observed = rng.integers(0, 4000, (10_000, 2))
+    statistics = pearson_statistic(observed, expected)
+    # the scalar terms, squared by ** and added left to right
+    assert statistics.tolist() == [
+        sum((o - e) ** 2 / e for o, e in zip(row, expected.tolist()))
+        for row in observed.tolist()]
+    assert pearson_statistic(observed[7], expected) == statistics[7]
 
 def doubling_table(params, observed, total):
     """Oracle: the table gof_support once made, doubling from 256 points
