@@ -76,11 +76,14 @@ IDENTITY_GRID_K = (1, 2, 3, 5)
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """One simulated scenario with its verdict and empirical table."""
+    """One simulated scenario with its verdict and empirical table: the
+    tally, and the lattice points up to its largest value (an int64 array)
+    with their expected counts."""
 
     report: ValidationReport
     observed: dict
-    expected_counts: dict
+    shown: np.ndarray
+    expected: np.ndarray
 
 
 def _variance_band(marginal: HarrisParams, n: int) -> float:
@@ -141,8 +144,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                               gof.passed and mean_check.passed and var_check.passed)
     # the expected count of every lattice point up to the largest observation
     shown = support <= max(observed)
-    expected = dict(zip(support[shown].tolist(), (replicas * probs[shown]).tolist()))
-    return ScenarioRun(report, observed, expected)
+    return ScenarioRun(report, observed, support[shown], replicas * probs[shown])
 
 
 @dataclass(frozen=True)

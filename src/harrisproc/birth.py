@@ -367,8 +367,9 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
     rates = params.rate_after(np.arange(n_max + 1))
 
     def rhs(p, _t):
-        out = -rates * p
-        out[1:] += rates[:-1] * p[:-1]
+        flow = rates * p
+        out = -flow
+        out[1:] += flow[:-1]
         return out
 
     band = np.zeros((2, n_max + 1))

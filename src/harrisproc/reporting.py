@@ -40,30 +40,42 @@ def fmt_value(value) -> str:
 _NUMERIC = {bool, int, float}
 
 
-def _cells(column: list, kinds: set, fmt: str):
-    """The column's cells as CSV or JSON text, lazily, one formatter per column.
+def _body(columns: list, kinds: list, fmt: str, labels: list, end: str,
+          sep: str) -> str:
+    """The rows of a table as CSV or JSON text, filled in by one % call.
 
-    kinds is the set of the cells' types.  A column of ints, or of floats
-    (all finite, for JSON), maps its type's repr and skips the dispatch per
-    cell; a JSON column of strings maps encode_basestring_ascii, which is
-    what json.dumps calls for a str.  The text is the same.  Other cells go
-    through fmt_value for CSV and json.dumps for JSON, which raises
-    ValueError on a non-finite float.
+    kinds holds the set of each column's cell types.  A row is labels[i]
+    then cell i for each column i, then end; rows are joined by sep.  The
+    columns are interleaved into one flat list of cells.  A column of ints,
+    or of floats (all finite, for JSON), goes in as it is under %r, which
+    writes its type's repr.  Any other column goes in as text under %s: a
+    JSON column of strings through encode_basestring_ascii, which is what
+    json.dumps calls for a str; other cells through fmt_value for CSV and
+    json.dumps for JSON, which raises ValueError on a non-finite float.
     """
-    if kinds == {int} or kinds == {float} and (fmt == "csv"
-                                               or all(map(math.isfinite, column))):
-        return map(next(iter(kinds)).__repr__, column)
-    if kinds == {str} and fmt == "json":
-        return map(encode_basestring_ascii, column)
-    return map(fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False),
-               column)
+    n = len(columns[0]) if columns else 0
+    flat = [None] * (n * len(columns))
+    row = ""
+    for i, (label, column, kind) in enumerate(zip(labels, columns, kinds)):
+        raw = kind == {int} or kind == {float} and (
+            fmt == "csv" or all(map(math.isfinite, column)))
+        if raw:
+            flat[i::len(columns)] = column
+        elif kind == {str} and fmt == "json":
+            flat[i::len(columns)] = map(encode_basestring_ascii, column)
+        else:
+            flat[i::len(columns)] = map(
+                fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False),
+                column)
+        row += label.replace("%", "%%") + ("%r" if raw else "%s")
+    return sep.join([row + end] * n) % tuple(flat)
 
 
 def render_csv(metadata: dict, header, columns) -> str:
     """Comment-prefixed metadata lines, a header row, then the data rows.
 
     Cells are minimally quoted, so free-text columns may contain commas;
-    rows of numbers and booleans need no quoting and are joined directly.
+    rows of numbers and booleans need no quoting and are written by _body.
     """
     buffer = io.StringIO()
     for key, value in metadata.items():
@@ -71,14 +83,15 @@ def render_csv(metadata: dict, header, columns) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     kinds = [set(map(type, column)) for column in columns]
-    rows = zip(*(_cells(column, kind, "csv") for column, kind in zip(columns, kinds)))
     if all(kind <= _NUMERIC for kind in kinds):
         # no cell can need quoting; skipping csv.writer's per-field scan
         # halves the time of a 25k-row table
-        for row in rows:
-            buffer.write(",".join(row) + "\n")
+        body = _body(columns, kinds, "csv", [""] + [","] * (len(columns) - 1),
+                     "", "\n")
+        buffer.write(body)
+        buffer.write(body and "\n")
     else:
-        writer.writerows(rows)
+        writer.writerows(zip(*(map(fmt_value, column) for column in columns)))
     return buffer.getvalue()
 
 
@@ -90,7 +103,7 @@ def render_json(head: dict, rows_key: str, header, columns) -> str:
     per row, for string column names, rows_key not in head and scalar cells;
     a dataclass in head is written as its fields.  Only the head goes
     through json.dumps, whose indent mode runs the pure-Python encoder;
-    each row fills one %-template built from the header.
+    the rows are written by _body.
     """
     text = json.dumps({**head, rows_key: []}, indent=2, allow_nan=False,
                       default=vars)
@@ -98,19 +111,17 @@ def render_json(head: dict, rows_key: str, header, columns) -> str:
     if not body:
         return text + "\n"
     # text ends with the empty rows list: "[]\n}"
-    return text[:-4] + "[\n" + body + "\n  ]\n}\n"
+    return "".join((text[:-4], "[\n", body, "\n  ]\n}\n"))
 
 
 def _json_objects(header, columns, indent: int) -> str:
     """The items of a list of row objects as json.dumps(indent=2) writes
-    them indent spaces deep, without the brackets; each row fills one
-    %-template built from the header."""
-    rows = zip(*(_cells(column, set(map(type, column)), "json") for column in columns))
-    keys = (json.dumps(name).replace("%", "%%") for name in header)
+    them indent spaces deep, without the brackets."""
     pad = " " * indent
-    template = (pad + "{" + ",".join(f"\n{pad}  {key}: %s" for key in keys)
-                + f"\n{pad}}}")
-    return ",\n".join(map(template.__mod__, rows))
+    labels = [(pad + "{" if i == 0 else ",") + f"\n{pad}  {json.dumps(name)}: "
+              for i, name in enumerate(header)]
+    return _body(columns, [set(map(type, column)) for column in columns], "json",
+                 labels, f"\n{pad}}}", ",\n")
 
 
 def envelope(command: str, fmt: str, metadata: dict, columns: dict,
@@ -152,11 +163,14 @@ def simulate_text(run, fmt: str) -> str:
                 **_verdict_fields("mean", report.mean_check),
                 **_verdict_fields("var", report.var_check),
                 overall=report.overall)
-    k = int(scenario.params["k"])
-    xs = sorted(run.expected_counts)
-    columns = {"n": [(x - 1) // k for x in xs], "x": xs,
-               "observed": [run.observed.get(x, 0) for x in xs],
-               "expected": [run.expected_counts[x] for x in xs]}
+    x = run.shown
+    values = np.fromiter(run.observed, np.int64, len(run.observed))
+    counts = np.fromiter(run.observed.values(), np.int64, len(values))
+    on = np.isin(values, x)  # a value on no shown point is not shown
+    observed = np.zeros(len(x), np.int64)
+    observed[np.searchsorted(x, values[on])] = counts[on]
+    columns = {"n": (x - 1) // int(scenario.params["k"]), "x": x,
+               "observed": observed, "expected": run.expected}
     if fmt == "csv":  # only JSON carries the full report; CSV would drop it
         return envelope("simulate", fmt, meta, columns, rows_key="empirical")
     # the report goes through json.dumps without its bins, which are then

@@ -3,16 +3,20 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harrisproc import reporting
+from harrisproc import cli, mixture, reporting
 from harrisproc.acceptance import run_scenario
+from harrisproc.birth import ProcessParams
 from harrisproc.cli import main
+from harrisproc.mixture import MixtureParams, sample_model2
 from harrisproc.reporting import envelope, fmt_value, simulate_text
+from harrisproc.validation import gof_support
 
 
 def test_csv_envelope_leads_with_command_and_schema():
@@ -76,6 +80,55 @@ def test_columns_render_as_the_per_cell_reference(table):
     assert rows == expected
     assert [list(map(type, row.values())) for row in rows] == [
         list(map(type, row.values())) for row in expected]
+
+
+def _long_columns(n, finite):
+    """Deterministic columns of n cells: ints past 64 bits, floats (the
+    non-finite ones unless finite), a float array, bools, ints and floats
+    mixed, and text with commas and quotes."""
+    floats = [-0.0, 5e-324, 1e16, 0.1, -1e-300, 1.7976931348623157e308]
+    floats += [] if finite else [math.nan, math.inf, -math.inf]
+    return {
+        "int": [(-1) ** i * (i ** 7 + (2 ** 70 if i % 5 == 0 else 0))
+                for i in range(n)],
+        "float": [floats[i % len(floats)] * (-1) ** (i // len(floats))
+                  for i in range(n)],
+        "array": np.arange(n) / 7.0 - 100.0,
+        "bool": [i % 3 == 0 for i in range(n)],
+        "mixed": [i if i % 2 else i / 4 for i in range(n)],
+        "text": [f'a,"{i}"' if i % 2 else str(i) for i in range(n)],
+    }
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["numbers", "text"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3000])
+def test_long_csv_table_renders_as_the_per_cell_reference(n, text):
+    columns = _long_columns(n, finite=False)
+    if not text:  # a table of numbers and booleans skips csv.writer
+        del columns["text"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    writer.writerows([fmt_value(cell) for cell in row] for row in zip(*values))
+    assert envelope("t", "csv", {"n": n}, columns) == (
+        f"# command=t\n# schema_version=1\n# n={n}\n" + buffer.getvalue())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3000])
+def test_long_json_table_is_the_indented_dump(n):
+    columns = _long_columns(n, finite=True)
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    payload = {"schema_version": 1, "command": "t", "metadata": {"n": n},
+               "rows": [dict(zip(columns, row)) for row in zip(*values)]}
+    assert envelope("t", "json", {"n": n}, columns) == json.dumps(
+        payload, indent=2, allow_nan=False) + "\n"
+    if n:
+        columns["float"][-1] = math.nan
+        with pytest.raises(ValueError):
+            envelope("t", "json", {}, columns)
 
 
 FINITE_FLOATS = st.one_of(
@@ -207,3 +260,97 @@ def test_only_builtin_scalars_reach_the_renderers(argv, fmt, monkeypatch, capsys
     capsys.readouterr()
     assert seen
     assert {type(value) for value in seen} <= {bool, int, float, str}
+
+
+def _reference_rows(run):
+    """simulate's empirical rows built per point, from a dict of each shown
+    point's expected count as run_scenario made it."""
+    scenario = run.report.scenario
+    params = scenario.params
+    law = (ProcessParams(params["lambda"], params["k"]) if scenario.model == "birth"
+           else MixtureParams(params["a"], params["k"])).harris_at(scenario.t)
+    largest = max(run.observed)
+    support, probs = gof_support(law, largest, scenario.replicas)
+    shown = support <= largest
+    expected_counts = dict(zip(support[shown].tolist(),
+                               (scenario.replicas * probs[shown]).tolist()))
+    xs = sorted(expected_counts)
+    return {"n": [(x - 1) // params["k"] for x in xs], "x": xs,
+            "observed": [run.observed.get(x, 0) for x in xs],
+            "expected": [expected_counts[x] for x in xs]}
+
+
+def _off_lattice(*args, **kwargs):
+    """Model 2's draws with one moved off the lattice {1, 4, 7, ...} of
+    k = 3 and one moved past the largest lattice point drawn."""
+    draws = sample_model2(*args, **kwargs)
+    draws[0] = 2
+    draws[1] = draws.max() + 2
+    return draws
+
+
+# the law and seed 1 run of the birth-deep benchmark workload: 4,479
+# mostly empty lattice points
+DEEP_BIRTH = {"lam": 1.0, "k": 1, "t": 6.0, "seed": 1880700755}
+
+
+@pytest.mark.parametrize("model, law, patched", [
+    ("birth", DEEP_BIRTH, False),
+    ("mixture", {"a": 1.0, "k": 3, "t": 2.0, "seed": 5}, False),
+    ("mixture", {"a": 1.0, "k": 3, "t": 2.0, "seed": 5}, True),
+], ids=["deep-birth", "mixture-k3", "off-lattice"])
+def test_simulate_rows_are_the_per_point_reference(model, law, patched,
+                                                   monkeypatch):
+    if patched:
+        monkeypatch.setattr(mixture, "sample_model2", _off_lattice)
+    run = run_scenario(model, replicas=2000, **law)
+    reference = _reference_rows(run)
+    rows = list(zip(*reference.values()))
+    if patched:  # both moved draws are tallied and neither is shown
+        assert run.observed[2] == 1 and max(run.observed) not in reference["x"]
+        assert sum(reference["observed"]) == 2000 - 2
+    else:
+        assert sum(reference["observed"]) == 2000
+    csv_text = simulate_text(run, "csv")
+    assert csv_text.split("\nn,x,observed,expected\n")[1] == "".join(
+        ",".join(map(fmt_value, row)) + "\n" for row in rows)
+    empirical = json.loads(simulate_text(run, "json"))["empirical"]
+    assert empirical == [dict(zip(reference, row)) for row in rows]
+    assert [list(map(type, row.values())) for row in empirical] == [
+        list(map(type, row)) for row in rows]
+
+
+# tracemalloc peaks of rendering each output by the renderer this one
+# replaced, which formatted each row on its own (CPython 3.11, numpy 2.4):
+# the pmf table of m = 1000, k = 2 (25,435 rows) and the simulate JSON of
+# the DEEP_BIRTH run (4,479 rows and 316 bins)
+PEAK_BEFORE = {"pmf csv": 7_920_566, "pmf json": 13_688_059,
+               "simulate json": 1_489_274}
+# room for other builds' allocation sizes; the peaks measured after the
+# change were 7.17, 11.21 and 1.42 MB
+PEAK_SLACK = 0.05
+
+
+def _traced_peak(render):
+    render()  # caches and lazy imports are not rendering
+    tracemalloc.start()
+    try:
+        render()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rendering_peak_memory_is_bounded(monkeypatch, capsys):
+    tables = []
+    monkeypatch.setattr(cli, "envelope", lambda *args: tables.append(args) or "")
+    main(["pmf", "--m", "1000", "--k", "2"])
+    capsys.readouterr()
+    (command, _, meta, columns), = tables
+    run = run_scenario("birth", replicas=2000, **DEEP_BIRTH)
+    peaks = {f"pmf {fmt}": _traced_peak(lambda: envelope(command, fmt, meta,
+                                                         columns))
+             for fmt in ("csv", "json")}
+    peaks["simulate json"] = _traced_peak(lambda: simulate_text(run, "json"))
+    assert {name: peak for name, peak in peaks.items()
+            if peak > PEAK_BEFORE[name] * (1 + PEAK_SLACK)} == {}
