@@ -5,8 +5,8 @@ the analytic law, assemble a ValidationReport); ``run_acceptance`` executes
 the whole battery of cross-checks relating the closed forms, the forward
 equations, the quadrature oracle, and Monte Carlo, and reports one verdict
 per check.  Both are exposed through the command line.  The Monte Carlo
-runs and their work bounds belong to the models (birth.count_events,
-mixture.tally_model2); this module only judges.
+runs, tallies built block by block, and their work bounds belong to the
+models (birth.tally_model1, mixture.tally_model2); this module only judges.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .birth import (ProcessParams, _check_run, count_events, process_moments,
-                    simulate_many, solve_forward_odes, solve_forward_odes_at)
+from .birth import (ProcessParams, _check_run, process_moments, simulate_many,
+                    solve_forward_odes, solve_forward_odes_at, tally_model1)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
                            harris_pmf, nb_pmf, pmf_table)
 from .mixture import (MixtureParams, _mixture_quadrature, mixture_moments,
@@ -101,12 +101,12 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
                  lam: float = None, a: float = None) -> ScenarioRun:
     """Simulate one model and validate it against its analytic law.
 
-    Model "birth" requires lam, takes no a, and counts the events of
-    replica paths to t (birth.count_events); model "mixture" requires a,
+    Model "birth" requires lam, takes no a, and tallies the states of
+    replica paths at t (birth.tally_model1); model "mixture" requires a,
     takes no lam, and tallies replicas samples (mixture.tally_model2).
     The law at t is checked before any draw, and the work bound by each
-    model's run.  The samples are tallied once; the goodness of fit at
-    GOF_ALPHA and the exact sample mean and variance are read from it.  The variance
+    model's run.  The goodness of fit at GOF_ALPHA and the exact sample
+    mean and variance are read from the run's tally.  The variance
     band widens with the law's excess kurtosis at small replica counts (see
     _variance_band).
     """
@@ -117,23 +117,19 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     if model == "birth":
         if lam is None or a is not None:
             raise ValueError("model 'birth' takes the rate lam and no mixing rate a")
-        params = ProcessParams(lam, k)
-        marginal = params.harris_at(t)
-        observed = tally(1 + params.k * count_events(params, t, replicas, seed))
-        analytic_mean, analytic_var = process_moments(params, t)
-        scenario = Scenario("birth", {"lambda": params.lam, "k": params.k},
-                            t, replicas, seed)
+        params, run, moments = ProcessParams(lam, k), tally_model1, process_moments
+        rate = {"lambda": params.lam}
     elif model == "mixture":
         if a is None or lam is not None:
             raise ValueError("model 'mixture' takes the mixing rate a and no rate lam")
-        params = MixtureParams(a, k)
-        marginal = params.harris_at(t)
-        observed = tally_model2(params, t, replicas, seed)
-        analytic_mean, analytic_var = mixture_moments(params, t)
-        scenario = Scenario("mixture", {"a": params.a, "k": params.k},
-                            t, replicas, seed)
+        params, run, moments = MixtureParams(a, k), tally_model2, mixture_moments
+        rate = {"a": params.a}
     else:
         raise ValueError(f"unknown model {model!r}")
+    marginal = params.harris_at(t)
+    observed = run(params, t, replicas, seed)
+    analytic_mean, analytic_var = moments(params, t)
+    scenario = Scenario(model, {**rate, "k": params.k}, t, replicas, seed)
 
     support, probs = gof_support(marginal, max(observed), replicas)
     gof = chi_square_gof(observed, support, probs, GOF_ALPHA)
@@ -228,7 +224,7 @@ def _check_yule_furry(replicas: int, seed: int) -> CriterionResult:
     closed = decap_geometric_pmf(q, np.arange(1, solution.n_max + 2))
     ode_gap = float(np.abs(solution.probs - closed).max())
 
-    observed = tally(1 + count_events(params, t, replicas, seed))
+    observed = tally_model1(params, t, replicas, seed)
     # the decapitated geometric, not harris_pmf, so the check stays independent
     support, _ = gof_support(params.harris_at(t), max(observed), replicas)
     probs = decap_geometric_pmf(q, support)
@@ -241,27 +237,29 @@ def _check_yule_furry(replicas: int, seed: int) -> CriterionResult:
     return CriterionResult(5, "yule-furry-reduction", passed, detail)
 
 
-def _check_coupling(replicas: int, seed: int, mixture_run: ScenarioRun, *,
-                    lam: float, k: int, t: float) -> CriterionResult:
+def _check_coupling(birth_run: ScenarioRun,
+                    mixture_run: ScenarioRun) -> CriterionResult:
     """Criterion 6: the coupling N = 1 + k*I on three records of the same
     birth paths and on every mixture draw.
 
-    At the given law and seed (criterion 3's), counts the replicas where
-    count_events, simulate_many's event counter and the count read from
-    its recorded event times do not all agree, then adds the draws of the
-    mixture run's tally off the lattice {1, 1+k, ...}.
+    Reruns the birth run's law and seed in simulate_many and adds its
+    coupling_violations, half the L1 distance (rounded up) from the birth
+    run's tally to that of 1 + k*(its event counter), and the mixture
+    run's draws off the lattice {1, 1+k, ...}.
     """
-    params = ProcessParams(lam, k)
-    batch = simulate_many(params, t, replicas, seed)
-    disagree = ((count_events(params, t, replicas, seed) != batch.n_events)
-                | (batch.counts_at(t) != batch.n_events))
+    birth = birth_run.report.scenario
+    params = ProcessParams(birth.params["lambda"], birth.params["k"])
+    batch = simulate_many(params, birth.t, birth.replicas, birth.seed)
+    counted, observed = tally(1 + params.k * batch.n_events), birth_run.observed
+    distance = sum(abs(observed.get(x, 0) - counted.get(x, 0))
+                   for x in observed.keys() | counted.keys())
     mixture = mixture_run.report.scenario
     off_lattice = sum(count for value, count in mixture_run.observed.items()
                       if (value - 1) % mixture.params["k"])
-    violations = int(np.count_nonzero(disagree)) + off_lattice
+    violations = batch.coupling_violations() + -(-distance // 2) + off_lattice
     return CriterionResult(
         6, "coupling-identity", violations == 0,
-        f"{violations} violations of state = 1 + k*count across {replicas} "
+        f"{violations} violations of state = 1 + k*count across {birth.replicas} "
         f"trajectories (three counts each) and {mixture.replicas} mixture draws",
     )
 
@@ -403,7 +401,7 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         a=1.0, k=2, t=1.0)
     results += [birth_result, mixture_result,
                 _check_yule_furry(birth_replicas, seed),
-                _check_coupling(birth_replicas, seed, mixture_run, **BIRTH_LAW),
+                _check_coupling(birth_run, mixture_run),
                 _check_identities()]
     results.append(_check_calibration(calibration_seeds, CALIBRATION_DRAWS))
     _, rerun = criterion_3()

@@ -16,9 +16,9 @@ the truncated Kolmogorov forward equations
 The simulation runs each block of replicas in passes: one stream.uniform
 call advances every live replica of the block by several rounds, one
 event per round, and a replica ends at its first clock past the horizon.
-Its two entry points run the same passes on the same draws: count_events
-keeps only each replica's count I(t), which is all a law at t needs, and
-simulate_many also records every event time.
+Its two entry points run the same passes on the same draws: tally_model1
+keeps only the tally of N(t), which is all a law at t needs, one block at a
+time, and simulate_many also records every event time.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .distribution import (HarrisParams, _check_time, _validate_step,
                            tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
 from .sampling import RngStream, _check_draw_budget
-from .validation import tally
+from .validation import add_tallies, tally
 
 __all__ = [
     "ProcessParams",
     "Trajectory",
     "TrajectoryBatch",
     "TransientSolution",
-    "count_events",
+    "tally_model1",
     "simulate_many",
     "empirical_distribution",
     "solve_forward_odes",
@@ -98,8 +98,14 @@ class ProcessParams:
             ) from None
 
     def harris_at(self, t: float) -> HarrisParams:
-        """Marginal law of N(t) for t > 0."""
-        return HarrisParams(self.scale_at(_check_time(t)), self.k)
+        """Marginal law of N(t) for t > 0; a refused m names t, lam and k."""
+        t = _check_time(t)
+        m = self.scale_at(t)
+        try:
+            return HarrisParams(m, self.k)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: m = exp(t*lam*k) at t={t!r}, lam={self.lam!r}, "
+                             f"k={self.k}") from None
 
 
 class Trajectory:
@@ -276,23 +282,25 @@ def _passes(params: ProcessParams, horizon: float, stream: RngStream, size: int)
         j += w
 
 
-def count_events(params: ProcessParams, horizon: float, n_replicas: int,
-                 seed: int) -> np.ndarray:
-    """The event count I(horizon) of each replica, without storing its path.
+def tally_model1(params: ProcessParams, horizon: float, n_replicas: int,
+                 seed: int) -> dict:
+    """Frequency map of N(horizon) = 1 + k*I(horizon) over the replicas.
 
-    Runs simulate_many's passes on the same draws, so every count equals
-    simulate_many(params, horizon, n_replicas, seed).n_events bit for bit,
-    and raises what it raises; a replica's count is the sum of its events
-    inside the horizon over the passes it runs in, and only one pass's
-    clocks are kept at a time.
+    Runs simulate_many's passes on the same draws, so it equals the tally of
+    1 + k*simulate_many(params, horizon, n_replicas, seed).n_events, and
+    raises what that raises.  Each block's counts are tallied as soon as
+    the block ends, so a run holds one block's counts and one pass's clocks.
     """
     horizon = _check_run(params, horizon, n_replicas)
-    n_events = np.zeros(n_replicas, dtype=np.int64)
-    for first, size, stream in _blocks(n_replicas, seed):
-        block = n_events[first:first + size]
+
+    def block(size, stream):
+        counts = np.zeros(size, dtype=np.int64)
         for _, alive, _, n in _passes(params, horizon, stream, size):
-            block[alive] += n
-    return n_events
+            counts[alive] += n
+        return tally(1 + params.k * counts)
+
+    return add_tallies(block(size, stream) for _, size, stream
+                       in _blocks(n_replicas, seed))
 
 
 def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
@@ -300,22 +308,17 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     """Exact event-driven simulation of independent replicas to the horizon.
 
     Replica block b (replicas b*BLOCK_SIZE to (b+1)*BLOCK_SIZE - 1) runs
-    alone on RngStream(seed, b), in passes (see _passes).  Pass p advances
-    the m replicas of the block still inside the horizon by w = max(1,
-    min(2**p, DRAW_CHUNK // m)) rounds, from one stream.uniform(m*w) call
-    whose row r is round j + r of every live replica in replica order.
-    Each round adds one exponential holding time -ln(U)/((i*k + 1)*lam),
-    i being the replica's event count, with no time discretization; a
-    replica ends at the first clock past the horizon, and its later draws
-    in the pass are discarded.  Which draws feed a replica depends only on
-    the live set at the start of each pass, so every full block gives the
-    same paths whatever n_replicas is.  The rows are filled from each
-    pass's clocks inside the horizon, and n_events counts them.  Raises
-    ResourceLimitError if a path would exceed MAX_EVENTS (a guard for
-    pathological parameters; the process itself is non-explosive on
-    finite horizons), before any draw if the mean path, (m(horizon) - 1)/k
-    events, already does or the run expects a path to (see _check_run,
-    which also refuses a run past the draw budget).
+    alone on RngStream(seed, b), in passes that add exponential holding
+    times -ln(U)/((i*k + 1)*lam), i being the replica's event count, with
+    no time discretization (see _passes).  Which draws feed a replica
+    depends only on the live set at the start of each pass, so every full
+    block gives the same paths whatever n_replicas is.  The rows are
+    filled from each pass's clocks inside the horizon, and n_events counts
+    them.  Raises ResourceLimitError if a path would exceed MAX_EVENTS (a
+    guard for pathological parameters; the process itself is non-explosive
+    on finite horizons), before any draw if the mean path of
+    (m(horizon) - 1)/k events already does or the run expects a path to
+    (see _check_run, which also refuses a run past the draw budget).
     """
     horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)

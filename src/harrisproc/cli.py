@@ -117,10 +117,8 @@ def cmd_ode(args) -> tuple:
     params = ProcessParams(args.lam, args.k)
     solution = solve_forward_odes(params, args.t)
     ns = np.arange(solution.n_max + 1)
-    if args.t == 0.0:
-        closed = np.array([1.0])
-    else:
-        closed = harris_pmf(params.harris_at(args.t), ns)
+    closed = (np.array([1.0]) if args.t == 0.0
+              else harris_pmf(params.harris_at(args.t), ns))
     gaps = np.abs(solution.probs - closed)
     worst = float(gaps.max())
     passed = worst < ODE_GAP

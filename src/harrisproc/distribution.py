@@ -140,8 +140,7 @@ def nb_pmf(r: float, p: float, n) -> float:
     r > 0 is the index, p in (0, 1) the success probability, n the
     failure count (scalar or array).
     """
-    r = float(r)
-    p = float(p)
+    r, p = float(r), float(p)
     if not r > 0.0:
         raise ValueError(f"index r must be > 0, got {r!r}")
     if not 0.0 < p < 1.0:
@@ -182,8 +181,7 @@ def harris_pgf(params: HarrisParams, s: float) -> float:
 
 def harris_mean_var(params: HarrisParams) -> tuple:
     """Mean m and variance k*m*(m-1) of the Harris law."""
-    m, k = params.m, params.k
-    return m, k * m * (m - 1.0)
+    return params.m, params.k * params.m * (params.m - 1.0)
 
 
 def decap_geometric_pmf(q: float, n) -> float:

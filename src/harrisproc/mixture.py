@@ -81,8 +81,13 @@ class MixtureParams:
         return (self.a + t) / self.a
 
     def harris_at(self, t: float) -> HarrisParams:
-        """Marginal law of Z(t) for t > 0."""
-        return HarrisParams(self.scale_at(_check_time(t)), self.k)
+        """Marginal law of Z(t) for t > 0; a refused m names t, a and k."""
+        t = _check_time(t)
+        try:
+            return HarrisParams(self.scale_at(t), self.k)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: m = (a + t)/a at t={t!r}, a={self.a!r}, "
+                             f"k={self.k}") from None
 
 
 def mixture_pmf(params: MixtureParams, t: float, n) -> float:

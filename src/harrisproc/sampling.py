@@ -56,9 +56,8 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-            if value < 0:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

@@ -18,10 +18,10 @@ import pytest
 from harrisproc import acceptance, birth, mixture, sampling
 from harrisproc.birth import (
     ProcessParams,
-    count_events,
     empirical_distribution,
     simulate_many,
     solve_forward_odes,
+    tally_model1,
 )
 from harrisproc.cli import main
 from harrisproc.distribution import (
@@ -187,9 +187,12 @@ def test_criterion_6_coupling_identity(birth_run, yule_run, mixture_draws):
         k = batch.params.k
         violations += int(np.count_nonzero(
             batch.states_at(t) != 1 + k * batch.counts_at(t)))
-        # the counts-only sampler runs the same draws
-        violations += int(np.count_nonzero(
-            count_events(batch.params, t, len(batch), SEED) != batch.n_events))
+        # the tallying sampler runs the same draws: count the replicas its
+        # tally places apart from the counter's, half the L1 distance
+        observed = Counter(tally_model1(batch.params, t, len(batch), SEED))
+        counted = Counter(tally(1 + k * batch.n_events))
+        violations += max(sum((observed - counted).values()),
+                          sum((counted - observed).values()))
     violations += int(np.count_nonzero((mixture_draws - 1) % 2))
     record(6, "coupling-identity", violations == 0,
            f"{violations} violations of N = 1 + k*I across 200000 trajectories "
@@ -211,21 +214,44 @@ def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
     assert coupling.detail.startswith("1 violations")
 
 
-def _coupling_of(mixture_run):
-    """Criterion 6 on 1000 paths of criterion 3's law and the given mixture run."""
-    return acceptance._check_coupling(1000, SEED, mixture_run,
-                                      lam=0.5, k=2, t=1.0)
+def _birth_run():
+    """Criterion 3's run at 1000 paths."""
+    return acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=1000,
+                                   seed=SEED)
+
+
+def _coupling_of(mixture_run, birth_run=None):
+    """Criterion 6 on the given mixture run and criterion 3's at 1000 paths."""
+    return acceptance._check_coupling(birth_run or _birth_run(), mixture_run)
 
 
 def test_criterion_6_reports_a_miscounted_replica(monkeypatch):
     def miscounting(*args, **kwargs):
-        counts = count_events(*args, **kwargs)
-        counts[-1] += 1
-        return counts
+        # one replica in state 1 is counted in state 1 + k = 3
+        observed = tally_model1(*args, **kwargs)
+        observed[1] -= 1
+        observed[3] += 1
+        return observed
 
-    monkeypatch.setattr(acceptance, "count_events", miscounting)
+    monkeypatch.setattr(acceptance, "tally_model1", miscounting)
+    birth_run = _birth_run()
     coupling = _coupling_of(acceptance.run_scenario(
-        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED))
+        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED), birth_run)
+    assert not coupling.passed and coupling.detail.startswith("1 violations")
+
+
+def test_criterion_6_reports_a_miscounted_counter(monkeypatch):
+    def miscounting(states):
+        # the last replica's count comes out one event high
+        states = states.copy()
+        states[-1] += 2
+        return tally(states)
+
+    # birth.tally is read by tally_model1 alone, not by simulate_many
+    monkeypatch.setattr(birth, "tally", miscounting)
+    birth_run = _birth_run()
+    coupling = _coupling_of(acceptance.run_scenario(
+        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED), birth_run)
     assert not coupling.passed and coupling.detail.startswith("1 violations")
 
 

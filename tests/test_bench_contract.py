@@ -87,8 +87,8 @@ def _reached(*args, **kwargs):
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_every_birth_run_of_the_bench_is_within_the_draw_budget(workload,
                                                                 monkeypatch):
-    # simulate --model birth starts at count_events, validate at criterion 1
-    monkeypatch.setattr(acceptance, "count_events", _reached)
+    # simulate --model birth starts at tally_model1, validate at criterion 1
+    monkeypatch.setattr(acceptance, "tally_model1", _reached)
     monkeypatch.setattr(acceptance, "solve_forward_odes_at", _reached)
     ops = [op.argv for op in workloads.WORKLOADS[workload](1).ops
            if op.argv[0] == "validate" or op.argv[:3] == ("simulate", "--model",

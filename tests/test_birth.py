@@ -13,12 +13,12 @@ from harrisproc.birth import (
     BLOCK_SIZE,
     ProcessParams,
     TrajectoryBatch,
-    count_events,
     empirical_distribution,
     process_moments,
     simulate_many,
     solve_forward_odes,
     solve_forward_odes_at,
+    tally_model1,
 )
 from harrisproc.cli import main
 from harrisproc.distribution import (
@@ -30,7 +30,7 @@ from harrisproc.distribution import (
 )
 from harrisproc.errors import ConvergenceError, ResourceLimitError
 from harrisproc.sampling import RngStream
-from harrisproc.validation import chi_square_gof, gof_support
+from harrisproc.validation import chi_square_gof, gof_support, tally
 
 E = math.e
 
@@ -202,10 +202,10 @@ class TestMonteCarloLaw:
         rerun = simulate_many(params, 1.0, 2 * BLOCK_SIZE + 100, seed=9)
         assert np.array_equal(longer.event_times, rerun.event_times)
         assert np.array_equal(longer.offsets, rerun.offsets)
-        # the counts-only route too
-        assert np.array_equal(count_events(params, 1.0, BLOCK_SIZE, seed=9),
-                              count_events(params, 1.0, 2 * BLOCK_SIZE + 100,
-                                           seed=9)[:BLOCK_SIZE])
+        # the tallying route too: one block is the longer run's first block
+        assert (tally_model1(params, 1.0, BLOCK_SIZE, seed=9)
+                == tally(states[:BLOCK_SIZE]))
+        assert tally_model1(params, 1.0, len(states), seed=9) == tally(states)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -271,9 +271,10 @@ def _assert_the_contract_holds(params, horizon, n_replicas, seed):
     assert np.array_equal(batch.n_events, n_events)
     assert np.array_equal(batch.offsets, offsets)
     assert np.array_equal(batch.event_times, event_times)
-    # the counts-only route runs the same draws
-    counts = count_events(params, horizon, n_replicas, seed)
-    assert counts.dtype == np.int64 and np.array_equal(counts, n_events)
+    # the tallying route runs the same draws
+    observed = tally_model1(params, horizon, n_replicas, seed)
+    assert observed == tally(1 + params.k * n_events)
+    assert all(type(value) is int for value in observed)
     return batch
 
 
@@ -341,19 +342,22 @@ class TestDrawContract:
                 return super().uniform(size)
 
         monkeypatch.setattr(birth, "RngStream", Counted)
-        counts = count_events(ProcessParams(*law), horizon, n_replicas, seed=seed)
+        observed = tally_model1(ProcessParams(*law), horizon, n_replicas, seed=seed)
+        events = sum((x - 1) // law[1] * count for x, count in observed.items())
         assert len(calls) <= 64
-        assert sum(calls) <= factor * (counts.sum() + n_replicas)
+        assert sum(calls) <= factor * (events + n_replicas)
         assert max(calls) <= birth.DRAW_CHUNK
 
 
 class TestCountEvents:
+    """tally_model1: a birth run that counts events and keeps only their tally."""
+
     def test_event_cap(self, monkeypatch):
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError, match="trajectory exceeded 3"):
-            count_events(ProcessParams(0.5, 1), 2.0, 6, seed=1)
-        # the cap counts events inside the horizon only
-        assert count_events(ProcessParams(0.5, 1), 2.0, 6, seed=3).max() == 3
+            tally_model1(ProcessParams(0.5, 1), 2.0, 6, seed=1)
+        # the cap counts events inside the horizon only: state 1 + 3*k
+        assert max(tally_model1(ProcessParams(0.5, 1), 2.0, 6, seed=3)) == 4
 
     def test_a_run_expecting_a_path_past_the_cap_is_refused_before_any_draw(
             self, monkeypatch):
@@ -362,12 +366,12 @@ class TestCountEvents:
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError,
                            match="7 paths to t=2.0 expect 1.118 of them past 3"):
-            count_events(ProcessParams(0.5, 1), 2.0, 7, seed=0)
+            tally_model1(ProcessParams(0.5, 1), 2.0, 7, seed=0)
         monkeypatch.undo()
         monkeypatch.setattr(birth, "RngStream", None)
         with pytest.raises(ResourceLimitError, match="expect 208.6 of them"):
             simulate_many(ProcessParams(1.0, 1), 13.0, 2000, seed=0)
-        for run in (count_events, simulate_many):
+        for run in (tally_model1, simulate_many):
             # simulate's message: criterion 3's law expects 1.859 draws a path
             with pytest.raises(ValueError, match="1003936094 expected birth draws "
                                                  "exceed the draw budget of 1000000000"):
@@ -381,26 +385,34 @@ class TestCountEvents:
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
         with pytest.raises(ResourceLimitError, match="averages 1.203e"):
-            count_events(ProcessParams(1.0, 1), 14.0, 100, seed=0)
+            tally_model1(ProcessParams(1.0, 1), 14.0, 100, seed=0)
 
     @pytest.mark.parametrize("horizon, n_replicas", [(0.0, 10), (1.0, 0)])
     def test_empty_runs_rejected(self, horizon, n_replicas):
         with pytest.raises(ValueError):
-            count_events(ProcessParams(0.5, 1), horizon, n_replicas, seed=0)
+            tally_model1(ProcessParams(0.5, 1), horizon, n_replicas, seed=0)
+
+    @staticmethod
+    def _peak(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_keeps_no_paths(self):
         # the deep bench law: ~812k events, whose stored times alone take 6 MiB
-        params = ProcessParams(1.0, 1)
+        args = ProcessParams(1.0, 1), 6.0, 2000, 5
+        assert self._peak(tally_model1, *args) < 2**20
+        assert self._peak(simulate_many, *args) > 10 * 2**20
 
-        def peak(sample):
-            tracemalloc.start()
-            try:
-                sample(params, 6.0, 2000, seed=5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(count_events) < 2 * 2**20 and peak(simulate_many) > 10 * 2**20
+    @pytest.mark.parametrize("n_replicas", [10**5, 10**6])
+    def test_memory_is_one_block_whatever_the_replica_count(self, n_replicas):
+        # criterion 3's law: ~0.45 MiB at both counts (2 vCPU); a count per
+        # replica, as one int64 array, took 1.15 MiB at 1e5 and 8.0 at 1e6
+        assert self._peak(tally_model1, ProcessParams(0.5, 2), 1.0, n_replicas,
+                          0) < 2**20
 
     def test_simulate_birth_never_stores_paths(self, monkeypatch, capsys):
         def stored(*args, **kwargs):

@@ -194,7 +194,7 @@ class TestSimulate:
         def never(*args, **kwargs):
             raise AssertionError("simulated below the replica floor")
 
-        for name in ("count_events", "simulate_many"):
+        for name in ("tally_model1", "simulate_many"):
             monkeypatch.setattr(acceptance, name, never)
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
@@ -242,7 +242,10 @@ class TestSimulate:
         monkeypatch.setattr(mixture, "RngStream", None)
         code, out, err = run_cli(["simulate", "--k", "2"] + argv, capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: scale parameter {message}\n"
+        # the refusal ends with the route's formula at the given inputs
+        route = {"birth": "exp(t*lam*k) at t=1.0, lam=1e-300, k=2",
+                 "mixture": "(a + t)/a at t=1.0, a=1e-320, k=2"}[argv[1]]
+        assert err == f"error: scale parameter {message}: m = {route}\n"
 
     @pytest.mark.parametrize("replicas", [str(10**9 + 1), str(10**12)])
     def test_mixture_draws_past_the_budget_exit_2_before_any_draw(
@@ -405,6 +408,15 @@ class TestParameterGuards:
          "query time t must be > 0 and finite, got 0.0"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "inf"],
          "query time t must be > 0 and finite, got inf"),
+        # a refused m also names the route's inputs that gave it
+        (["pmf", "--a", "1", "--k", "2", "--t", "1e-17"],
+         "m must be > 1 and finite, got 1.0: m = (a + t)/a at t=1e-17, a=1.0, k=2"),
+        (["pmf", "--lambda", "1", "--k", "2", "--t", "1e-17"],
+         "m must be > 1 and finite, got 1.0: m = exp(t*lam*k) at t=1e-17, "
+         "lam=1.0, k=2"),
+        (["simulate", "--model", "mixture", "--a", "1e300", "--k", "2", "--t", "1",
+          "--replicas", "1000"],
+         "m must be > 1 and finite, got 1.0: m = (a + t)/a at t=1.0, a=1e+300, k=2"),
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -438,7 +450,7 @@ class TestParameterGuards:
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
         for name in ("solve_forward_odes", "solve_forward_odes_at", "run_scenario",
-                     "count_events", "simulate_many", "_exact_tally"):
+                     "tally_model1", "simulate_many", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
@@ -500,7 +512,7 @@ class TestParameterGuards:
         def ran(*args, **kwargs):
             raise AssertionError("ran with an unwritable --out")
         for name in ("solve_forward_odes", "solve_forward_odes_at",
-                     "_mixture_quadrature", "count_events", "simulate_many",
+                     "_mixture_quadrature", "tally_model1", "simulate_many",
                      "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         monkeypatch.setattr(mixture, "sample_model2", ran)
