@@ -368,12 +368,12 @@ def _forward_system(params: ProcessParams, n_max: int) -> tuple:
     the entry A[j+1, j] below it (LAPACK band storage, ml=1, mu=0).
     """
     rates = params.rate_after(np.arange(n_max + 1))
+    # flow[j+1] is the flow out of state j; flow[0] = 0 flows into state 0
+    flow = np.zeros(n_max + 2)
 
     def rhs(p, _t):
-        flow = rates * p
-        out = -flow
-        out[1:] += flow[:-1]
-        return out
+        np.multiply(rates, p, out=flow[1:])
+        return flow[:-1] - flow[1:]  # a new array: the next call rewrites flow
 
     band = np.zeros((2, n_max + 1))
     band[0] = -rates

@@ -45,6 +45,7 @@ EXIT_USAGE = 2
 DEFAULT_SEED = 0
 DEFAULT_TAIL = 1e-12
 PGF_GAP = 1e-10  # largest allowed gap between pgf and its power series
+MAX_NMAX = 100_000  # largest mixture-check --nmax: ~2.6 s and ~100 MiB there
 
 
 def _resolve_params(args) -> tuple:
@@ -132,8 +133,8 @@ def cmd_ode(args) -> tuple:
 
 
 def cmd_mixture_check(args) -> tuple:
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+    if not 0 <= args.nmax <= MAX_NMAX:
+        raise ValueError(f"--nmax must be >= 0 and <= {MAX_NMAX}, got {args.nmax}")
     params = MixtureParams(args.a, args.k)
     ns = np.arange(args.nmax + 1)
     closed = mixture_pmf(params, args.t, ns)

@@ -49,6 +49,8 @@ QUAD_MAX_SUBDIVISIONS = 500
 # bisects; 8x larger slices were no faster and raised validate's peak RSS
 # by 2.5 MiB.
 QUAD_CALL_VALUES = 1 << 13
+# Equal intervals a quadrature call starts from; 16 or 32 were slower.
+QUAD_START_INTERVALS = 8
 
 
 @cache
@@ -95,50 +97,60 @@ def mixture_pmf(params: MixtureParams, t: float, n) -> float:
     return harris_pmf(params.harris_at(t), n)
 
 
+def _integrand(a, k, t, n):
+    """The mixture integrand on u in (0, 1) for flat arrays of valid (a, k, t, n).
+
+    lam = x**k with x = s*(u/(1-u))**w removes the lam**(1/k - 1) singularity
+    at 0.  The centre s = (max(n, 1)/(a+t))**(1/k) puts each element's peak
+    mid-interval, where the shared bisections resolve it however large t is,
+    and w = 16/max(k*sqrt(n), 16) widens a peak narrower than 1/16 in log x.
+    At n = 0 the integrand is flat up to x = s and then drops; twice that
+    centre puts the drop at u = 1/3, off every bisection point.  The value
+    is the exp of (n + 1/k)*log mu - mu - log(u*(1-u)) plus a constant per
+    element, in mu = (t+a)*lam, so that no term grows with t.
+    """
+    r = 1.0 / k
+    w = 16.0 / np.maximum(k * np.sqrt(n), 16.0)
+    # log((t+a)*s**k), with s doubled at n = 0 (where w = 1)
+    log_c = np.log(np.maximum(n, 1.0)) + (k * (n == 0)) * np.log(2.0)
+    kw, nr = k * w, n + r
+    # log(t**n a**r / ((t+a)**(n+r) n! Gamma(r))), and log(k*w) of
+    # dlam/du = k*x**(k-1) * w*x/(u*(1-u)) = k*w*lam/(u*(1-u))
+    const = (-n * np.log1p(a / t) - r * np.log1p(t / a) - gammaln(n + 1.0)
+             - gammaln(r) + np.log(kw))
+
+    def integrand(u):
+        log_u, log_v = np.log(u), np.log1p(-u)
+        log_mu = kw * (log_u - log_v)
+        log_mu += log_c
+        # mu overflows only where the integrand is exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            value = np.exp(log_mu)
+        np.subtract(nr * log_mu, value, out=value)
+        value += const
+        value -= log_u + log_v
+        return np.exp(value, out=value)
+
+    return integrand
+
+
 def _mixture_quadrature(a, k, t, n):
     """The mixture integral for broadcast arrays of valid (a, k, t, n).
 
-    Integrates log Poisson(n; lam*t) + log Gamma(lam; 1/k, a) + log|dlam/du|
-    (in log space, log lam = k*log x) over u in (0, 1) for every element at
-    once.  lam = x**k removes the lam**(1/k - 1) singularity at 0; x =
-    s*(u/(1-u))**w with the centre s = (max(n, 1)/(a+t))**(1/k) puts each
-    element's peak mid-interval, where the shared bisections resolve it
-    however large t is, and w = 16/max(k*sqrt(n), 16) widens a peak narrower
-    than 1/16 in log x (it is about 1/(k*sqrt(n)) wide).  At n = 0 the
-    integrand is flat up to x = s and then drops; twice that centre puts the
-    drop at u = 1/3, which no bisection point reaches.
-
-    Every interval carries a 10-point Gauss-Legendre estimate per element;
-    a bisected interval's halves each carry half the gap between its
-    estimate and theirs as error.  Each round bisects every interval whose
-    error exceeds its length's share of the target for some element, and
-    evaluates all the halves together (in slices of QUAD_CALL_VALUES
-    integrand values), until every element's summed error is at most
-    QUAD_REL_TARGET * max(|estimate|, tiny).  Raises ConvergenceError on a
-    non-finite estimate or error, or past QUAD_MAX_SUBDIVISIONS bisections.
+    Integrates each element's _integrand over u in (0, 1) from
+    QUAD_START_INTERVALS equal intervals, each bisected once (from [0, 1],
+    twice that less 1 bisections).  Every interval carries a 10-point
+    Gauss-Legendre estimate per element; a bisected interval's halves each
+    carry half the gap between its estimate and theirs as error.  Each round
+    bisects every interval whose error exceeds its length's share of the
+    target for some element, and evaluates all the halves together (in
+    slices of QUAD_CALL_VALUES integrand values), until every element's
+    summed error is at most QUAD_REL_TARGET * max(|estimate|, tiny).  Raises
+    ConvergenceError on a non-finite estimate or error, or past
+    QUAD_MAX_SUBDIVISIONS bisections.
     """
     a, k, t, n = np.broadcast_arrays(a, k, t, n)
-    shape = n.shape
-    a, k, t, n = (x.ravel() for x in (a, k, t, n))
-    r = 1.0 / k
-    w = 16.0 / np.maximum(k * np.sqrt(n), 16.0)
-    # w = 1 at n = 0, so the doubled centre there is s*2**w
-    log_s = (np.log(np.maximum(n, 1.0)) - np.log(a + t)) / k + (n == 0) * np.log(2.0)
-    log_poisson_norm = n * np.log(t) - gammaln(n + 1.0)
-    log_gamma_norm = r * np.log(a) - gammaln(r)
-
-    def integrand(u):
-        log_x = log_s + w * (np.log(u) - np.log1p(-u))
-        log_lam = k * log_x
-        # lam and lam*t overflow only where the integrand is exp(-inf) = 0
-        with np.errstate(over="ignore"):
-            lam = np.exp(log_lam)
-            log_poisson = log_poisson_norm + n * log_lam - lam * t
-            log_gamma = log_gamma_norm + (r - 1.0) * log_lam - a * lam
-        # dlam/du = k*x**(k-1) * w*x/(u*(1-u)) = k*w*lam/(u*(1-u))
-        log_jacobian = np.log(k * w) + log_lam - np.log(u) - np.log1p(-u)
-        return np.exp(log_poisson + log_gamma + log_jacobian)
-
+    integrand = _integrand(*(x.ravel() for x in (a, k, t, n)))
     nodes, weights = _gauss_legendre()
 
     def rule(lo, hi):
@@ -159,13 +171,14 @@ def _mixture_quadrature(a, k, t, n):
         gap = np.abs(est - halves[:len(mid)] - halves[len(mid):]) / 2.0
         return lo, hi, halves, np.concatenate([gap, gap])
 
-    lo, hi, est, err = bisect(np.zeros(1), np.ones(1), rule(np.zeros(1), np.ones(1)))
-    bisections = 1
+    edges = np.linspace(0.0, 1.0, QUAD_START_INTERVALS + 1)
+    lo, hi, est, err = bisect(edges[:-1], edges[1:], rule(edges[:-1], edges[1:]))
+    bisections = 2 * QUAD_START_INTERVALS - 1
     while np.isfinite(est).all() and np.isfinite(err).all():
         total = est.sum(axis=0)
         target = QUAD_REL_TARGET * np.maximum(np.abs(total), np.finfo(float).tiny)
         if (err.sum(axis=0) <= target).all():
-            return total.reshape(shape)
+            return total.reshape(n.shape)
         split = (err > (hi - lo)[:, None] * target).any(axis=1)
         bisections += np.count_nonzero(split)
         if bisections > QUAD_MAX_SUBDIVISIONS:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import fields, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -37,36 +36,37 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-_NUMERIC = {bool, int, float}
+def _cells(column, fmt: str) -> tuple:
+    """A column as its cells, the set of their types, and whether the cells
+    go in raw: ints, or floats (all finite, for JSON), stay built-in scalars,
+    whose type's repr %r writes.  Other cells become text: a JSON string
+    through encode_basestring_ascii, which is what json.dumps calls for a
+    str; others through fmt_value for CSV and json.dumps for JSON, which
+    raises ValueError on a non-finite float.  The types of an int64 or
+    float64 array are read off its dtype (and its finiteness by
+    np.isfinite), those of any other column off every cell."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    typed = isinstance(column, np.ndarray) and column.dtype in (np.int64, np.float64)
+    kind = {type(cells[0])} if typed and cells else set(map(type, cells))
+    if kind == {int} or kind == {float} and (fmt == "csv" or np.isfinite(column).all()):
+        return cells, kind, True
+    text = (encode_basestring_ascii if kind == {str} and fmt == "json" else
+            fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False))
+    return list(map(text, cells)), kind, False
 
 
-def _body(columns: list, kinds: list, fmt: str, labels: list, end: str,
-          sep: str) -> str:
+def _body(cells: list, labels: list, end: str, sep: str) -> str:
     """The rows of a table as CSV or JSON text, filled in by one % call.
 
-    kinds holds the set of each column's cell types.  A row is labels[i]
-    then cell i for each column i, then end; rows are joined by sep.  The
-    columns are interleaved into one flat list of cells.  A column of ints,
-    or of floats (all finite, for JSON), goes in as it is under %r, which
-    writes its type's repr.  Any other column goes in as text under %s: a
-    JSON column of strings through encode_basestring_ascii, which is what
-    json.dumps calls for a str; other cells through fmt_value for CSV and
-    json.dumps for JSON, which raises ValueError on a non-finite float.
+    A row is labels[i] then cell i of column i, then end; rows are joined by
+    sep.  The columns, from _cells, are interleaved into one flat list of
+    cells, and each is written under %r if raw, else under %s.
     """
-    n = len(columns[0]) if columns else 0
-    flat = [None] * (n * len(columns))
+    n = len(cells[0][0]) if cells else 0
+    flat = [None] * (n * len(cells))
     row = ""
-    for i, (label, column, kind) in enumerate(zip(labels, columns, kinds)):
-        raw = kind == {int} or kind == {float} and (
-            fmt == "csv" or all(map(math.isfinite, column)))
-        if raw:
-            flat[i::len(columns)] = column
-        elif kind == {str} and fmt == "json":
-            flat[i::len(columns)] = map(encode_basestring_ascii, column)
-        else:
-            flat[i::len(columns)] = map(
-                fmt_value if fmt == "csv" else partial(json.dumps, allow_nan=False),
-                column)
+    for i, (label, (column, _, raw)) in enumerate(zip(labels, cells)):
+        flat[i::len(cells)] = column
         row += label.replace("%", "%%") + ("%r" if raw else "%s")
     return sep.join([row + end] * n) % tuple(flat)
 
@@ -82,16 +82,15 @@ def render_csv(metadata: dict, header, columns) -> str:
         buffer.write(f"# {key}={fmt_value(value)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    kinds = [set(map(type, column)) for column in columns]
-    if all(kind <= _NUMERIC for kind in kinds):
+    cells = [_cells(column, "csv") for column in columns]
+    if all(kind <= {bool, int, float} for _, kind, _ in cells):
         # no cell can need quoting; skipping csv.writer's per-field scan
         # halves the time of a 25k-row table
-        body = _body(columns, kinds, "csv", [""] + [","] * (len(columns) - 1),
-                     "", "\n")
+        body = _body(cells, [""] + [","] * (len(cells) - 1), "", "\n")
         buffer.write(body)
         buffer.write(body and "\n")
     else:
-        writer.writerows(zip(*(map(fmt_value, column) for column in columns)))
+        writer.writerows(zip(*(column for column, _, _ in cells)))
     return buffer.getvalue()
 
 
@@ -120,8 +119,8 @@ def _json_objects(header, columns, indent: int) -> str:
     pad = " " * indent
     labels = [(pad + "{" if i == 0 else ",") + f"\n{pad}  {json.dumps(name)}: "
               for i, name in enumerate(header)]
-    return _body(columns, [set(map(type, column)) for column in columns], "json",
-                 labels, f"\n{pad}}}", ",\n")
+    return _body([_cells(column, "json") for column in columns], labels,
+                 f"\n{pad}}}", ",\n")
 
 
 def envelope(command: str, fmt: str, metadata: dict, columns: dict,
@@ -133,16 +132,14 @@ def envelope(command: str, fmt: str, metadata: dict, columns: dict,
     and the metadata as comment lines, then the header and the rows.  JSON:
     schema_version, command, metadata, the extra sections in order, then
     the rows as objects under rows_key.  Each column is converted once and
-    its cells formatted by one function for its type, in either format.
+    its cells formatted by one function for its kind, in either format.
     """
-    header = list(columns)
-    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c)
-             for c in columns.values()]
+    header, values = list(columns), list(columns.values())
     if fmt == "csv":
         return render_csv({"command": command, "schema_version": SCHEMA_VERSION,
-                           **metadata}, header, lists)
+                           **metadata}, header, values)
     return render_json({"schema_version": SCHEMA_VERSION, "command": command,
-                        "metadata": metadata, **sections}, rows_key, header, lists)
+                        "metadata": metadata, **sections}, rows_key, header, values)
 
 
 def _verdict_fields(prefix: str, check) -> dict:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from harrisproc import acceptance, birth, mixture
+from harrisproc import acceptance, birth, cli, mixture
 from harrisproc.cli import build_parser, main
 from harrisproc.distribution import (HarrisParams, harris_pmf, tail_bound_after,
                                      truncation_index)
@@ -401,9 +401,11 @@ class TestParameterGuards:
                       "--t", "1", "--replicas", str(10**16)],
                      "expected birth draws exceed the draw budget of 1000000000",
                      id="simulate-birth-replicas-1e16"),
-        # 8e16 bytes, past a 128 TiB address space: the allocation fails at once
-        (["mixture-check", "--a", "1", "--k", "1", "--t", "1",
-          "--nmax", str(10**16)], "error: Unable to allocate"),
+        # past the --nmax bound, before the 8e16-byte count array is allocated
+        pytest.param(["mixture-check", "--a", "1", "--k", "1", "--t", "1",
+                      "--nmax", str(10**16)],
+                     "--nmax must be >= 0 and <= 100000, got 10000000000000000",
+                     id="mixture-check-nmax-1e16"),
         (["pmf", "--lambda", "1", "--k", "1", "--t", "0"],
          "query time t must be > 0 and finite, got 0.0"),
         (["mixture-check", "--a", "1", "--k", "1", "--t", "inf"],
@@ -563,6 +565,23 @@ class TestMixtureCheck:
         assert code == 2
         assert out == ""
         assert "--nmax must be >= 0" in err
+
+    def test_nmax_past_the_bound_is_refused_before_any_quadrature(
+            self, monkeypatch, capsys):
+        class Reached(Exception):
+            pass
+
+        def no_quadrature(*args):
+            raise Reached
+
+        monkeypatch.setattr(mixture, "_mixture_quadrature", no_quadrature)
+        argv = ["mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax"]
+        code, out, err = run_cli(argv + [str(cli.MAX_NMAX + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --nmax must be >= 0 and <= {cli.MAX_NMAX}, "
+                       f"got {cli.MAX_NMAX + 1}\n")
+        with pytest.raises(Reached):  # the bound itself is accepted
+            main(argv + [str(cli.MAX_NMAX)])
 
     # the uncentred QUADPACK map got both wrong: quadrature 0.0 against a
     # 1e-3 law, and a 100% error that an absolute tolerance let pass

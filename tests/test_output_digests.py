@@ -56,4 +56,5 @@ def test_each_refusal_exits_2_before_any_draw(tool, monkeypatch, capsys):
     for argv in tool.REFUSALS:
         assert tool.cli_main(list(argv)) == 2
         out, err = capsys.readouterr()
-        assert out == "" and ("draw budget" in err or "past 1000000 events" in err)
+        assert out == "" and ("draw budget" in err or "past 1000000 events" in err
+                              or "--nmax must be >= 0 and <= 100000" in err)

@@ -39,8 +39,8 @@ from harrisproc.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2)
 FORMATS = ((), ("--format", "csv"), ("--format", "json"))
-# Runs past the draw budget or the event cap, each refused before any draw:
-# the stderr of each is its refusal message
+# Runs past the draw budget, the event cap or the --nmax bound, each refused
+# before any draw or quadrature: the stderr of each is its refusal message
 REFUSALS = (
     ("simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
      "--replicas", "1000000001"),
@@ -52,6 +52,7 @@ REFUSALS = (
     ("validate", "--mixture-draws", str(10**9 + 1)),
     ("validate", "--calibration-seeds", str(10**5 + 1)),
     ("validate", "--replicas", str(5 * 10**8)),
+    ("mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "100001"),
 )
 
 
