@@ -17,18 +17,17 @@ from functools import partial
 
 import numpy as np
 
-from .birth import (ProcessParams, _check_run, process_moments, simulate_many,
-                    solve_forward_odes, solve_forward_odes_at, tally_model1)
+from .birth import (ProcessParams, _check_run, process_moments, solve_forward_odes,
+                    solve_forward_odes_at, tally_model1)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
                            harris_pmf, nb_pmf, pmf_table)
 from .mixture import (MixtureParams, _mixture_quadrature, mixture_moments,
                       mixture_pmf, quadrature_agrees, tally_model2)
 from .reporting import simulate_text
-from .sampling import RngStream, _check_draw_budget
+from .sampling import RngStream, _check_draw_budget, _check_index
 from .validation import (MIN_MOMENT_SAMPLES, VAR_REL_FLOOR, Scenario,
                          ValidationReport, chi_square_gof, gof_cells, gof_stop,
-                         gof_support, moment_check, pearson_statistic, tally,
-                         tally_moments)
+                         gof_support, moment_check, pearson_statistic, tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -239,28 +238,24 @@ def _check_yule_furry(replicas: int, seed: int) -> CriterionResult:
 
 def _check_coupling(birth_run: ScenarioRun,
                     mixture_run: ScenarioRun) -> CriterionResult:
-    """Criterion 6: the coupling N = 1 + k*I on three records of the same
-    birth paths and on every mixture draw.
+    """Criterion 6: the coupling N = 1 + k*I on the tallies of criteria 3 and 4.
 
-    Reruns the birth run's law and seed in simulate_many and adds its
-    coupling_violations, half the L1 distance (rounded up) from the birth
-    run's tally to that of 1 + k*(its event counter), and the mixture
-    run's draws off the lattice {1, 1+k, ...}.
+    In each run, a violation is a tallied state off the lattice {1, 1+k, ...}
+    or a replica drawn but not tallied exactly once (the gap between the
+    tally's total and the replica count).
     """
-    birth = birth_run.report.scenario
-    params = ProcessParams(birth.params["lambda"], birth.params["k"])
-    batch = simulate_many(params, birth.t, birth.replicas, birth.seed)
-    counted, observed = tally(1 + params.k * batch.n_events), birth_run.observed
-    distance = sum(abs(observed.get(x, 0) - counted.get(x, 0))
-                   for x in observed.keys() | counted.keys())
-    mixture = mixture_run.report.scenario
-    off_lattice = sum(count for value, count in mixture_run.observed.items()
-                      if (value - 1) % mixture.params["k"])
-    violations = batch.coupling_violations() + -(-distance // 2) + off_lattice
+    def violations(run):
+        scenario = run.report.scenario
+        off_lattice = sum(count for value, count in run.observed.items()
+                          if value < 1 or (value - 1) % scenario.params["k"])
+        return off_lattice + abs(sum(run.observed.values()) - scenario.replicas)
+
+    total = violations(birth_run) + violations(mixture_run)
+    births, draws = (run.report.scenario.replicas for run in (birth_run, mixture_run))
     return CriterionResult(
-        6, "coupling-identity", violations == 0,
-        f"{violations} violations of state = 1 + k*count across {birth.replicas} "
-        f"trajectories (three counts each) and {mixture.replicas} mixture draws",
+        6, "coupling-identity", total == 0,
+        f"{total} violations of state = 1 + k*count across {births} "
+        f"trajectories and {draws} mixture draws",
     )
 
 
@@ -392,6 +387,7 @@ def run_acceptance(birth_replicas: int = DEFAULT_BIRTH_REPLICAS,
         _check_run(ProcessParams(law["lam"], law["k"]), law["t"], birth_replicas)
     _check_draw_budget("mixture draws", mixture_draws)
     _check_draw_budget("calibration draws", calibration_seeds * CALIBRATION_DRAWS)
+    _check_index("seed", seed)
     criterion_3 = partial(_check_monte_carlo, 3, "model1-monte-carlo-law",
                           "birth", birth_replicas, seed, **BIRTH_LAW)
     results = [_check_ode_grid(), _check_quadrature_grid()]

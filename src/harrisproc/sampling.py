@@ -7,16 +7,15 @@ distinct stream ids give statistically independent streams, so a block of
 Monte Carlo replicas can own one stream and aggregated results never depend
 on scheduling.
 
-Only the paper's laws are sampled here.  Harris variates are produced by
-the gamma-Poisson route: a negative binomial count is a Poisson draw whose
-mean is itself gamma distributed, and the Harris value is the affine image
-1 + k * count.  This makes the sampler an independent witness for the
-mixture identity rather than an inversion of the closed-form p.m.f.  The
-gamma draw is ``_standard_gamma``, which model 2's sampler shares; the
-Poisson draw is numpy's ``Generator.poisson``, which refuses a negative,
-NaN or too large mean with ValueError.  Other gamma, Poisson or negative
-binomial draws come from ``RngStream(seed).generator`` directly.  The
-work bound of every Monte Carlo run, ``MAX_DRAWS``, is checked here too.
+Harris variates are produced by the gamma-Poisson route: a negative
+binomial count is a Poisson draw with a gamma distributed mean, and the
+Harris value is 1 + k * count.  ``sample_harris`` is model 2's sampler,
+``mixture.sample_model2``, at mixing rate 1 and time m - 1: a witness for
+the mixture identity, not an inversion of the closed-form p.m.f.  Its gamma
+draw is ``_standard_gamma``; its Poisson draw is numpy's
+``Generator.poisson``, which refuses a negative, NaN or too large mean with
+ValueError.  Other draws come from ``RngStream(seed).generator`` directly.
+The work bound of every Monte Carlo run, ``MAX_DRAWS``, is checked here too.
 """
 
 from __future__ import annotations
@@ -42,6 +41,13 @@ def _check_draw_budget(name: str, draws: int) -> None:
         raise ValueError(f"{draws} {name} exceed the draw budget of {MAX_DRAWS}")
 
 
+def _check_index(name: str, value) -> int:
+    """value as an int; refuses a bool, a non-integer or a negative value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """One independently seeded random stream.
 
@@ -55,12 +61,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 0):
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _check_index("seed", seed)
+        self.stream_id = _check_index("stream_id", stream_id)
         sequence = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(sequence))
 
@@ -102,9 +104,9 @@ def _standard_gamma(rng: RngStream, shape: float, size=None):
 def sample_harris(rng: RngStream, params: HarrisParams, size=None):
     """Harris draws 1 + k * NB(1/k, 1/m); every value is 1 modulo k.
 
-    The NB(r, p) count is a Poisson draw whose mean is gamma distributed
-    with shape r and rate p/(1-p).  A scalar call returns an int.
+    Model 2's sampler at mixing rate 1 and time m - 1, where its law is
+    this one (mixture.sample_model2).  A scalar call returns an int.
     """
-    p = 1.0 / params.m
-    g = _standard_gamma(rng, params.index, size) / (p / (1.0 - p))
-    return 1 + params.k * rng.generator.poisson(g)
+    # imported here: mixture imports this module
+    from .mixture import MixtureParams, sample_model2
+    return sample_model2(rng, MixtureParams(1.0, params.k), params.m - 1.0, size)

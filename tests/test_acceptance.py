@@ -199,21 +199,6 @@ def test_criterion_6_coupling_identity(birth_run, yule_run, mixture_draws):
            f"and 1000000 mixture draws")
 
 
-def test_criterion_6_reports_a_dropped_event(monkeypatch, drop_last_event):
-    def lossy(*args, **kwargs):
-        batch = simulate_many(*args, **kwargs)
-        return drop_last_event(batch, int(np.flatnonzero(batch.n_events)[0]))
-
-    monkeypatch.setattr(acceptance, "simulate_many", lossy)
-    monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
-    results = acceptance.run_acceptance(birth_replicas=2000, mixture_draws=20_000,
-                                        calibration_seeds=200)
-    coupling = results[5]
-    assert coupling.number == 6 and not coupling.passed
-    # one dropped event in criterion 6's one row-storing run
-    assert coupling.detail.startswith("1 violations")
-
-
 def _birth_run():
     """Criterion 3's run at 1000 paths."""
     return acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=1000,
@@ -225,34 +210,80 @@ def _coupling_of(mixture_run, birth_run=None):
     return acceptance._check_coupling(birth_run or _birth_run(), mixture_run)
 
 
+def _mixture_run():
+    return acceptance.run_scenario("mixture", a=1.0, k=2, t=1.0, replicas=1000,
+                                   seed=SEED)
+
+
 def test_criterion_6_reports_a_miscounted_replica(monkeypatch):
     def miscounting(*args, **kwargs):
-        # one replica in state 1 is counted in state 1 + k = 3
+        # one replica in state 1 is counted twice
         observed = tally_model1(*args, **kwargs)
-        observed[1] -= 1
-        observed[3] += 1
+        observed[1] += 1
         return observed
 
     monkeypatch.setattr(acceptance, "tally_model1", miscounting)
-    birth_run = _birth_run()
-    coupling = _coupling_of(acceptance.run_scenario(
-        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED), birth_run)
+    coupling = _coupling_of(_mixture_run(), _birth_run())
     assert not coupling.passed and coupling.detail.startswith("1 violations")
 
 
 def test_criterion_6_reports_a_miscounted_counter(monkeypatch):
     def miscounting(states):
-        # the last replica's count comes out one event high
+        # the last replica's state comes out one step off the lattice
         states = states.copy()
-        states[-1] += 2
+        states[-1] += 1
         return tally(states)
 
-    # birth.tally is read by tally_model1 alone, not by simulate_many
     monkeypatch.setattr(birth, "tally", miscounting)
-    birth_run = _birth_run()
-    coupling = _coupling_of(acceptance.run_scenario(
-        "mixture", a=1.0, k=2, t=1.0, replicas=1000, seed=SEED), birth_run)
+    coupling = _coupling_of(_mixture_run(), _birth_run())
     assert not coupling.passed and coupling.detail.startswith("1 violations")
+
+
+def _failed_criteria():
+    results = acceptance.run_acceptance()
+    return [result.number for result in results if not result.passed], results[5]
+
+
+def test_criterion_6_alone_reports_a_dropped_mixture_block(monkeypatch):
+    def lossy(task, n):
+        return map_streams(task, n - 1)
+
+    map_streams = mixture._map_streams
+    monkeypatch.setattr(mixture, "_map_streams", lossy)
+    # the last of criterion 4's 16 blocks holds 1e6 - 15*DRAW_BLOCK draws;
+    # criterion 4 judges the draws it has, so only the count shows the loss
+    failed, coupling = _failed_criteria()
+    assert failed == [6]
+    assert coupling.detail.startswith("16960 violations")
+
+
+def test_criterion_6_alone_reports_a_dropped_birth_block(monkeypatch):
+    def lossy(n_replicas, seed):
+        return list(blocks(n_replicas, seed))[:-1]
+
+    blocks = birth._blocks
+    monkeypatch.setattr(birth, "_blocks", lossy)
+    # the last of criterion 3's 13 blocks holds 1e5 - 12*8192 paths
+    failed, coupling = _failed_criteria()
+    assert failed == [6]
+    assert coupling.detail.startswith("1696 violations")
+
+
+@pytest.mark.parametrize("birth_replicas", [20_000, 200_000])
+def test_battery_memory_does_not_grow_with_the_replica_count(monkeypatch,
+                                                             birth_replicas):
+    # every birth run is tallied block by block and no run keeps its paths;
+    # criterion 6's stored rerun took 1.37 MiB at 2e4 and 12.2 MiB at 2e5
+    monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
+    args = birth_replicas, 20_000, 200, SEED
+    acceptance.run_acceptance(*args)  # loads modules and fills caches
+    tracemalloc.start()
+    try:
+        results = acceptance.run_acceptance(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 9 and peak < 2**20
 
 
 def test_criterion_6_reports_a_mixture_draw_off_the_lattice(monkeypatch):

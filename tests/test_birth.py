@@ -418,11 +418,14 @@ class TestCountEvents:
         def stored(*args, **kwargs):
             raise AssertionError("simulate stored the paths")
 
-        monkeypatch.setattr(acceptance, "simulate_many", stored)
         monkeypatch.setattr(birth, "simulate_many", stored)
         code = main(["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
                      "--t", "1", "--replicas", "1000"])
         assert code == 0 and '"overall": true' in capsys.readouterr().out
+        # nor does the battery: every birth run of validate is a tally
+        monkeypatch.setattr(acceptance, "CALIBRATION_DRAWS", 2000)
+        assert main(["validate", "--replicas", "2000", "--mixture-draws",
+                     "20000"]) == 0
 
 
 class TestForwardEquations:

@@ -194,8 +194,7 @@ class TestSimulate:
         def never(*args, **kwargs):
             raise AssertionError("simulated below the replica floor")
 
-        for name in ("tally_model1", "simulate_many"):
-            monkeypatch.setattr(acceptance, name, never)
+        monkeypatch.setattr(acceptance, "tally_model1", never)
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
              "--t", "1", "--replicas", replicas],
@@ -446,13 +445,16 @@ class TestParameterGuards:
         pytest.param(["--replicas", str(5 * 10**8)],
                      "1006876354 expected birth draws exceed the draw budget",
                      id="replicas-5e8"),
+        # RngStream's own message, given before criterion 1 runs
+        pytest.param(["--seed", "-1"], "seed must be a nonnegative integer, got -1",
+                     id="seed--1"),
     ])
     def test_calibration_seeds_checked_before_any_run(self, argv, message,
                                                       capsys, monkeypatch):
         def ran(*args, **kwargs):
             raise AssertionError("the battery ran")
         for name in ("solve_forward_odes", "solve_forward_odes_at", "run_scenario",
-                     "tally_model1", "simulate_many", "_exact_tally"):
+                     "tally_model1", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         code, out, err = run_cli(["validate"] + argv, capsys)
         assert (code, out) == (2, "")
@@ -514,8 +516,7 @@ class TestParameterGuards:
         def ran(*args, **kwargs):
             raise AssertionError("ran with an unwritable --out")
         for name in ("solve_forward_odes", "solve_forward_odes_at",
-                     "_mixture_quadrature", "tally_model1", "simulate_many",
-                     "_exact_tally"):
+                     "_mixture_quadrature", "tally_model1", "_exact_tally"):
             monkeypatch.setattr(acceptance, name, ran)
         monkeypatch.setattr(mixture, "sample_model2", ran)
         path = tmp_path / "missing" / "out.txt"
