@@ -1,9 +1,9 @@
 """Kolmogorov forward equations as an independent route to the marginal law.
 
 The truncated system  dP[n]/dt = ((n-1)k+1) lam P[n-1] - (nk+1) lam P[n]
-with P[0](0) = 1 is integrated by LSODA with its exact banded Jacobian on
-the certified truncation grid and compared against the closed form, digit
-by digit.
+with P[0](0) = 1 is solved by uniformization (a Poisson-weighted sum of
+nonnegative terms) on the certified truncation grid and compared against
+the closed form, digit by digit.
 
 Run:  python demos/forward_equations.py
 """

@@ -8,10 +8,13 @@ is negative binomial NB(1/k, exp(-t*lam*k)).
 
 Two independent evaluation routes are provided besides the closed form:
 exact event-driven simulation (exponential holding times, no time
-discretization) and LSODA integration, with the exact banded Jacobian, of
-the truncated Kolmogorov forward equations
+discretization) and the uniformized (Jensen) solution of the truncated
+Kolmogorov forward equations
 
-    dP[n]/dt = ((n-1)k + 1) lam P[n-1] - (nk + 1) lam P[n],   P[0](0) = 1.
+    dP[n]/dt = ((n-1)k + 1) lam P[n-1] - (nk + 1) lam P[n],   P[0](0) = 1,
+
+a Poisson-weighted sum of nonnegative terms, so every retained state keeps
+its relative precision.
 
 The simulation runs each block of replicas in passes: one stream.uniform
 call advances every live replica of the block by several rounds, one
@@ -25,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammaln
 
 from .distribution import (HarrisParams, _check_time, _validate_step,
                            tail_bound_after, truncation_index)
@@ -49,18 +53,19 @@ __all__ = [
     "process_moments",
 ]
 
-# Read on every call: caps for pathological parameters, LSODA's rtol and
-# atol, and the certified tail beyond the forward equations' state grid.
+# Read on every call: caps for pathological parameters, and the certified
+# tail beyond the forward equations' state grid.
 MAX_EVENTS = 1_000_000
 STATE_CAP = 20_000
-ODE_TOL = 1e-10
 ODE_TAIL = 1e-12
-# LSODA's most internal steps between two output times.  odeint's default,
-# 500, ended 11 of 315 laws (k <= 20, lam*k*t <= 12) with "Excess work
-# done", all at k >= 4 and lam*k*t from 2.5 to 6, where LSODA runs its
-# non-stiff method for a few hundred steps before it switches; they take
-# up to ~760.  A larger cap changes no law that solved under the smaller.
-ODE_MAX_STEPS = 5000
+# The uniformized series (see _uniformized): steps per block, block states
+# held at once, and the certified Poisson mass it leaves after its last step.
+UNIFORM_BLOCK = 16
+UNIFORM_CHUNK = 32
+UNIFORM_TAIL = 1e-30
+# Most multiply-adds per product of block states.  OpenBLAS runs a larger
+# one on threads, and on 2 vCPU such a call took ~6 ms instead of ~0.1.
+GEMM_MADDS = 2**19
 # Replicas per random stream: block b of a batch owns RngStream(seed, b).
 BLOCK_SIZE = 8192
 # The most uniforms one pass of a block draws, m live replicas times w
@@ -360,29 +365,103 @@ class TransientSolution:
         return float(self.probs.sum()) + self.truncation_tail
 
 
-def _forward_system(params: ProcessParams, n_max: int) -> tuple:
-    """Right-hand side and Jacobian band of the forward system on 0..n_max.
+def _forward_system(params: ProcessParams, n_max: int) -> np.ndarray:
+    """Band of the rate matrix A of the forward system dP/dt = A P on 0..n_max.
 
-    The system dP/dt = A P is linear, so the Jacobian is the rate matrix A
-    itself: band[0] holds its diagonal -rates and band[1, j] = rates[j]
-    the entry A[j+1, j] below it (LAPACK band storage, ml=1, mu=0).
+    band[0] holds its diagonal -rates and band[1, j] = rates[j] the entry
+    A[j+1, j] below it (LAPACK band storage, ml=1, mu=0); band[1, n_max] = 0,
+    so the mass leaving state n_max leaves the grid.
     """
     rates = params.rate_after(np.arange(n_max + 1))
-    # flow[j+1] is the flow out of state j; flow[0] = 0 flows into state 0
-    flow = np.zeros(n_max + 2)
-
-    def rhs(p, _t):
-        np.multiply(rates, p, out=flow[1:])
-        return flow[:-1] - flow[1:]  # a new array: the next call rewrites flow
-
     band = np.zeros((2, n_max + 1))
     band[0] = -rates
     band[1, :-1] = rates[:-1]
-    return rhs, band
+    return band
+
+
+def _poisson_weights(mu: float, first: int) -> np.ndarray:
+    """Pois(mu; j) for j = 0..J, J >= first the first index whose tail after
+    it is certified at most UNIFORM_TAIL.
+
+    Each weight is exp of its own log-Poisson value from gammaln, never a
+    running sum of logs.  Past the mean the terms fall at least
+    geometrically, so the tail after J is at most w[J+1] (J+2)/(J+2-mu);
+    the window searched ends ~200 nats below the largest weight.
+    """
+    start = max(first, math.floor(mu))
+    j = np.arange(start + 120 + math.ceil(20.0 * math.sqrt(mu + 1.0)))
+    log_w = -mu + j * math.log(mu) - gammaln(j + 1.0)
+    tail = log_w[start + 1:] + np.log((j[start:-1] + 2) / (j[start:-1] + 2 - mu))
+    last = int(np.argmax(tail <= math.log(UNIFORM_TAIL)))
+    if tail[last] > math.log(UNIFORM_TAIL):
+        raise ConvergenceError(f"no certified Poisson truncation at mean {mu!r}")
+    return np.exp(log_w[:start + last + 1])
+
+
+def _uniformized(band: np.ndarray, times: list) -> np.ndarray:
+    """Row i is P(times[i]) = sum_j Pois(lam_max t; j) B^j e_0 on band's grid.
+
+    B = I + A/lam_max, lam_max the largest rate, has diagonal 1 - rate/lam_max
+    and subdiagonal rate/lam_max, all nonnegative, so no term cancels.  Its
+    power C = B^L (L = UNIFORM_BLOCK) has L + 1 diagonals, and the block
+    states y_q = C^q e_0 = B^(qL) e_0 advance one block per step, y_q living
+    on states up to qL.  With U_i = sum_q w[qL + i] y_q, gathered over
+    UNIFORM_CHUNK block states per product, the sum is sum_i B^i U_i, L
+    Horner steps.  Each series runs at least two steps past the last state;
+    the work is about states * lam_max * times[-1] state-steps.
+    """
+    L = UNIFORM_BLOCK
+    lam_max = -float(band[0].min())
+    if not 0.0 < lam_max < math.inf:
+        raise ConvergenceError(f"forward rates have no finite bound: {lam_max!r}")
+    n = band.shape[1]
+    diag = 1.0 + band[0] / lam_max
+    sub = band[1, :-1] / lam_max
+    # row m of C: rows[m, j] = C[m, m - L + j]; B C adds sub[m-1] * row m-1
+    rows = np.zeros((n, L + 1))
+    rows[:, L] = 1.0
+    for _ in range(L):
+        below = sub[:, np.newaxis] * rows[:-1, 1:]
+        rows *= diag[:, np.newaxis]
+        rows[1:, :-1] += below
+
+    weights = [_poisson_weights(lam_max * t, n + 1) for t in times]
+    blocks = -(-max(map(len, weights)) // L)
+    w = np.zeros((len(times), blocks * L))
+    for row, weight in zip(w, weights):
+        row[:len(weight)] = weight
+    # w[(time, i), q] is the weight of B^i y_q
+    w = w.reshape(len(times), blocks, L).transpose(0, 2, 1).reshape(-1, blocks)
+
+    u = np.zeros((len(w), n))
+    ys = np.zeros((UNIFORM_CHUNK, L + n))  # block states, each led by L zeros
+    ys[0, L] = 1.0
+    windows = sliding_window_view(ys, L + 1, axis=1)  # what row m of C reads
+    for q in range(blocks):
+        r, live = q % UNIFORM_CHUNK, min(n, q * L + 1)
+        if q:
+            np.einsum("mj,mj->m", rows[:live], windows[r - 1, :live],
+                      out=ys[r, L:L + live])
+        if r + 1 < UNIFORM_CHUNK and q + 1 < blocks:
+            continue
+        chunk = w[:, q - r:q + 1]
+        width = max(1, GEMM_MADDS // chunk.size)
+        for c0 in range(0, live, width):
+            c1 = min(c0 + width, live)
+            u[:, c0:c1] += chunk @ ys[:r + 1, L + c0:L + c1]
+
+    u = u.reshape(len(times), L, n)
+    acc = u[:, L - 1].copy()
+    for i in range(L - 2, -1, -1):
+        below = sub * acc[:, :-1]
+        acc *= diag
+        acc[:, 1:] += below
+        acc += u[:, i]
+    return acc
 
 
 def solve_forward_odes(params: ProcessParams, t: float) -> TransientSolution:
-    """Integrate the truncated forward equations from the unit start to t.
+    """Solve the truncated forward equations from the unit start at t.
 
     The one-time case of solve_forward_odes_at; t = 0 returns the initial
     law directly.
@@ -396,21 +475,19 @@ def solve_forward_odes(params: ProcessParams, t: float) -> TransientSolution:
 
 
 def solve_forward_odes_at(params: ProcessParams, times) -> list:
-    """One TransientSolution per time, from one integration of the forward
-    equations from the unit start through every time.
+    """One TransientSolution per time, from one uniformized solve of the
+    forward equations from the unit start through every time.
 
     times must be positive and strictly increasing.  Each time's grid stops
     where its certified closed-form tail falls below ODE_TAIL; the system is
-    integrated once, on the longest of these grids.  It is lower triangular
+    solved once, on the longest of these grids.  It is lower triangular
     (state n is fed only by n-1), so truncating it leaves every retained
-    state exact: no margin is needed, and each time's law is the integrated
-    state cut to its own grid.  The rates run up to (n_max*k + 1)*lam, so
-    the system is stiff; LSODA with the exact Jacobian sizes its steps by
-    accuracy, not by stability.  Raises ConvergenceError if the integration
-    fails, and ResourceLimitError past STATE_CAP states.
+    state exact: no margin is needed, and each time's law is the solved
+    state cut to its own grid.  One sequence of block states serves every
+    time (see _uniformized), and its nonnegative terms keep each state's
+    relative precision.  Raises ConvergenceError on a non-finite or
+    negative probability, and ResourceLimitError past STATE_CAP states.
     """
-    # imported here so that commands without a witness never load it
-    from scipy.integrate import ODEintWarning, odeint
     times = [float(t) for t in times]
     if not times or times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"times must be positive and increasing, got {times!r}")
@@ -418,25 +495,15 @@ def solve_forward_odes_at(params: ProcessParams, times) -> list:
     marginals = [params.harris_at(t) for t in times]
     n_maxes = [max(truncation_index(marginal, ODE_TAIL, max_terms=STATE_CAP), 2)
                for marginal in marginals]
-    rhs, band = _forward_system(params, max(n_maxes))
-    y0 = np.zeros(len(band[0]))
-    y0[0] = 1.0
-    # odeint, not solve_ivp(method="LSODA"): in scipy 1.17.1 the latter
-    # leaks about 70 KB per call.  A failure is reported through info, so
-    # the warning odeint also emits for it is silenced.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        path, info = odeint(rhs, y0, (0.0, *times), Dfun=lambda _p, _t: band,
-                            ml=1, mu=0, rtol=ODE_TOL, atol=ODE_TOL,
-                            mxstep=ODE_MAX_STEPS, full_output=True)
-    if info["message"] != "Integration successful.":
-        raise ConvergenceError(f"forward integration failed: {info['message']}")
+    path = _uniformized(_forward_system(params, max(n_maxes)), times)
+    if not np.isfinite(path).all():
+        raise ConvergenceError("forward solve produced a non-finite probability")
     solutions = []
-    for state, marginal, n_max in zip(path[1:], marginals, n_maxes):
+    for state, marginal, n_max in zip(path, marginals, n_maxes):
         probs = state[:n_max + 1]
         if probs.min() < -1e-9:
             raise ConvergenceError(
-                f"forward integration produced probability {probs.min()!r}"
+                f"forward solve produced probability {float(probs.min())!r}"
             )
         solutions.append(TransientSolution(np.clip(probs, 0.0, None),
                                            tail_bound_after(marginal, n_max)))

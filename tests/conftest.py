@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from scipy import integrate
 
+from harrisproc import birth
 from harrisproc.birth import TrajectoryBatch
 
 
@@ -22,8 +22,18 @@ def drop_last_event():
 
 
 @pytest.fixture
-def starved_odeint(monkeypatch):
-    """Make every forward-equation solve fail: odeint gets one step only."""
-    real_odeint = integrate.odeint
-    monkeypatch.setattr(integrate, "odeint", lambda *args, **kwargs:
-                        real_odeint(*args, **{**kwargs, "mxstep": 1}))
+def poisoned_band(monkeypatch):
+    """Set one entry of every forward-equation band the solve builds.
+
+    poison(row, col, value) writes band[row, col]: row 0 holds the diagonal
+    -rates, row 1 the rates into the next state.
+    """
+    def poison(row, col, value):
+        system = birth._forward_system
+
+        def poisoned(params, n_max):
+            band = system(params, n_max)
+            band[row, col] = value
+            return band
+        monkeypatch.setattr(birth, "_forward_system", poisoned)
+    return poison

@@ -99,7 +99,7 @@ def test_criterion_1_reads_each_law_off_one_integration_per_k(monkeypatch):
     monkeypatch.setattr(acceptance, "solve_forward_odes_at", recording)
     result = acceptance._check_ode_grid()
     assert result.passed
-    assert result.detail == ("max-abs gap 4.308e-10 (budget 1e-08); slowest solve "
+    assert result.detail == ("max-abs gap 1.368e-13 (budget 1e-08); slowest solve "
                              "within the 1s budget")
     assert calls == [(ProcessParams(0.25, k), [0.5, 1.0, 2.0, 4.0])
                      for k in (1, 2, 3)]

@@ -351,12 +351,13 @@ class TestOde:
         assert float(metadata["max_abs_diff"]) < 1e-9
 
     def test_failed_integration_exits_2_with_empty_stdout(self, capsys,
-                                                          starved_odeint):
+                                                          poisoned_band):
+        poisoned_band(1, 0, math.nan)
         code, out, err = run_cli(
             ["ode", "--lambda", "1", "--k", "1", "--t", "4"], capsys
         )
         assert (code, out) == (2, "")
-        assert "forward integration failed" in err
+        assert "forward solve produced a non-finite probability" in err
 
 
 class TestParameterGuards:
