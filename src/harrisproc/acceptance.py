@@ -20,14 +20,15 @@ import numpy as np
 from .birth import (ProcessParams, _check_run, process_moments, solve_forward_odes,
                     solve_forward_odes_at, tally_model1)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
-                           harris_pmf, nb_pmf, pmf_table)
+                           harris_pmf, nb_pmf, pmf_table, truncation_index)
 from .mixture import (MixtureParams, _mixture_quadrature, mixture_moments,
                       mixture_pmf, quadrature_agrees, tally_model2)
 from .reporting import simulate_text
 from .sampling import RngStream, _check_draw_budget, _check_index
-from .validation import (MIN_MOMENT_SAMPLES, VAR_REL_FLOOR, Scenario,
-                         ValidationReport, chi_square_gof, gof_cells, gof_stop,
-                         gof_support, moment_check, pearson_statistic, tally_moments)
+from .validation import (MIN_EXPECTED_PER_BIN, MIN_MOMENT_SAMPLES, VAR_REL_FLOOR,
+                         Scenario, ValidationReport, chi_square_gof, gof_cells,
+                         gof_stop, gof_support, moment_check, pearson_statistic,
+                         tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -103,11 +104,11 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     Model "birth" requires lam, takes no a, and tallies the states of
     replica paths at t (birth.tally_model1); model "mixture" requires a,
     takes no lam, and tallies replicas samples (mixture.tally_model2).
-    The law at t is checked before any draw, and the work bound by each
-    model's run.  The goodness of fit at GOF_ALPHA and the exact sample
-    mean and variance are read from the run's tally.  The variance
-    band widens with the law's excess kurtosis at small replica counts (see
-    _variance_band).
+    The law at t and the length of its goodness-of-fit table are checked
+    before any draw, and the work bound by each model's run.  The goodness
+    of fit at GOF_ALPHA and the exact sample mean and variance are read from
+    the run's tally.  The variance band widens with the law's excess
+    kurtosis at small replica counts (see _variance_band).
     """
     # the moment bands need this many replicas; refuse before simulating
     if replicas < MIN_MOMENT_SAMPLES:
@@ -126,6 +127,11 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
     else:
         raise ValueError(f"unknown model {model!r}")
     marginal = params.harris_at(t)
+    if model == "mixture":
+        # gof_support's draw-independent half refuses a table past MAX_TERMS
+        # before any draw (birth's _check_run bounds it by the event cap)
+        _check_draw_budget("mixture draws", replicas)
+        truncation_index(marginal, min(MIN_EXPECTED_PER_BIN / (2 * replicas), 0.5))
     observed = run(params, t, replicas, seed)
     analytic_mean, analytic_var = moments(params, t)
     scenario = Scenario(model, {**rate, "k": params.k}, t, replicas, seed)

@@ -16,12 +16,12 @@ Kolmogorov forward equations
 a Poisson-weighted sum of nonnegative terms, so every retained state keeps
 its relative precision.
 
-The simulation runs each block of replicas in passes: one stream.uniform
-call advances every live replica of the block by several rounds, one
-event per round, and a replica ends at its first clock past the horizon.
-Its two entry points run the same passes on the same draws: tally_model1
-keeps only the tally of N(t), which is all a law at t needs, one block at a
-time, and simulate_many also records every event time.
+The simulation runs block b of replicas on RngStream(seed, b), in passes:
+one stream.uniform call advances every live replica of the block by several
+rounds, one event per round, and a replica ends at its first clock past the
+horizon.  Its two entry points run the same passes on the same draws:
+tally_model1 keeps only the tally of N(t), which is all a law at t needs,
+one block at a time, and simulate_many also records every event time.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from scipy.special import gammaln
 from .distribution import (HarrisParams, _check_time, _validate_step,
                            tail_bound_after, truncation_index)
 from .errors import ConvergenceError, ResourceLimitError
-from .sampling import RngStream, _check_draw_budget
-from .validation import add_tallies, tally
+from .sampling import RngStream, _blocks, _check_draw_budget, tally_blocks
+from .validation import tally
 
 __all__ = [
     "ProcessParams",
@@ -240,12 +240,6 @@ def _check_run(params: ProcessParams, horizon, n_replicas: int) -> float:
     return horizon
 
 
-def _blocks(n_replicas: int, seed: int):
-    """(first replica, size, stream) of each block: block b owns RngStream(seed, b)."""
-    for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
-        yield first, min(BLOCK_SIZE, n_replicas - first), RngStream(seed, stream_id=b)
-
-
 def _passes(params: ProcessParams, horizon: float, stream: RngStream, size: int):
     """Run one block of replicas to the horizon, several rounds per pass.
 
@@ -293,19 +287,18 @@ def tally_model1(params: ProcessParams, horizon: float, n_replicas: int,
 
     Runs simulate_many's passes on the same draws, so it equals the tally of
     1 + k*simulate_many(params, horizon, n_replicas, seed).n_events, and
-    raises what that raises.  Each block's counts are tallied as soon as
-    the block ends, so a run holds one block's counts and one pass's clocks.
+    raises what that raises.  The blocks run inline (sampling.tally_blocks;
+    a pool was slower), so a run holds one block's counts and one pass's clocks.
     """
     horizon = _check_run(params, horizon, n_replicas)
 
-    def block(size, stream):
+    def states(stream, size):
         counts = np.zeros(size, dtype=np.int64)
         for _, alive, _, n in _passes(params, horizon, stream, size):
             counts[alive] += n
-        return tally(1 + params.k * counts)
+        return 1 + params.k * counts
 
-    return add_tallies(block(size, stream) for _, size, stream
-                       in _blocks(n_replicas, seed))
+    return tally_blocks(states, n_replicas, BLOCK_SIZE, seed, workers=1)
 
 
 def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
@@ -328,7 +321,7 @@ def simulate_many(params: ProcessParams, horizon: float, n_replicas: int,
     horizon = _check_run(params, horizon, n_replicas)
     n_events = np.zeros(n_replicas, dtype=np.int64)
     passes = []
-    for first, size, stream in _blocks(n_replicas, seed):
+    for first, size, stream in _blocks(n_replicas, BLOCK_SIZE, seed):
         block = n_events[first:first + size]
         for j, alive, clocks, n in _passes(params, horizon, stream, size):
             block[alive] += n

@@ -9,13 +9,11 @@ The affine image Z(t) = k*X(t) + 1 is then Harris distributed with scale
 m = (a + t)/a.  The closed form, an adaptive Gauss-Legendre quadrature of the
 defining mixture integral, and a two-stage sampler give three independent
 routes to the same law.  ``tally_model2`` runs the sampler block by block
-on a thread pool, within the draw budget sampling.MAX_DRAWS.
+on threads (sampling.tally_blocks), within the draw budget sampling.MAX_DRAWS.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -25,19 +23,14 @@ from scipy.special import gammaln
 from .distribution import (HarrisParams, _as_counts, _check_time, _validate_step,
                            harris_pmf)
 from .errors import ConvergenceError
-from .sampling import RngStream, _check_draw_budget, _standard_gamma
-from .validation import add_tallies, tally
+from .sampling import (RngStream, _check_draw_budget, _standard_gamma, _usable_cpus,
+                       tally_blocks)
 
 __all__ = ["DRAW_BLOCK", "MixtureParams", "mixture_pmf", "mixture_pmf_quadrature",
            "quadrature_agrees", "sample_model2", "tally_model2", "mixture_moments"]
 
 # Draws per random stream: block b of a Monte Carlo run owns RngStream(seed, b).
 DRAW_BLOCK = 1 << 16
-# Streams _map_streams submits at once.  The pool makes a future (~1.6 KiB)
-# for each stream of a batch before the first result is read, so a fixed
-# batch bounds that memory for any stream count; 1024 holds the 153 blocks
-# of 1e7 mixture draws in one batch.
-STREAM_BATCH = 1024
 # Relative error every quadrature element must reach, and the most interval
 # bisections one quadrature call may make; both read on every call.
 QUAD_REL_TARGET = 1e-10
@@ -220,44 +213,21 @@ def sample_model2(rng: RngStream, params: MixtureParams, t: float, size=None):
     return 1 + params.k * rng.generator.poisson(lam * t)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # sched_getaffinity is not on every platform
-        return os.cpu_count() or 1
-
-
-def _map_streams(task, n: int) -> list:
-    """[task(b) for b in range(n)], one thread per usable CPU (numpy's
-    samplers release the GIL); one stream or one CPU runs inline.  Streams
-    are submitted STREAM_BATCH at a time, each batch scheduled dynamically."""
-    workers = min(_usable_cpus(), n)
-    if workers <= 1:
-        return [task(b) for b in range(n)]
-    results = []
-    with ThreadPoolExecutor(workers) as pool:
-        for start in range(0, n, STREAM_BATCH):
-            results += pool.map(task, range(start, min(start + STREAM_BATCH, n)))
-    return results
-
-
 def tally_model2(params: MixtureParams, t: float, draws: int, seed: int) -> dict:
     """Frequency map of draws samples of Z(t), drawn block by block.
 
     Block b holds DRAW_BLOCK draws (the last one the rest) from
-    RngStream(seed, b), on the stream pool (_map_streams).  Integer counts
-    add exactly, so the tally does not depend on the worker count.  More
-    than MAX_DRAWS draws are refused before any stream is made.
+    RngStream(seed, b), one thread per usable CPU (sampling.tally_blocks).
+    More than MAX_DRAWS draws are refused before any stream is made.
     """
     _check_draw_budget("mixture draws", draws)
 
-    def block(b):
-        size = min(DRAW_BLOCK, draws - b * DRAW_BLOCK)
+    def states(stream, size):
         # sample_model2 is looked up here on every call, so a rebinding of
         # this module's name sees every block
-        return tally(sample_model2(RngStream(seed, b), params, t, size=size))
+        return sample_model2(stream, params, t, size=size)
 
-    return add_tallies(_map_streams(block, -(-draws // DRAW_BLOCK)))
+    return tally_blocks(states, draws, DRAW_BLOCK, seed, _usable_cpus())
 
 
 def mixture_moments(params: MixtureParams, t: float) -> tuple:

@@ -3,9 +3,9 @@
 Every draw is keyed by an :class:`RngStream`, a thin wrapper over numpy's
 PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=(stream_id,))``.
 Identical (seed, stream_id) pairs reproduce the variate sequence exactly;
-distinct stream ids give statistically independent streams, so a block of
-Monte Carlo replicas can own one stream and aggregated results never depend
-on scheduling.
+distinct stream ids give statistically independent streams, so block b of
+a Monte Carlo run owns RngStream(seed, b) (``tally_blocks``) and no tally
+depends on scheduling.
 
 Harris variates are produced by the gamma-Poisson route: a negative
 binomial count is a Poisson draw with a gamma distributed mean, and the
@@ -21,12 +21,15 @@ The work bound of every Monte Carlo run, ``MAX_DRAWS``, is checked here too.
 from __future__ import annotations
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .distribution import HarrisParams
+from .validation import _tally_arrays
 
-__all__ = ["RngStream", "sample_harris"]
+__all__ = ["RngStream", "sample_harris", "tally_blocks"]
 
 # Recorded in output metadata so runs are attributable to one algorithm.
 GENERATOR_ALGORITHM = "PCG64"
@@ -56,8 +59,8 @@ class RngStream:
     seed : int
         Nonnegative base seed shared by a whole experiment.
     stream_id : int
-        Nonnegative substream index; birth replica block b and mixture
-        draw block b use b.
+        Nonnegative substream index; block b of a Monte Carlo run uses b
+        (see _blocks).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -110,3 +113,50 @@ def sample_harris(rng: RngStream, params: HarrisParams, size=None):
     # imported here: mixture imports this module
     from .mixture import MixtureParams, sample_model2
     return sample_model2(rng, MixtureParams(1.0, params.k), params.m - 1.0, size)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        return os.cpu_count() or 1
+
+
+def _blocks(total: int, size: int, seed: int, first: int = 0, step: int = 1):
+    """(first item, n_b, RngStream(seed, b)) for blocks b = first, first + step, ..."""
+    for b in range(first, -(-total // size), step):
+        yield b * size, min(size, total - b * size), RngStream(seed, b)
+
+
+def tally_blocks(states, total: int, size: int, seed: int, workers: int) -> dict:
+    """Frequency map, in increasing value order, of total items in blocks.
+
+    Block b's n_b = min(size, total - b*size) integer states are
+    states(RngStream(seed, b), n_b).  Worker w of min(workers, blocks) takes
+    blocks w, w + workers, ... (on threads, as numpy's samplers release the
+    GIL; one runs inline) and adds each block's counts into its own tally as
+    the block ends.  Counts add exactly: no worker count changes the map.
+    """
+    workers = max(1, min(workers, -(-total // size)))
+
+    def add(tallies):  # (values, counts) pairs, each with values increasing
+        values, counts = np.empty(0, np.int64), np.empty(0, np.int64)
+        for more_values, more_counts in tallies:
+            at = np.searchsorted(values, more_values)
+            seen = at < values.size
+            seen[seen] = values[at[seen]] == more_values[seen]
+            counts[at[seen]] += more_counts[seen]
+            values = np.insert(values, at[~seen], more_values[~seen])
+            counts = np.insert(counts, at[~seen], more_counts[~seen])
+        return values, counts
+
+    def run(worker):
+        return add(_tally_arrays(states(stream, n)) for _, n, stream
+                   in _blocks(total, size, seed, worker, workers))
+
+    if workers == 1:
+        values, counts = run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            values, counts = add(pool.map(run, range(workers)))
+    return dict(zip(values.tolist(), counts.tolist()))

@@ -15,7 +15,6 @@ fit and the exact sample moments (``tally_moments``) are both read from it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -41,7 +40,6 @@ __all__ = [
     "gof_support",
     "moment_check",
     "tally",
-    "add_tallies",
     "tally_moments",
 ]
 
@@ -53,24 +51,20 @@ VAR_REL_FLOOR = 0.05  # narrowest variance band: moment_check, _variance_band
 _DENSE_TALLY_SPAN = 1 << 20
 
 
-def tally(samples) -> dict:
-    """Frequency map value -> count of integer samples, in increasing order."""
+def _tally_arrays(samples) -> tuple:
+    """(values, counts) of integer samples, values increasing."""
     samples = np.asarray(samples)
     if samples.size and samples.min() >= 0 and samples.max() < _DENSE_TALLY_SPAN:
         counts = np.bincount(samples)
         values = np.flatnonzero(counts)
-        counts = counts[values]
-    else:
-        values, counts = np.unique(samples, return_counts=True)
+        return values, counts[values]
+    return np.unique(samples, return_counts=True)
+
+
+def tally(samples) -> dict:
+    """Frequency map value -> count of integer samples, in increasing order."""
+    values, counts = _tally_arrays(samples)
     return dict(zip(values.tolist(), counts.tolist()))
-
-
-def add_tallies(tallies) -> dict:
-    """The frequency map of several tallies' samples together, in value order."""
-    total = Counter()
-    for part in tallies:
-        total.update(part)
-    return dict(sorted(total.items()))
 
 
 def tally_moments(observed: dict) -> tuple:

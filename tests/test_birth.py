@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from harrisproc import acceptance, birth
+from harrisproc import acceptance, birth, sampling
 from harrisproc.birth import (
     BLOCK_SIZE,
     ProcessParams,
@@ -119,7 +119,7 @@ class TestTrajectory:
             simulate_many(ProcessParams(0.5, 1), 2.0, 6, seed=1)
 
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw raises TypeError
         with pytest.raises(ResourceLimitError, match="averages 1.203e"):
             simulate_many(ProcessParams(1.0, 1), 14.0, 100, seed=0)
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
@@ -238,7 +238,7 @@ def _reference_batch(params, horizon, n_replicas, seed):
     """
     n_events, rows = [], []
     for b, first in enumerate(range(0, n_replicas, BLOCK_SIZE)):
-        stream = birth.RngStream(seed, stream_id=b)
+        stream = sampling.RngStream(seed, stream_id=b)
         paths = [[] for _ in range(min(BLOCK_SIZE, n_replicas - first))]
         alive, j, p = list(range(len(paths))), 0, 0
         while alive:
@@ -309,7 +309,7 @@ class TestDrawContract:
                 made = RngStream(seed, stream_id)
                 made.generator = _ZeroingGenerator(made.generator, zero_every)
                 return made
-            monkeypatch.setattr(birth, "RngStream", stream)
+            monkeypatch.setattr(sampling, "RngStream", stream)
         batch = _assert_the_contract_holds(ProcessParams(*law), horizon,
                                            n_replicas, seed)
         if law == (1e-9, 2):
@@ -341,7 +341,7 @@ class TestDrawContract:
                 calls.append(size)
                 return super().uniform(size)
 
-        monkeypatch.setattr(birth, "RngStream", Counted)
+        monkeypatch.setattr(sampling, "RngStream", Counted)
         observed = tally_model1(ProcessParams(*law), horizon, n_replicas, seed=seed)
         events = sum((x - 1) // law[1] * count for x, count in observed.items())
         assert len(calls) <= 64
@@ -361,14 +361,14 @@ class TestCountEvents:
 
     def test_a_run_expecting_a_path_past_the_cap_is_refused_before_any_draw(
             self, monkeypatch):
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw raises TypeError
         # at k = 1 the tail is exact: P(I > 3) = (1 - 1/e)**4 = 0.1597
         monkeypatch.setattr(birth, "MAX_EVENTS", 3)
         with pytest.raises(ResourceLimitError,
                            match="7 paths to t=2.0 expect 1.118 of them past 3"):
             tally_model1(ProcessParams(0.5, 1), 2.0, 7, seed=0)
         monkeypatch.undo()
-        monkeypatch.setattr(birth, "RngStream", None)
+        monkeypatch.setattr(sampling, "RngStream", None)
         with pytest.raises(ResourceLimitError, match="expect 208.6 of them"):
             simulate_many(ProcessParams(1.0, 1), 13.0, 2000, seed=0)
         for run in (tally_model1, simulate_many):
@@ -383,7 +383,7 @@ class TestCountEvents:
                 run(ProcessParams(1.0, 1), 13.0, 3000, seed=0)
 
     def test_mean_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw raises TypeError
         with pytest.raises(ResourceLimitError, match="averages 1.203e"):
             tally_model1(ProcessParams(1.0, 1), 14.0, 100, seed=0)
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from harrisproc import acceptance, birth, cli, mixture
+from harrisproc import acceptance, cli, mixture, sampling
 from harrisproc.cli import build_parser, main
 from harrisproc.distribution import (HarrisParams, harris_pmf, tail_bound_after,
                                      truncation_index)
@@ -206,7 +206,7 @@ class TestSimulate:
     def test_horizon_past_the_event_cap_exits_2_before_any_draw(self, capsys,
                                                                 monkeypatch):
         # the mean path to t = 14 has e**14 - 1 > MAX_EVENTS events
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw raises TypeError
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
              "--t", "14", "--replicas", "100"],
@@ -219,7 +219,7 @@ class TestSimulate:
             self, capsys, monkeypatch):
         # the mean path to t = 13 is under MAX_EVENTS, but 2000 paths expect
         # 2000 * (1 - e**-13)**1000001 = 208.6 of them past it
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw raises TypeError
         code, out, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "1", "--k", "1",
              "--t", "13", "--replicas", "2000"],
@@ -237,8 +237,7 @@ class TestSimulate:
     def test_invalid_law_exits_2_before_any_draw(self, argv, message, capsys,
                                                  monkeypatch):
         # a draw would raise TypeError
-        monkeypatch.setattr(birth, "RngStream", None)
-        monkeypatch.setattr(mixture, "RngStream", None)
+        monkeypatch.setattr(sampling, "RngStream", None)
         code, out, err = run_cli(["simulate", "--k", "2"] + argv, capsys)
         assert (code, out) == (2, "")
         # the refusal ends with the route's formula at the given inputs
@@ -250,7 +249,7 @@ class TestSimulate:
     def test_mixture_draws_past_the_budget_exit_2_before_any_draw(
             self, replicas, capsys, monkeypatch):
         # 1e12 draws were accepted and sampled for about a day
-        monkeypatch.setattr(mixture, "RngStream", None)  # a draw would raise
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw would raise
         code, out, err = run_cli(["simulate", "--model", "mixture", "--a", "1",
                                   "--k", "2", "--t", "1", "--replicas", replicas],
                                  capsys)
@@ -265,7 +264,7 @@ class TestSimulate:
                              ids=["4e8", "1e400"])
     def test_birth_draws_past_the_budget_exit_2_before_any_draw(
             self, replicas, draws, capsys, monkeypatch):
-        monkeypatch.setattr(birth, "RngStream", None)  # a draw would raise
+        monkeypatch.setattr(sampling, "RngStream", None)  # a draw would raise
         code, out, err = run_cli(["simulate", "--model", "birth", "--lambda", "1",
                                   "--k", "1", "--t", "1", "--replicas", replicas],
                                  capsys)
@@ -278,8 +277,7 @@ class TestSimulate:
     def test_invalid_time_exits_2_before_any_draw(self, model, route, capsys,
                                                   monkeypatch):
         # a draw would raise TypeError
-        monkeypatch.setattr(birth, "RngStream", None)
-        monkeypatch.setattr(mixture, "RngStream", None)
+        monkeypatch.setattr(sampling, "RngStream", None)
         code, out, err = run_cli(["simulate", "--model", model, route, "1",
                                   "--k", "2", "--t", "inf"], capsys)
         assert (code, out) == (2, "")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from harrisproc import acceptance, mixture
+from harrisproc import acceptance, mixture, sampling
 from harrisproc.birth import ProcessParams
 from harrisproc.distribution import HarrisParams, harris_mean_var, harris_pmf
 from harrisproc.errors import ConvergenceError
@@ -309,7 +309,7 @@ class TestSampler:
         def no_stream(*args, **kwargs):
             raise AssertionError("a stream was made")
 
-        monkeypatch.setattr(mixture, "RngStream", no_stream)
+        monkeypatch.setattr(sampling, "RngStream", no_stream)
         # simulate's message for --replicas 1000000001
         with pytest.raises(ValueError, match="1000000001 mixture draws exceed the "
                                              "draw budget of 1000000000"):

@@ -46,15 +46,13 @@ def test_compare_lists_each_differing_label(tool, tmp_path, monkeypatch, capsys,
 
 
 def test_each_refusal_exits_2_before_any_draw(tool, monkeypatch, capsys):
-    from harrisproc import birth, mixture
+    from harrisproc import sampling
 
     def no_stream(*args, **kwargs):
         raise AssertionError("a stream was made")
 
-    for module in (birth, mixture):
-        monkeypatch.setattr(module, "RngStream", no_stream)
-    for argv in tool.REFUSALS:
+    monkeypatch.setattr(sampling, "RngStream", no_stream)
+    for argv, message in tool.REFUSALS.items():
         assert tool.cli_main(list(argv)) == 2
         out, err = capsys.readouterr()
-        assert out == "" and ("draw budget" in err or "past 1000000 events" in err
-                              or "--nmax must be >= 0 and <= 100000" in err)
+        assert out == "" and message in err

@@ -10,7 +10,7 @@ from harrisproc import birth, sampling
 from harrisproc.distribution import HarrisParams, nb_pmf
 from harrisproc.mixture import MixtureParams, sample_model2
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import chi_square_gof, gof_support
+from harrisproc.validation import chi_square_gof, gof_support, tally
 
 E = math.e
 N_BIG = 1_000_000
@@ -273,3 +273,49 @@ def test_sample_harris_is_model_2_at_rate_one_to_time_m_minus_one(m, k):
         assert np.array_equal(
             sample_harris(RngStream(seed), HarrisParams(m, k), 10_000),
             sample_model2(RngStream(seed), MixtureParams(1.0, k), m - 1.0, 10_000))
+
+
+class TestTallyBlocks:
+    """The block runner both Monte Carlo models tally through."""
+
+    @staticmethod
+    def _integers(stream, size):
+        return stream.generator.integers(0, 50, size)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_block_b_draws_its_items_from_stream_b(self, workers):
+        # 8 blocks of 128 items, the last one 104
+        expected = np.concatenate([self._integers(RngStream(7, b),
+                                                  min(128, 1000 - 128 * b))
+                                   for b in range(8)])
+        observed = sampling.tally_blocks(self._integers, 1000, 128, 7, workers)
+        assert list(observed.items()) == list(tally(expected).items())
+
+    @pytest.mark.parametrize("workers,total", [(4, 100), (1, 500)])
+    def test_makes_no_pool_for_one_block_or_one_worker(self, monkeypatch, workers,
+                                                       total):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        observed = sampling.tally_blocks(self._integers, total, 100, 7, workers)
+        assert sum(observed.values()) == total
+
+    @pytest.mark.parametrize("workers,total,threads", [(3, 1000, 3), (4, 200, 2)])
+    def test_submits_one_future_per_worker(self, monkeypatch, workers, total,
+                                           threads):
+        pools, futures = [], []
+
+        class Recording(sampling.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, *args, **kwargs):
+                futures.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recording)
+        observed = sampling.tally_blocks(self._integers, total, 100, 7, workers)
+        assert sum(observed.values()) == total
+        assert pools == [threads] and len(futures) == threads

@@ -13,7 +13,7 @@ from scipy import special
 from harrisproc.acceptance import run_scenario
 from harrisproc.distribution import HarrisParams, harris_pmf
 from harrisproc.errors import ResourceLimitError
-from harrisproc.sampling import RngStream, sample_harris
+from harrisproc.sampling import RngStream, sample_harris, tally_blocks
 from harrisproc.validation import (
     MIN_EXPECTED_PER_BIN,
     Bin,
@@ -21,7 +21,6 @@ from harrisproc.validation import (
     ValidationReport,
     chi_square_gof,
     chi_square_quantile,
-    add_tallies,
     gof_support,
     moment_check,
     pearson_statistic,
@@ -411,11 +410,16 @@ class TestTally:
             tally_moments({5: 1})
 
     def test_added_tallies_tally_the_joined_samples(self):
+        # sampling.tally_blocks adds block b's tally of parts[b] into its
+        # worker's tally, and those together
         rng = np.random.default_rng(0)
         parts = [rng.integers(0, 40, size=size) for size in (1000, 7, 300)]
-        parts.append(np.array([2**40, 3]))
-        assert (list(add_tallies(tally(p) for p in parts).items())
-                == list(tally(np.concatenate(parts)).items()))
+        parts.append(np.array([2**40, 3, -5]))
+        joined = list(tally(np.concatenate(parts)).items())
+        for workers in (1, 2, 4):
+            added = tally_blocks(lambda stream, size: parts[stream.stream_id],
+                                 len(parts), 1, 0, workers)
+            assert list(added.items()) == joined
 
 
 class TestCalibration:

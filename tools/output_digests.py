@@ -39,21 +39,25 @@ from harrisproc.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2)
 FORMATS = ((), ("--format", "csv"), ("--format", "json"))
-# Runs past the draw budget, the event cap or the --nmax bound, each refused
-# before any draw or quadrature: the stderr of each is its refusal message
-REFUSALS = (
+# Runs past the draw budget, the event cap, the --nmax bound or the longest
+# goodness-of-fit table, each refused before any draw or quadrature: the
+# stderr of each is its refusal message, which holds the text given here
+REFUSALS = {
     ("simulate", "--model", "mixture", "--a", "1", "--k", "2", "--t", "1",
-     "--replicas", "1000000001"),
+     "--replicas", "1000000001"): "draw budget",
     ("simulate", "--model", "birth", "--lambda", "0.5", "--k", "2", "--t", "1",
-     "--replicas", "540000000"),
+     "--replicas", "540000000"): "draw budget",
     ("simulate", "--model", "birth", "--lambda", "1", "--k", "1", "--t", "13",
-     "--replicas", "2000"),
-    ("validate", "--mixture-draws", str(10**12)),
-    ("validate", "--mixture-draws", str(10**9 + 1)),
-    ("validate", "--calibration-seeds", str(10**5 + 1)),
-    ("validate", "--replicas", str(5 * 10**8)),
-    ("mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "100001"),
-)
+     "--replicas", "2000"): "past 1000000 events",
+    ("validate", "--mixture-draws", str(10**12)): "draw budget",
+    ("validate", "--mixture-draws", str(10**9 + 1)): "draw budget",
+    ("validate", "--calibration-seeds", str(10**5 + 1)): "draw budget",
+    ("validate", "--replicas", str(5 * 10**8)): "draw budget",
+    ("mixture-check", "--a", "1", "--k", "2", "--t", "1", "--nmax", "100001"):
+        "--nmax must be >= 0 and <= 100000",
+    ("simulate", "--model", "mixture", "--a", "1", "--k", "1", "--t", "1e12",
+     "--replicas", "10000000"): "support truncation exceeded 1000000 terms",
+}
 
 
 def _load_workloads():
