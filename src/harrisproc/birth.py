@@ -76,7 +76,7 @@ DRAW_CHUNK = 16_384
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Base rate lam > 0 and step size k >= 1 of the birth process."""
+    """Finite base rate lam > 0 and step size k >= 1 of the birth process."""
 
     lam: float
     k: int
@@ -84,8 +84,8 @@ class ProcessParams:
     def __post_init__(self):
         object.__setattr__(self, "k", _validate_step(self.k))
         lam = float(self.lam)
-        if not lam > 0.0:
-            raise ValueError(f"rate lam must be > 0, got {self.lam!r}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"rate lam must be > 0 and finite, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
 
     def rate_after(self, n_events):

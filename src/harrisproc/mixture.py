@@ -14,6 +14,7 @@ on threads (sampling.tally_blocks), within the draw budget sampling.MAX_DRAWS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -56,7 +57,7 @@ def _gauss_legendre() -> tuple:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Gamma mixing rate a > 0 and step size k >= 1.
+    """Finite gamma mixing rate a > 0 and step size k >= 1.
 
     The mixing law has shape 1/k and rate a (mean 1/(a*k)); querying the
     process at time t > 0 induces the Harris scale m = (a + t)/a.
@@ -68,8 +69,8 @@ class MixtureParams:
     def __post_init__(self):
         object.__setattr__(self, "k", _validate_step(self.k))
         a = float(self.a)
-        if not a > 0.0:
-            raise ValueError(f"mixing rate a must be > 0, got {self.a!r}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"mixing rate a must be > 0 and finite, got {self.a!r}")
         object.__setattr__(self, "a", a)
 
     def scale_at(self, t: float) -> float:
@@ -204,7 +205,10 @@ def sample_model2(rng: RngStream, params: MixtureParams, t: float, size=None):
     """Draw Z(t) = 1 + k*X: rate from the gamma mixing law, then Poisson.
 
     One rate is drawn per replica (each draw is its own path); every
-    sample lies on {1, 1+k, 1+2k, ...}.  tally_model2 calls it once per
+    sample lies on {1, 1+k, 1+2k, ...}.  The rate's gamma(1/k) draw is
+    sampling._standard_gamma: at k = 2 half a squared standard normal, which
+    may be 0 (then the draw is 1), and at k = 1 or k >= 3 numpy's gamma
+    sampler, directly or boosted.  tally_model2 calls it once per
     block of at most DRAW_BLOCK draws, block b with RngStream(seed, b), so a
     block's draws do not depend on how many blocks follow it.
     """

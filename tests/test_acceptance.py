@@ -579,13 +579,14 @@ def test_criterion_8_calls_no_gamma_or_poisson_sampler(monkeypatch):
         raise AssertionError("a gamma or Poisson sampler was called")
 
     class NoGammaPoisson:
-        """A generator that refuses every gamma, Poisson and NB draw."""
+        """A generator that refuses every gamma, Poisson and NB draw, and
+        the standard normal that a shape-1/2 gamma draw squares."""
 
         def __init__(self, generator):
             self.generator = generator
 
         def __getattr__(self, name):
-            if name in ("gamma", "standard_gamma", "poisson",
+            if name in ("gamma", "standard_gamma", "standard_normal", "poisson",
                         "negative_binomial"):
                 return sampled
             return getattr(self.generator, name)

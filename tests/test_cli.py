@@ -377,9 +377,11 @@ class TestParameterGuards:
               *[(model, route, "1", t, "query time t must be > 0 and finite")
                 for model, route in (("birth", "--lambda"), ("mixture", "--a"))
                 for t in ("0", "-1", "nan", "inf")],
+              ("birth", "--lambda", "1e-300", "1", "m must be > 1 and finite"),
+              # a non-finite rate is refused by name, before any law
+              ("birth", "--lambda", "inf", "1",
+               "rate lam must be > 0 and finite, got inf"),
               *[(*case, "m must be > 1 and finite") for case in (
-                  ("birth", "--lambda", "1e-300", "1"),
-                  ("birth", "--lambda", "inf", "1"),
                   ("mixture", "--a", "1e300", "1"),
                   ("mixture", "--a", "1e-320", "1"))])],
         (["pgf", "--m", "1e300", "--k", "3"], "exceeded 1000000 terms"),
@@ -417,6 +419,8 @@ class TestParameterGuards:
         (["simulate", "--model", "mixture", "--a", "1e300", "--k", "2", "--t", "1",
           "--replicas", "1000"],
          "m must be > 1 and finite, got 1.0: m = (a + t)/a at t=1.0, a=1e+300, k=2"),
+        (["simulate", "--model", "mixture", "--a", "inf", "--k", "2", "--t", "1",
+          "--replicas", "1000"], "mixing rate a must be > 0 and finite, got inf"),
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -154,6 +154,20 @@ class TestGamma:
         draws = sampling._standard_gamma(RngStream(4), 0.25, 100_000)
         assert draws.min() > 0.0
 
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_half_shape_is_half_a_squared_normal(self, size):
+        z = RngStream(17).generator.standard_normal(size)
+        draws = sampling._standard_gamma(RngStream(17), 0.5, size)
+        assert np.array_equal(draws, 0.5 * z * z)
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_third_shape_is_boosted(self, size):
+        stream = RngStream(19)
+        g = stream.generator.standard_gamma(4.0 / 3.0, size)
+        expected = g * stream.uniform(size) ** 3.0
+        draws = sampling._standard_gamma(RngStream(19), 1.0 / 3.0, size)
+        assert np.array_equal(draws, expected)
+
 
 class TestNegativeBinomial:
     """Harris counts (X - 1)/k follow NB(1/k, 1/m)."""
@@ -239,11 +253,15 @@ class TestDistributionalConformance:
 
 def test_draws_equal_the_gamma_poisson_reference():
     """Both samplers draw Poisson(G / rate * t), G ~ gamma(shape) from numpy,
-    for shape < 1 as standard_gamma(shape + 1) * U**(1/shape), bit for bit."""
+    for shape 1/2 as Z**2 / 2 with Z standard normal, and for any other
+    shape < 1 as standard_gamma(shape + 1) * U**(1/shape), bit for bit."""
 
     def reference(rng, shape, rate, t, size):
         if shape >= 1.0:
             g = rng.generator.standard_gamma(shape, size)
+        elif shape == 0.5:
+            z = rng.generator.standard_normal(size)
+            g = z * z / 2.0
         else:
             g = rng.generator.standard_gamma(shape + 1.0, size)
             g = g * rng.uniform(size) ** (1.0 / shape)
@@ -263,6 +281,32 @@ def test_draws_equal_the_gamma_poisson_reference():
             assert np.array_equal(draws, expected)
             if size is None:
                 assert isinstance(draws, int)
+
+
+class _ZeroNormals:
+    """A generator whose standard_normal gives only zeros."""
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def standard_normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+def test_a_zero_half_shape_rate_gives_state_one():
+    # Z**2 / 2 is exactly 0 when Z is, a rate the boost never gave
+    stream = RngStream(3)
+    stream.generator = _ZeroNormals(stream.generator)
+    with np.errstate(all="raise"):
+        draws = sample_model2(stream, MixtureParams(1.0, 2), 1.0, 1000)
+        draw = sample_model2(stream, MixtureParams(1.0, 2), 1.0)
+        harris = sample_harris(stream, HarrisParams(E, 2))
+    assert np.array_equal(draws, np.ones(1000, dtype=draws.dtype))
+    assert draw == 1 and harris == 1
+    assert isinstance(harris, int)
 
 
 @pytest.mark.parametrize("m,k", [(2.0, 2), (1.5, 1), (3.7, 3), (1000.0, 1)])
