@@ -20,15 +20,14 @@ import numpy as np
 from .birth import (ProcessParams, _check_run, process_moments, solve_forward_odes,
                     solve_forward_odes_at, tally_model1)
 from .distribution import (HarrisParams, decap_geometric_pmf, harris_pgf,
-                           harris_pmf, nb_pmf, pmf_table, truncation_index)
+                           harris_pmf, nb_pmf, pmf_table)
 from .mixture import (MixtureParams, _mixture_quadrature, mixture_moments,
                       mixture_pmf, quadrature_agrees, tally_model2)
 from .reporting import simulate_text
 from .sampling import RngStream, _check_draw_budget, _check_index
-from .validation import (MIN_EXPECTED_PER_BIN, MIN_MOMENT_SAMPLES, VAR_REL_FLOOR,
-                         Scenario, ValidationReport, chi_square_gof, gof_cells,
-                         gof_stop, gof_support, moment_check, pearson_statistic,
-                         tally_moments)
+from .validation import (MIN_MOMENT_SAMPLES, VAR_REL_FLOOR, Scenario,
+                         ValidationReport, _table_length, chi_square_gof, gof_cells,
+                         gof_support, moment_check, pearson_statistic, tally_moments)
 
 __all__ = [
     "ScenarioRun",
@@ -131,7 +130,7 @@ def run_scenario(model: str, *, k: int, t: float, replicas: int, seed: int,
         # gof_support's draw-independent half refuses a table past MAX_TERMS
         # before any draw (birth's _check_run bounds it by the event cap)
         _check_draw_budget("mixture draws", replicas)
-        truncation_index(marginal, min(MIN_EXPECTED_PER_BIN / (2 * replicas), 0.5))
+        _table_length(marginal, replicas)
     observed = run(params, t, replicas, seed)
     analytic_mean, analytic_var = moments(params, t)
     scenario = Scenario(model, {**rate, "k": params.k}, t, replicas, seed)
@@ -317,36 +316,21 @@ def _calibration_gofs(params: HarrisParams, n_seeds: int, draws: int):
 
     Seed s tallies draws exact draws of the law from RngStream(s)
     (_exact_tally over _law_cells at CALIBRATION_TAIL), one call per seed.
-    Every seed is tested against one table made for the open-tail value,
-    the largest a draw can take: the table gof_support makes for one seed
-    alone is a prefix of it and the test stops inside that prefix.  A
-    seed's cells depend on its tally only through its stop, so the cells
-    of each stop are made once, and the count vectors of up to
-    CALIBRATION_BATCH seeds are stacked into one matrix and judged one
-    stop group at a time.
+    The cells of a test depend only on the law and the number of draws, so
+    one set of cells is made from _law_cells's table, and the count vectors
+    of up to CALIBRATION_BATCH seeds are stacked into one matrix and judged
+    against it in one pass.
     """
     values, probs = _law_cells(params, CALIBRATION_TAIL)
-    support, law = gof_support(params, int(values[-1]), draws)
-    cumulative = np.cumsum(law)
-    cells_at = {}
+    cells = gof_cells(values, probs, draws, CALIBRATION_LEVEL)
     for first in range(0, n_seeds, CALIBRATION_BATCH):
         tallies = [_exact_tally(seed, probs, draws)
                    for seed in range(first, min(first + CALIBRATION_BATCH, n_seeds))]
         rows = np.zeros((len(tallies), max(map(len, tallies))), dtype=np.int64)
         for row, counts in zip(rows, tallies):
             row[:len(counts)] = counts
-        # each row's largest draw is the point of its last nonzero column
-        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-        ends = gof_stop(support, cumulative, draws, params.support_value(last))
-        statistics, thresholds = np.empty(len(rows)), np.empty(len(rows))
-        for end in np.unique(ends).tolist():
-            if end not in cells_at:
-                cells_at[end] = gof_cells(support, law, draws, end, CALIBRATION_LEVEL)
-            cells, group = cells_at[end], ends == end
-            statistics[group] = pearson_statistic(cells.observed_in(rows[group])[0],
-                                                  cells.expected)
-            thresholds[group] = cells.threshold
-        yield from zip(statistics.tolist(), thresholds.tolist())
+        statistics = pearson_statistic(cells.observed_in(rows)[0], cells.expected)
+        yield from ((statistic, cells.threshold) for statistic in statistics.tolist())
 
 
 def _check_calibration(n_seeds: int, draws_per_seed: int) -> CriterionResult:

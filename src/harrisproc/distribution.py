@@ -31,10 +31,14 @@ from scipy.special import gammaln, poch
 from .errors import ResourceLimitError
 
 MAX_TERMS = 1_000_000  # the longest table of any law: truncation_index's cap
+# The largest step k: 1 + n*k fits int64 for every count n the program
+# forms, and P(n = 0) keeps 2.9e-11 relative precision at it
+MAX_STEP = 1_000_000
 _PROBES = 64  # truncation_index's probes per array call
 
 __all__ = [
     "MAX_TERMS",
+    "MAX_STEP",
     "HarrisParams",
     "harris_pmf",
     "harris_pgf",
@@ -53,6 +57,8 @@ def _validate_step(k) -> int:
     k = int(k)
     if k < 1:
         raise ValueError(f"step parameter k must be >= 1, got {k}")
+    if k > MAX_STEP:
+        raise ValueError(f"step parameter k must be <= {MAX_STEP}, got {k}")
     return k
 
 

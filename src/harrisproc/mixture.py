@@ -235,9 +235,11 @@ def tally_model2(params: MixtureParams, t: float, draws: int, seed: int) -> dict
 
 
 def mixture_moments(params: MixtureParams, t: float) -> tuple:
-    """Closed-form mean (a+t)/a and variance (a+t)*t*k/a**2 of Z(t)."""
+    """Closed-form mean m = (a+t)/a and variance k*m*(t/a) of Z(t); where
+    m > 1, no step of it under- or overflows unless the variance does."""
     t = float(t)
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    a, k = params.a, params.k
-    return (a + t) / a, (a + t) * t * k / (a * a)
+    a = params.a
+    m = (a + t) / a
+    return m, params.k * m * (t / a)

@@ -34,7 +34,6 @@ __all__ = [
     "chi_square_quantile",
     "chi_square_gof",
     "GofCells",
-    "gof_stop",
     "gof_cells",
     "pearson_statistic",
     "gof_support",
@@ -114,17 +113,23 @@ class GofResult:
     bins: tuple = field(repr=False)
 
 
+def _table_length(params: HarrisParams, total: int) -> int:
+    """Last count index of a table of params long enough for a test of total
+    observations: the truncation index certified for half the tail at its
+    first thin point (gof_cells), so the test stops inside the table.  At
+    k = 1 the bound is the true tail, and the half keeps 1 - cumsum
+    rounding from moving that point past the end."""
+    return truncation_index(params, min(MIN_EXPECTED_PER_BIN / (2 * total), 0.5))
+
+
 def gof_support(params: HarrisParams, largest: int, total: int) -> tuple:
     """(support, probs) arrays of a Harris law, long enough for chi_square_gof.
 
-    The table runs to largest, the largest of total observations, or to the
-    truncation index certified for half the tail at which the test may stop,
-    so it stops inside: at k = 1 the bound is the true tail, and the half
-    keeps 1 - cumsum rounding from moving the stop past the end.  Past
-    MAX_TERMS points the law is refused with ResourceLimitError.
+    The table runs to largest, the largest of total observations, or to
+    _table_length, so the test of those observations stops inside it.
+    Past MAX_TERMS points the law is refused with ResourceLimitError.
     """
-    n = max(truncation_index(params, min(MIN_EXPECTED_PER_BIN / (2 * total), 0.5)),
-            (largest - 1) // params.k)
+    n = max(_table_length(params, total), (largest - 1) // params.k)
     if n > MAX_TERMS:
         raise ResourceLimitError(f"goodness-of-fit support exceeded {MAX_TERMS} points")
     ns = np.arange(n + 1)
@@ -167,30 +172,24 @@ class GofCells:
         return np.add.reduceat(read, self.starts[:-1], axis=-1), past
 
 
-def gof_stop(support, cumulative, total: int, largest):
-    """How many support points a test of total observations reads, for
-    largest, the largest observation, or for each of an array of them.
+def gof_cells(support, probs, total: int, alpha: float) -> GofCells:
+    """The cells of a test of total observations against a law's table.
 
-    It reads up to the first point at or past largest with less than
-    MIN_EXPECTED_PER_BIN expected beyond it (cumulative is np.cumsum of
-    the probabilities), or to the end.
+    The test reads the support up to its first thin point, the first with
+    less than MIN_EXPECTED_PER_BIN expected beyond it (total times
+    1 - cumsum), or to its end.  Consecutive points are merged until every
+    cell's expected count reaches MIN_EXPECTED_PER_BIN; the open tail, with
+    the rest of the points' sum, is the last cell, or merges into the one
+    before it if too few observations are expected there.  Past the first
+    thin point at most one more cell could close, and what is left after
+    it would merge back into it, so reading further would give the same
+    cells.  The threshold is the chi-square upper alpha quantile.  Raises
+    ValueError if fewer than two cells survive merging.
     """
+    # np.cumsum adds in support order, as a running sum does
+    cumulative = np.cumsum(probs)
     thin = np.flatnonzero(total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
-    # the first thin point at or past the first point at or past largest
-    return np.append(thin + 1, len(support))[
-        np.searchsorted(thin, np.searchsorted(support, largest))]
-
-
-def gof_cells(support, probs, total: int, end: int, alpha: float) -> GofCells:
-    """The cells of a test of total observations that reads end support points.
-
-    Consecutive points are merged until every cell's expected count
-    reaches MIN_EXPECTED_PER_BIN; the open tail, with the rest of the
-    points' sum, 1 - cumsum, is the last cell, or merges into the one
-    before it if too few observations are expected there.  The threshold
-    is the chi-square upper alpha quantile.  Raises ValueError if fewer
-    than two cells survive merging.
-    """
+    end = int(thin[0]) + 1 if thin.size else len(support)
     points = support[:end].tolist()
     starts, bounds, expected = [], [], []
     first, acc = 0, 0.0
@@ -201,8 +200,7 @@ def gof_cells(support, probs, total: int, end: int, alpha: float) -> GofCells:
             bounds.append((points[first], points[i]))
             expected.append(acc)
             first, acc = i + 1, 0.0
-    # np.cumsum adds in support order, as a running sum does
-    acc += max(total * (1.0 - float(np.cumsum(probs[:end])[-1])), 0.0)
+    acc += max(total * (1.0 - float(cumulative[end - 1])), 0.0)
     if first < end or acc > 0.0:
         if expected and not acc >= MIN_EXPECTED_PER_BIN:
             first = starts.pop()
@@ -248,10 +246,10 @@ def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     alpha : float
         Significance level for the pass/fail threshold.
 
-    The support is read as far as gof_stop says, and its points are merged
-    into the cells gof_cells makes; observations at no point read belong to
-    the last cell, which is then the open tail.  Raises ValueError if fewer
-    than two cells survive merging.
+    The support's points are merged into the cells gof_cells makes, which
+    depend only on the law and the total; observations at no point read
+    belong to the last cell, which is then the open tail.  Raises
+    ValueError if fewer than two cells survive merging.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must lie in (0, 1), got {alpha!r}")
@@ -266,8 +264,7 @@ def chi_square_gof(observed, support, probs, alpha: float) -> GofResult:
     if np.any(np.diff(support) <= 0):
         raise ValueError("support values must increase")
 
-    cells = gof_cells(support, probs, total,
-                      gof_stop(support, np.cumsum(probs), total, max(observed)), alpha)
+    cells = gof_cells(support, probs, total, alpha)
     at_points = [observed.get(value, 0) for value in cells.points]
     counts, past = cells.observed_in(at_points + [total - sum(at_points)])
     statistic = float(pearson_statistic(counts, cells.expected))

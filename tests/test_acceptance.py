@@ -35,8 +35,8 @@ from harrisproc.mixture import (DRAW_BLOCK, MixtureParams, mixture_pmf,
                                 mixture_pmf_quadrature, sample_model2)
 from harrisproc.reporting import simulate_text
 from harrisproc.sampling import RngStream, sample_harris
-from harrisproc.validation import (chi_square_gof, gof_stop, gof_support,
-                                   moment_check, tally, tally_moments)
+from harrisproc.validation import (chi_square_gof, gof_support, moment_check,
+                                   tally, tally_moments)
 
 E = math.e
 SEED = 42
@@ -434,21 +434,19 @@ def exact_observed(seed, values, probs, draws):
 
 @pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1)])
 def test_each_calibration_statistic_is_the_seeds_own_gof(m, k):
-    # (2, 2) is criterion 8's law; at (100, 1) the seeds stop at different
-    # points, so criterion 8 makes several sets of cells
+    # (2, 2) is criterion 8's law; at (100, 1) the seeds' largest draws,
+    # and so their own tables, differ widely
     params = HarrisParams(m, k)
     gofs = list(acceptance._calibration_gofs(params, 200, 10_000))
     cells = acceptance._law_cells(params, acceptance.CALIBRATION_TAIL)
-    alone, stops = [], set()
+    alone = []
     for seed in range(200):
         # each seed tested alone against its own table, as one loop would
         observed = exact_observed(seed, *cells, 10_000)
         support, probs = gof_support(params, max(observed), 10_000)
         gof = chi_square_gof(observed, support, probs, 0.05)
         alone.append((gof.statistic, gof.threshold))
-        stops.add(gof_stop(support, np.cumsum(probs), 10_000, max(observed)))
     assert gofs == alone
-    assert len(stops) > 1
 
 
 @pytest.mark.parametrize("m,k", [(2.0, 2), (100.0, 1), (30.0, 3)])
@@ -475,17 +473,29 @@ def test_the_array_judge_is_chi_square_gof_row_by_row(monkeypatch, m, k):
     # short row is a batch of its own
     monkeypatch.setattr(acceptance, "CALIBRATION_BATCH", 3)
     judged = list(acceptance._calibration_gofs(params, len(rows), draws))
-    alone, stops = [], set()
+    alone = []
     for row in rows:
         drawn = np.flatnonzero(row)
         observed = dict(zip(params.support_value(drawn).tolist(),
                             row[drawn].tolist()))
         gof = chi_square_gof(observed, support, law, acceptance.CALIBRATION_LEVEL)
         alone.append((gof.statistic, gof.threshold))
-        stops.add(gof_stop(support, np.cumsum(law), draws, max(observed)))
     assert judged == alone
-    assert max(stops) == len(support) and len(short) < min(stops)
-    assert len(stops) > 2
+
+
+def test_criterion_8_makes_one_set_of_cells(monkeypatch):
+    # at (100, 1) the seeds' largest draws differ widely; the cells of
+    # their tests do not
+    made, gof_cells = [], acceptance.gof_cells
+
+    def counted(*args):
+        made.append(args)
+        return gof_cells(*args)
+
+    monkeypatch.setattr(acceptance, "gof_cells", counted)
+    monkeypatch.setattr(acceptance, "CALIBRATION_BATCH", 3)
+    gofs = list(acceptance._calibration_gofs(HarrisParams(100.0, 1), 30, 10_000))
+    assert len(gofs) == 30 and len(made) == 1
 
 
 @pytest.mark.parametrize("batch", [7, acceptance.CALIBRATION_BATCH])
@@ -720,7 +730,7 @@ def test_criterion_9_fails_when_the_rerun_differs(monkeypatch):
 def test_gof_of_criterion_3_is_pinned():
     gof = acceptance.run_scenario("birth", lam=0.5, k=2, t=1.0, replicas=100_000,
                                   seed=SEED).report.gof
-    assert repr(gof.statistic) == "28.608510155533764"
+    assert repr(gof.statistic) == "28.60851015552567"
     assert gof.degrees_of_freedom == 17
     assert [b.label for b in gof.bins] == [str(x) for x in range(1, 35, 2)] + [">=35"]
 
@@ -731,7 +741,7 @@ def test_gof_of_the_deep_birth_run_is_pinned():
     gof = acceptance.run_scenario("birth", lam=1.0, k=1, t=6.0, replicas=2000,
                                   seed=1880700755).report.gof
     labels = [b.label for b in gof.bins]
-    assert repr(gof.statistic) == "357.1640692937921"
+    assert repr(gof.statistic) == "357.1640692937926"
     assert gof.degrees_of_freedom == 315
     assert labels[:3] == ["1-2", "3-4", "5-6"]
     assert labels[-3:] == ["1904-2037", "2038-2238", ">=2239"]

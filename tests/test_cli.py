@@ -179,6 +179,23 @@ class TestSimulate:
         assert report.overall
         assert report.scenario.model == "mixture"
 
+    @pytest.mark.parametrize("argv,variance", [
+        pytest.param(["--a", "1e-200", "--k", "2", "--t", "1e-200"], 4.0, id="1e-200"),
+        *[pytest.param(["--a", "1e300", "--k", "1", "--t", "1e300", "--format", fmt],
+                       2.0, id=f"1e300-{fmt}") for fmt in ("csv", "json")],
+    ])
+    def test_moments_of_an_extreme_rate_are_finite(self, argv, variance, capsys):
+        # m = 2: the variance k*m*(t/a) neither under- nor overflows
+        code, out, err = run_cli(["simulate", "--model", "mixture", *argv,
+                                  "--replicas", "1000"], capsys)
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+        if "csv" in argv:
+            assert parse_csv(out)[0]["var_analytic"] == repr(variance)
+        else:
+            report = ValidationReport.from_dict(json.loads(out)["report"])
+            assert report.var_check.analytic == variance and report.overall
+
     def test_zero_replicas_rejected(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--model", "birth", "--lambda", "0.5", "--k", "2",
@@ -421,6 +438,17 @@ class TestParameterGuards:
          "m must be > 1 and finite, got 1.0: m = (a + t)/a at t=1.0, a=1e+300, k=2"),
         (["simulate", "--model", "mixture", "--a", "inf", "--k", "2", "--t", "1",
           "--replicas", "1000"], "mixing rate a must be > 0 and finite, got inf"),
+        # a step past MAX_STEP, before 1 + n*k can overflow int64
+        *[pytest.param([*command, "--k", str(k), *rest],
+                       f"step parameter k must be <= 1000000, got {k}",
+                       id=f"{command[0]}-k-{k}")
+          for command, k, rest in (
+              (["pmf"], 10**20, ["--lambda", "1", "--t", "1"]),
+              (["pgf"], 10**20, ["--m", "2"]),
+              (["mixture-check"], 10**20, ["--a", "1", "--t", "1", "--nmax", "3"]),
+              (["simulate", "--model", "mixture"], 10**20,
+               ["--a", "1", "--t", "1", "--replicas", "1000"]),
+              (["mixture-check"], 2**62, ["--a", "1", "--t", "1", "--nmax", "3"]))],
     ])
     def test_exit_2_with_message(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -1,7 +1,10 @@
+import itertools
 import math
+import sys
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +333,41 @@ class TestMoments:
         d_mean, d_var = harris_mean_var(params.harris_at(t))
         assert mean == pytest.approx(d_mean, rel=1e-14)
         assert var == pytest.approx(d_var, rel=1e-14)
+
+    # rates and times from 1e-300 to 3.7e300
+    WIDE = [c * 10.0**e for e in (-300, -200, -100, -10, 0, 10, 100, 200, 300)
+            for c in (1.0, 3.7)]
+
+    def test_wide_laws_agree_with_distribution_moments(self):
+        # where t >= a/2, so that harris_mean_var's m - 1 keeps its digits
+        compared = 0
+        for a, t in itertools.product(self.WIDE, self.WIDE):
+            for k in (1, 2, 7):
+                params = MixtureParams(a, k)
+                try:
+                    law = params.harris_at(t)
+                except ValueError:
+                    continue  # m rounds to 1 or overflows
+                mean, var = mixture_moments(params, t)
+                law_mean, law_var = harris_mean_var(law)
+                assert mean == law_mean
+                if t >= a / 2 and law_var < math.inf:
+                    compared += 1
+                    assert var == pytest.approx(law_var, rel=1e-15)
+        assert compared > 200
+
+    def test_wide_variances_are_correctly_rounded_to_a_few_ulps(self):
+        for a, t in itertools.product(self.WIDE, self.WIDE):
+            m = (a + t) / a
+            if not 1.0 < m < math.inf:
+                continue
+            _, var = mixture_moments(MixtureParams(a, 3), t)
+            # of the rounded sum a + t, as m is
+            exact = 3 * Fraction(a + t) * Fraction(t) / Fraction(a) ** 2
+            if exact > Fraction(sys.float_info.max):
+                assert var == math.inf
+            else:
+                assert abs(Fraction(var) - exact) <= Fraction(1e-15) * exact
 
     def test_mean_strictly_increasing(self):
         params = MixtureParams(1.5, 2)

@@ -162,14 +162,18 @@ def _reference_label(lo, hi, open_tail):
     return f"{lo}-{hi}"
 
 
-def _reference_gof(observed, support, probs, total, alpha):
+def _reference_gof(observed, support, probs, total, alpha, past_largest=False):
     """chi_square_gof as it was when each bin was labelled as it closed and
     the merged tail read its lower bound back from the last label (which
-    mislabels a negative bound, so it is a reference on positive supports)."""
+    mislabels a negative bound, so it is a reference on positive supports).
+
+    It reads the support to the first thin point, or with past_largest to
+    the first thin point at or past the largest observation, the rule the
+    test once had."""
     observed_sum = sum(observed.values())
     cumulative = np.cumsum(probs)
-    stops = np.flatnonzero((total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN)
-                           & (support >= max(observed)))
+    thin = total * (1.0 - cumulative) < MIN_EXPECTED_PER_BIN
+    stops = np.flatnonzero(thin & (support >= max(observed)) if past_largest else thin)
     end = int(stops[0]) + 1 if stops.size else len(support)
     values = support[:end].tolist()
     counts = [observed.get(value, 0) for value in values]
@@ -237,6 +241,54 @@ class TestGofMergeReference:
         result = chi_square_gof(observed, support, probs, alpha)
         assert (result.bins, result.statistic, result.degrees_of_freedom,
                 result.passed) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(log_m=st.floats(1e-3, math.log(1e3)), k=st.integers(1, 12),
+           spread=st.floats(1.0, 2.0), total=st.integers(2, 20_000),
+           seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.01, 0.05]))
+    def test_reading_past_the_largest_observation_gives_the_same_cells(
+            self, log_m, k, spread, total, seed, alpha):
+        # samples of a Harris law, or of a wider one, whose largest value
+        # the old rule read up to, however far past the first thin point
+        params = HarrisParams(math.exp(log_m), k)
+        drawn = HarrisParams(params.m * spread, k)
+        observed = tally(sample_harris(RngStream(seed), drawn, size=total))
+        try:
+            support, probs = gof_support(params, max(observed), total)
+        except ResourceLimitError:
+            return
+        try:
+            old = _reference_gof(observed, support, probs, total, alpha,
+                                 past_largest=True)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=str(error)):
+                chi_square_gof(observed, support, probs, alpha)
+            return
+        result = chi_square_gof(observed, support, probs, alpha)
+        old_bins, old_statistic, old_df, old_passed = old
+        assert (result.degrees_of_freedom, result.passed) == (old_df, old_passed)
+        assert ([(b.observed, b.expected) for b in result.bins[:-1]]
+                == [(b.observed, b.expected) for b in old_bins[:-1]])
+        # the last cell's expected count is summed over fewer points before
+        # 1 - cumsum is added, so only its rounding differs: by at most an
+        # ulp of total per point of the table, and the statistic by that
+        # times its derivative in the count, 1 - (o/e)**2
+        eps = np.finfo(float).eps
+        slack = total * len(support) * eps
+        o, e = result.bins[-1].observed, result.bins[-1].expected
+        assert o == old_bins[-1].observed
+        assert abs(e - old_bins[-1].expected) <= slack
+        assert (abs(result.statistic - old_statistic)
+                <= slack * max(1.0, (o / e) ** 2) + 8 * eps * old_statistic)
+        labels = [b.label for b in result.bins]
+        old_labels = [b.label for b in old_bins]
+        assert labels[:-1] == old_labels[:-1]
+        # where cumsum rounds to 1 at the end, one rule may close the last
+        # cell that the other leaves open, over the same points
+        if labels[-1] != old_labels[-1]:
+            assert ">=" in labels[-1] + old_labels[-1]
+            assert (labels[-1].lstrip(">=").split("-")[0]
+                    == old_labels[-1].lstrip(">=").split("-")[0])
 
 
 
